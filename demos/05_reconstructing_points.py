@@ -15,7 +15,7 @@ only in planes, so `check_reconstruction` reports the configuration as not
 applicable.  This demo runs the pipeline there anyway to show what that
 precondition protects against: the points come back perfectly but their
 incidences do not.  Swap in the roomy configuration to see it succeed (it
-takes a couple of minutes).
+takes about 20 s).
 """
 
 from spinegeo import build_spine, compute_pi, standard_params, strip

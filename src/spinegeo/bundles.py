@@ -77,22 +77,47 @@ class ReconstructedSpace:
         return bool(mask)
 
 
+def gluing_adjacency(bundle_family: list[int], graph: LineRelationGraph) -> list[set[int]]:
+    """The pairs of family members that `upsilon_empty` glues, as neighbour sets.
+
+    Each clique's reach, the union of its lines' rows, is computed once.
+    The relation is symmetric, so a line relates into a clique iff it lies
+    in that clique's reach, and `upsilon(k1, k2)` holds iff `k1 & reach(k2)`
+    has at least two bits: the same pairs glue as under `upsilon_empty`,
+    with a few integer operations per pair instead of a walk over lines.
+    """
+    rows = graph.rows
+    reach = []
+    for k in bundle_family:
+        r = 0
+        for l in bits_of(k):
+            r |= rows[l]
+        reach.append(r)
+    n = len(bundle_family)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i in range(n):
+        ki, reach_i = bundle_family[i], reach[i]
+        for j in range(i + 1, n):
+            kj = bundle_family[j]
+            if ki != kj and ki & kj:
+                continue
+            if (ki & reach[j]).bit_count() >= 2 and (kj & reach_i).bit_count() >= 2:
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj
+
+
 def reconstruct(bundle_family: list[int], graph: LineRelationGraph) -> ReconstructedSpace:
     """Points as bundles over the gluing classes of the semibundle family.
 
     The gluing relation is reflexive and symmetric by construction; its
     transitivity on the family is verified, not assumed.  Classes are taken
-    as connected components, each checked to be relation-complete; any
-    failing triple is reported as a witness while the bundles are still
-    produced from the component unions.
+    as connected components of `gluing_adjacency` (the pairs `upsilon_empty`
+    glues, read off reach masks), each checked to be relation-complete; any failing triple is reported as a witness while
+    the bundles are still produced from the component unions.
     """
     n = len(bundle_family)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if upsilon_empty(bundle_family[i], bundle_family[j], graph):
-                adj[i].add(j)
-                adj[j].add(i)
+    adj = gluing_adjacency(bundle_family, graph)
     class_of = [-1] * n
     classes: list[list[int]] = []
     for i in range(n):
@@ -137,11 +162,11 @@ def reconstruct_from_geometry(geometry: LineGeometry) -> ReconstructedSpace:
 
 
 def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
-                       strip_result: StripResult | None = None,
-                       bundle_family: list[int] | None = None) -> dict:
+                       strip_result: StripResult | None,
+                       bundle_family: list[int]) -> dict:
     """Compare a reconstruction against the source spine space.
 
-    The stripping permutation (identity when absent) carries original line
+    The stripping permutation (identity when None) carries original line
     ids to the reconstruction's universe.  The natural map sends a proper
     point to the bundle of its semibundles in the input family; each check
     is reported separately:
@@ -169,8 +194,6 @@ def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
     }
     index_of = {m: i for i, m in enumerate(recon.points)}
 
-    if bundle_family is None:
-        raise ValueError("verify_equivalence needs the clique family behind the reconstruction")
     anomalies = []
     nat: dict[int, int] = {}  # pid -> reconstructed point index
     for ci, k_mask in enumerate(bundle_family):

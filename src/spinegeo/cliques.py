@@ -105,21 +105,37 @@ def family_K(graph: LineRelationGraph) -> CliqueFamily:
     positive triple contributes its span.  Every spanned clique contains a
     positive triple, whose two smallest members form a scanned edge, so the
     scan is exhaustive.
+
+    A third line k that some already-found clique through i and j contains
+    is skipped: the span of a positive triple is the only maximal clique
+    containing it, so a covered triple either does not span or spans a
+    clique already found.  The first triple found for each clique is
+    therefore the same as without the skip, and so are the certificates.
     """
     rows = graph.rows
     n = graph.count
     found: dict[int, tuple[int, int, int]] = {}
+    at_line: list[list[int]] = [[] for _ in range(n)]  # found cliques per line
     for i in range(n):
         ri = rows[i]
+        through_i = at_line[i]
         for j in bits_of(ri >> (i + 1) << (i + 1)):
+            covered = 0
+            for m in through_i:
+                if m >> j & 1:
+                    covered |= m
             common_ij = ri & rows[j]
-            for k in bits_of(common_ij >> (j + 1) << (j + 1)):
+            for k in bits_of(common_ij >> (j + 1) << (j + 1) & ~covered):
+                if covered >> k & 1:
+                    continue
                 common = common_ij & rows[k]
                 if not _mask_is_clique(common, rows):
                     continue
                 mask = common | (1 << i) | (1 << j) | (1 << k)
-                if mask not in found:
-                    found[mask] = (i, j, k)
+                found[mask] = (i, j, k)
+                covered |= mask
+                for l in bits_of(mask >> i << i):
+                    at_line[l].append(mask)
     order = sorted(found, key=lambda m: tuple(bits_of(m)))
     masks = list(order)
     members = [tuple(bits_of(m)) for m in masks]
@@ -131,13 +147,13 @@ def family_K(graph: LineRelationGraph) -> CliqueFamily:
     return CliqueFamily(graph, masks, members, certificates, by_line)
 
 
-def family_from_masks(graph: LineRelationGraph, masks, certificates=None) -> CliqueFamily:
+def family_from_masks(graph: LineRelationGraph, masks) -> CliqueFamily:
     """Package an externally produced clique list (e.g. geometric families).
 
-    Each mask is verified to be a maximal clique of the graph.  When
-    certificates are not supplied, a spanning triple is searched inside each
-    clique; cliques without one get certificate None (they are maximal but
-    not spanned, like the affine semiflats for the proper-pencil relation).
+    Each mask is verified to be a maximal clique of the graph, and a
+    spanning triple is searched inside each clique; cliques without one get
+    certificate None (they are maximal but not spanned, like the affine
+    semiflats for the proper-pencil relation).
     """
     rows = graph.rows
     order = sorted(set(masks), key=lambda m: tuple(bits_of(m)))

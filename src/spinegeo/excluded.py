@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import Subspace, apply_matrix, invert_matrix, subspace_sum
-from .relations import LineRelationGraph
+from .gf import _rank, apply_matrix, invert_matrix
+from .relations import LineRelationGraph, bits_of
 from .spine import STAR_ALPHA, SpineParams, SpineSpace, StrongSubspace, validate_params
 
 CASE_GRASSMANN = "grassmann"
@@ -108,15 +108,11 @@ def build_homology_map(space: SpineSpace, star: StrongSubspace, scale: int) -> L
     w_vec = None
     for row in w.rows:
         cand = basis + [list(row)]
-        from .gf import _rank
-
         if _rank(tuple(tuple(r) for r in cand), q, n) == len(basis) + 1:
             w_vec = list(row)
             break
     assert w_vec is not None
     basis.append(w_vec)
-    from .gf import _rank
-
     for i in range(n):
         unit = [1 if j == i else 0 for j in range(n)]
         cand = basis + [unit]
@@ -187,7 +183,7 @@ def verify_counterexample(space: SpineSpace, lmap: LineMap,
         for i in range(graph.count):
             ri = graph.rows[i]
             target = 0
-            for j in _bits(ri):
+            for j in bits_of(ri):
                 target |= 1 << perm[j]
             if target != graph.rows[perm[i]]:
                 bad += 1
@@ -263,9 +259,3 @@ def verify_counterexample(space: SpineSpace, lmap: LineMap,
     report["ok"] = all(report["checks"].values())
     return report
 
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

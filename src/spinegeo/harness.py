@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import verify
-from .excluded import classify_case
+from .excluded import CASE_NONE, ExcludedCase, classify_case
 from .relations import compute_pi, compute_rho, graph_from_json, graph_to_json
 from .spine import SpineSpace, build_spine, standard_params, validate_params
 
@@ -276,6 +276,18 @@ def cmd_counterexample(cfg: RunConfig) -> tuple[dict, int]:
     return payload, OK if report["ok"] else CHECK_FAILED
 
 
+def reconstruction_claim(space: SpineSpace, case: ExcludedCase) -> str:
+    """The case's reconstruction status, as `verify-all` reports it.
+
+    Outside the boundary patterns the bundle gate alone does not settle it:
+    the pipeline also needs every line in a strong subspace of dimension at
+    least 4, so the claim is "unknown" when some line has no such host.
+    """
+    if case.tag == CASE_NONE and verify._lines_without_host(space):
+        return "unknown"
+    return str(case.star_holds)
+
+
 def cmd_verify_all(cfg: RunConfig, echo=print) -> tuple[dict, int]:
     """Run every applicable structural check and summarise one line each."""
     params, gates = _try_space(cfg)
@@ -307,7 +319,8 @@ def cmd_verify_all(cfg: RunConfig, echo=print) -> tuple[dict, int]:
     record("ternary_pencils", verify.check_ternary_pencils(space, pi, rho))
     record("pencil_recovery", verify.check_pencil_recovery(space, pi, rho, cfg.seed))
     case = classify_case(space.params)
-    payload["case"] = {"tag": case.tag, "reconstruction_claim": str(case.star_holds)}
+    payload["case"] = {"tag": case.tag,
+                       "reconstruction_claim": reconstruction_claim(space, case)}
     if gates.bundle_gate:
         for kind in cfg.deltas():
             record(f"upsilon_structure_{kind}",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cliques import CliqueFamily, _mask_is_clique, delta_n, family_K, podmianka
+from .cliques import CliqueFamily, _mask_is_clique, family_K, podmianka
 from .relations import PI, RHO, LineRelationGraph, bits_of
 
 
@@ -122,8 +122,8 @@ def _pencil_closure(i: int, j: int, graph, test) -> int:
     return mask
 
 
-def family_P(graph: LineRelationGraph,
-             cliques: RhoCliqueIndex | None = None) -> PencilFamily:
+def family_P(graph: LineRelationGraph, family: CliqueFamily | None = None,
+             exchange: list[bool] | None = None) -> PencilFamily:
     """Close ternary concurrency into full pencils.
 
     Two related lines determine at most one pencil, so the closure of a pair
@@ -131,12 +131,26 @@ def family_P(graph: LineRelationGraph,
     members (no recoverable pencil through the pair) or is the full pencil.
     Maximality and consistency of every inner triple are checked by
     `verify_pencils` (exercised in the test suite).
+
+    `family` is the graph's `family_K` (built when not given) and `exchange`
+    its `podmianka` flags, used for the proper-pencil relation (computed
+    when not given).  For coplanarity the test is the one of `p_pi`, with
+    the spanning half read off the family: a pairwise related triple T
+    spans iff ``common(T) | T`` is one of the family's masks, because the
+    span of a spanning triple is a spanned clique, and a mask of the family
+    is a clique, which makes ``common(T)`` one.
     """
-    if graph.delta_kind == RHO and cliques is None:
-        cliques = RhoCliqueIndex.build(graph)
+    if family is None:
+        family = family_K(graph)
     if graph.delta_kind == PI:
-        test = lambda k, i, j: p_pi(k, i, j, graph)
+        rows = graph.rows
+        spans = set(family.masks)
+        test = lambda k, i, j: (
+            rows[i] & rows[j] & rows[k] | 1 << i | 1 << j | 1 << k) not in spans
     else:
+        if exchange is None:
+            exchange = [podmianka(m, graph) for m in family.masks]
+        cliques = RhoCliqueIndex(family, exchange)
         test = lambda k, i, j: p_rho(k, i, j, graph, cliques)
     n = graph.count
     covered: set[tuple[int, int]] = set()
@@ -324,11 +338,9 @@ def derive_line_geometry(graph: LineRelationGraph,
     if cliques is None:
         cliques = family_K(graph)
     exchange = None
-    rho_index = None
     if graph.delta_kind == RHO:
         exchange = [podmianka(m, graph) for m in cliques.masks]
-        rho_index = RhoCliqueIndex(cliques, exchange)
-    pencils = family_P(graph, rho_index)
+    pencils = family_P(graph, cliques, exchange)
 
     pencils_in_clique: list[list[int]] = []
     for mask in cliques.masks:

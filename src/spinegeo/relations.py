@@ -153,22 +153,32 @@ def strip(graph: LineRelationGraph, seed: int) -> StripResult:
 
 
 def _row_to_rle(row: int, n: int) -> str:
-    """Run-length encoding of a bit row: alternating run lengths, zeros first."""
+    """Run-length encoding of a bit row: alternating run lengths, zeros first.
+
+    Walks runs, not bits: a run of zeros at `pos` is the trailing-zero count
+    of ``row >> pos`` (or reaches n when nothing is left), and the run of ones
+    after it is the trailing-zero count of the complement, read off
+    ``rest ^ (rest + 1)``.  The runs, hence the text, are those of the
+    bit-by-bit scan; bits at n and above are ignored, as that scan ignores
+    them.
+    """
+    row &= (1 << n) - 1
     runs = []
     pos = 0
-    current = 0
-    length = 0
-    while pos < n:
-        bit = row >> pos & 1
-        if bit == current:
-            length += 1
-        else:
-            runs.append(length)
-            current = bit
-            length = 1
-        pos += 1
-    runs.append(length)
-    return ",".join(str(x) for x in runs)
+    while True:
+        rest = row >> pos
+        zeros = (rest & -rest).bit_length() - 1 if rest else n - pos
+        runs.append(zeros)
+        pos += zeros
+        if pos == n:
+            break
+        rest >>= zeros
+        ones = (rest ^ (rest + 1)).bit_length() - 1
+        runs.append(ones)
+        pos += ones
+        if pos == n:
+            break
+    return ",".join(map(str, runs))
 
 
 def _row_from_rle(text: str, n: int) -> int:

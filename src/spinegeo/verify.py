@@ -188,8 +188,7 @@ def _outside_report(pencils: set[frozenset[int]], rho: LineRelationGraph) -> dic
 
 
 def check_ternary_pencils(space: SpineSpace, pi: LineRelationGraph,
-                          rho: LineRelationGraph,
-                          sample_cap: int = 10_000_000) -> dict:
+                          rho: LineRelationGraph) -> dict:
     """Ternary concurrency identifies pencils, clique by clique.
 
     For every triple inside every maximal clique of each relation, the
@@ -268,8 +267,6 @@ def check_ternary_pencils(space: SpineSpace, pi: LineRelationGraph,
             excluded = _outside_report(outside, rho)
             report[name]["outside_hypothesis"] = excluded
             report[name]["ok"] = report[name]["ok"] and excluded["cause_holds"]
-        if total > sample_cap:
-            report[name]["note"] = "exhaustive sweep exceeded the sampling threshold"
     report["ok"] = report["pi"]["ok"] and report["rho"]["ok"]
     return report
 

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from spinegeo.bundles import (
     bundle_of,
+    gluing_adjacency,
     reconstruct,
     reconstruct_from_geometry,
     upsilon,
@@ -11,7 +13,7 @@ from spinegeo.bundles import (
     verify_equivalence,
 )
 from spinegeo.pencils import derive_line_geometry, family_B
-from spinegeo.relations import bits_of, strip
+from spinegeo.relations import LineRelationGraph, bits_of, strip
 from spinegeo.spine import LINE_OMEGA
 
 
@@ -52,6 +54,56 @@ def test_bundle_of_is_the_class_union(cfg1_B, cfg1_pi):
     for i in range(0, len(cfg1_B), 31):
         direct = bundle_of(cfg1_B[i], cfg1_B, cfg1_pi)
         assert direct in recon.points
+
+
+def _all_pairs_adjacency(family, graph):
+    adj = [set() for _ in family]
+    for i, j in itertools.combinations(range(len(family)), 2):
+        if upsilon_empty(family[i], family[j], graph):
+            adj[i].add(j)
+            adj[j].add(i)
+    return adj
+
+
+def test_reconstruct_matches_all_pairs_upsilon_empty(cfg1_B, cfg1_pi):
+    # reference: the all-pairs gluing graph, its components in order of
+    # their smallest member, and the component unions
+    n = len(cfg1_B)
+    adj = _all_pairs_adjacency(cfg1_B, cfg1_pi)
+    assert gluing_adjacency(cfg1_B, cfg1_pi) == adj
+    class_of = [-1] * n
+    unions = []
+    for i in range(n):
+        if class_of[i] < 0:
+            class_of[i] = len(unions)
+            stack, union = [i], 0
+            while stack:
+                v = stack.pop()
+                union |= cfg1_B[v]
+                for u in adj[v]:
+                    if class_of[u] < 0:
+                        class_of[u] = len(unions)
+                        stack.append(u)
+            unions.append(union)
+    recon = reconstruct(cfg1_B, cfg1_pi)
+    assert recon.class_of == class_of
+    assert recon.points == sorted(set(unions), key=lambda m: tuple(bits_of(m)))
+
+
+def test_gluing_adjacency_matches_upsilon_empty_on_random_graphs():
+    # on cfg1 every pair glues through many lines or none, so small random
+    # graphs exercise the two-line threshold and the one-sided cases
+    rng = random.Random(5)
+    for _ in range(200):
+        n = 8
+        rows = [0] * n
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < 0.3:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        graph = LineRelationGraph("pi", rows)
+        family = [rng.getrandbits(n) or 1 for _ in range(6)]
+        assert gluing_adjacency(family, graph) == _all_pairs_adjacency(family, graph)
 
 
 def test_reconstruction_point_count_and_transitivity(cfg1_B, cfg1_pi):

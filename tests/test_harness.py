@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from spinegeo import cli, harness
+from spinegeo.excluded import CASE_NONE, classify_case
 from spinegeo.harness import (
     CHECK_FAILED,
     CONFIG_ERROR,
@@ -15,6 +16,7 @@ from spinegeo.harness import (
     cmd_reconstruct,
     cmd_relations,
     config_from_sources,
+    reconstruction_claim,
 )
 
 SMALL = dict(q=2, n=5, k=2, m=1, w=3)
@@ -78,6 +80,16 @@ def test_reconstruct_exits_2_when_lines_lack_a_big_host(tmp_path):
     assert code == CONFIG_ERROR
     assert "392 omega" in payload["error"]
     assert payload["pi"]["uncovered_lines"] == {"omega": 392}
+
+
+def test_reconstruction_claim_needs_a_big_host_for_every_line(cfg1_space, roomy_space):
+    # both pass the bundle gate; cfg1's 392 omega lines have no host of
+    # dimension >= 4, so verify-all must not claim reconstruction there
+    cases = {name: classify_case(space.params)
+             for name, space in (("cfg1", cfg1_space), ("roomy", roomy_space))}
+    assert all((c.tag, c.star_holds) == (CASE_NONE, True) for c in cases.values())
+    assert reconstruction_claim(cfg1_space, cases["cfg1"]) == "unknown"
+    assert reconstruction_claim(roomy_space, cases["roomy"]) == "True"
 
 
 def test_counterexample_requires_the_neighbourhood_case(tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from spinegeo import build_spine, standard_params
+from spinegeo.cliques import family_K
 from spinegeo.pencils import (
     RhoCliqueIndex,
     clique_dimension,
@@ -109,6 +110,23 @@ def test_family_P_pencils_are_closed_and_maximal(cfg1_pi, cfg1_rho):
     assert not verify_pencils(fp, cfg1_pi)
     fr = family_P(cfg1_rho)
     assert not verify_pencils(fr, cfg1_rho)
+
+
+def test_family_P_clique_lookup_matches_literal_p_pi(cfg1_pi):
+    # reference: close every related pair with the literal predicate
+    rows = cfg1_pi.rows
+    literal = set()
+    for i in range(cfg1_pi.count):
+        for j in bits_of(rows[i] >> (i + 1) << (i + 1)):
+            mask = (1 << i) | (1 << j)
+            for k in bits_of(rows[i] & rows[j]):
+                if p_pi(k, i, j, cfg1_pi):
+                    mask |= 1 << k
+            if mask.bit_count() >= 3:
+                literal.add(mask)
+    fast = family_P(cfg1_pi, family_K(cfg1_pi))
+    assert set(fast.masks) == literal
+    assert len(fast.masks) == len(literal)
 
 
 def test_family_P_partial_linear(cfg1_pi):

@@ -7,6 +7,7 @@ from spinegeo.relations import (
     bits_of,
     compute_pi,
     compute_rho,
+    _row_to_rle,
     graph_from_json,
     graph_to_json,
     strip,
@@ -122,6 +123,35 @@ def test_graph_json_roundtrip(cfg1_rho):
     back = graph_from_json(doc)
     assert back.rows == cfg1_rho.rows
     assert back.delta_kind == cfg1_rho.delta_kind
+
+
+def _rle_bit_by_bit(row, n):
+    """Reference encoder: one step per bit, alternating runs, zeros first."""
+    runs, current, length = [], 0, 0
+    for pos in range(n):
+        bit = row >> pos & 1
+        if bit == current:
+            length += 1
+        else:
+            runs.append(length)
+            current, length = bit, 1
+    runs.append(length)
+    return ",".join(map(str, runs))
+
+
+@pytest.mark.parametrize("row, n", [
+    (0, 0), (0, 7), (0b1111111, 7), (0b1, 7), (0b1000000, 7),
+    (0b1000001, 7), (0b0110110, 7), (1, 1), (0, 1), (0b1010101, 7),
+    (0b1110110, 4),  # bits at n and above are ignored
+])
+def test_row_to_rle_matches_bit_by_bit(row, n):
+    assert _row_to_rle(row, n) == _rle_bit_by_bit(row, n)
+
+
+def test_row_to_rle_matches_bit_by_bit_on_every_row(cfg1_pi):
+    n = cfg1_pi.count
+    for row in cfg1_pi.rows:
+        assert _row_to_rle(row, n) == _rle_bit_by_bit(row, n)
 
 
 def test_graph_json_rejects_bad_runs():

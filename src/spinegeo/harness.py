@@ -189,19 +189,20 @@ def cmd_cliques(cfg: RunConfig) -> tuple[dict, int]:
         write_report(cfg, "cliques", payload)
         return payload, CONFIG_ERROR
     ws = Workspace(cfg)
+    found: dict = {}
     classification = verify.check_clique_classification(
-        ws.space(), ws.graph("pi"), ws.graph("rho"), cfg.bk_max_lines)
-    exchange = verify.check_exchange_criterion(ws.space(), ws.graph("rho"),
-                                               cfg.bk_max_lines)
+        ws.space(), ws.graph("pi"), ws.graph("rho"), cfg.bk_max_lines, collect=found)
+    exchange = verify.check_exchange_criterion(
+        ws.space(), ws.graph("rho"), cfg.bk_max_lines,
+        fams=found["fams"], rho_cliques=found.get("rho_cliques"))
     payload = {"config": _config_payload(cfg), "classification": classification,
                "exchange": exchange}
     if len(ws.space().lines) <= cfg.bk_max_lines:
-        from .cliques import family_K, family_to_json, geometric_families
+        from .cliques import family_K, family_to_json
 
-        fams = geometric_families(ws.space())
         artifact = {
             kind: family_to_json(ws.space(), ws.graph(kind),
-                                 family_K(ws.graph(kind)), fams,
+                                 family_K(ws.graph(kind)), found["fams"],
                                  with_exchange=kind == "rho")
             for kind in cfg.deltas()
         }
@@ -312,10 +313,14 @@ def cmd_verify_all(cfg: RunConfig, echo=print) -> tuple[dict, int]:
     record("subspace_counts", verify.check_subspace_counts(max_n=cfg.n, qs=(cfg.q,)))
     record("foundations", verify.check_foundations(space))
     record("relation_sanity", verify.check_relation_sanity(space, pi, rho))
+    found: dict = {}
     record("clique_classification",
-           verify.check_clique_classification(space, pi, rho, cfg.bk_max_lines))
+           verify.check_clique_classification(space, pi, rho, cfg.bk_max_lines,
+                                              collect=found))
     record("exchange_criterion",
-           verify.check_exchange_criterion(space, rho, cfg.bk_max_lines))
+           verify.check_exchange_criterion(space, rho, cfg.bk_max_lines,
+                                           fams=found["fams"],
+                                           rho_cliques=found.get("rho_cliques")))
     record("ternary_pencils", verify.check_ternary_pencils(space, pi, rho))
     record("pencil_recovery", verify.check_pencil_recovery(space, pi, rho, cfg.seed))
     case = classify_case(space.params)

@@ -21,7 +21,7 @@ affine plane.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cliques import CliqueFamily, _mask_is_clique, family_K, podmianka
 from .relations import PI, RHO, LineRelationGraph, bits_of
@@ -40,10 +40,22 @@ def p_pi(l1: int, l2: int, l3: int, graph: LineRelationGraph) -> bool:
 
 @dataclass
 class RhoCliqueIndex:
-    """Spanned cliques of a proper-pencil graph with their exchange flags."""
+    """Spanned cliques of a proper-pencil graph with their exchange flags.
+
+    `witness[c]` marks the certified, exchange-free cliques, the ones that
+    make a non-spanning triple inside them concurrent; `at_line[l]` is the
+    set of clique indexes containing line l.
+    """
 
     family: CliqueFamily
     exchange: list[bool]  # podmianka per clique
+    witness: list[bool] = field(init=False, repr=False)
+    at_line: list[set[int]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.witness = [cert is not None and not ex
+                        for cert, ex in zip(self.family.certificates, self.exchange)]
+        self.at_line = [set(c) for c in self.family.by_line]
 
     @classmethod
     def build(cls, graph: LineRelationGraph, family: CliqueFamily | None = None):
@@ -59,9 +71,13 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
 
     The triple qualifies iff it does not span, and some spanned,
     exchange-free clique contains all three lines.  With a prebuilt clique
-    index this is a membership test; without one the witness triple is
-    searched among the lines related to all three (any containing clique
-    lives there), so the two paths agree.
+    index both halves are lookups: the triple must lie in a witness clique,
+    and it spans iff it lies in exactly one clique of the family and its
+    common neighbourhood lies inside that clique (see `family_P`; exact when
+    the family holds every spanned clique and only maximal cliques, as
+    `family_K` does).  Without an index the witness triple is searched among
+    the lines related to all three (any containing clique lives there), so
+    the two paths agree.
 
     Recovering the proper pencils on affine planes needs q >= 3.  Over GF(2)
     such a pencil is three lines, one per direction of AG(2,2), and that
@@ -73,16 +89,18 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
     rows = graph.rows
     if not (rows[l1] >> l2 & 1 and rows[l1] >> l3 & 1 and rows[l2] >> l3 & 1):
         return False
+    if cliques is not None:
+        at_line = cliques.at_line
+        hits = at_line[l1].intersection(at_line[l2], at_line[l3])
+        if not any(cliques.witness[c] for c in hits):
+            return False
+        if len(hits) > 1:  # a spanning triple lies in one maximal clique only
+            return True
+        (c,) = hits
+        return bool(rows[l1] & rows[l2] & rows[l3] & ~cliques.family.masks[c])
     common = rows[l1] & rows[l2] & rows[l3]
     if _mask_is_clique(common, rows):  # the triple itself spans
         return False
-    if cliques is not None:
-        fam = cliques.family
-        hits = set(fam.by_line[l1]) & set(fam.by_line[l2]) & set(fam.by_line[l3])
-        return any(
-            fam.certificates[idx] is not None and not cliques.exchange[idx]
-            for idx in hits
-        )
     # literal witness search: candidate generators must relate to (or equal)
     # each of l1, l2, l3
     triple_mask = (1 << l1) | (1 << l2) | (1 << l3)
@@ -129,45 +147,79 @@ def family_P(graph: LineRelationGraph, family: CliqueFamily | None = None,
     Two related lines determine at most one pencil, so the closure of a pair
     under "third lines concurrent with both" either has fewer than three
     members (no recoverable pencil through the pair) or is the full pencil.
-    Maximality and consistency of every inner triple are checked by
-    `verify_pencils` (exercised in the test suite).
+    Each related pair that no found pencil covers is closed once; coverage
+    is one bitmask per line.  Maximality and consistency of every inner
+    triple are checked by `verify_pencils` (exercised in the test suite).
 
     `family` is the graph's `family_K` (built when not given) and `exchange`
     its `podmianka` flags, used for the proper-pencil relation (computed
-    when not given).  For coplanarity the test is the one of `p_pi`, with
-    the spanning half read off the family: a pairwise related triple T
-    spans iff ``common(T) | T`` is one of the family's masks, because the
-    span of a spanning triple is a spanned clique, and a mask of the family
-    is a clique, which makes ``common(T)`` one.
+    when not given).  A pair (i, j) is closed from its common neighbourhood
+    ``cij`` and the family cliques through it.  The tests below are exact
+    whenever the family's masks are maximal cliques that include every
+    spanned clique, as `family_K`'s are: the span of a spanning triple is
+    then the only family clique containing it.
+
+    - Spanning, for a third line k in ``cij``: a k in no family clique
+      through the pair, or in two of them, does not span with it.  A k in
+      exactly one, C, spans iff its common neighbourhood lies in C (C is a
+      clique through the triple, so the rest of C is common to all three),
+      so k is kept iff ``rows[k] & cij & ~C`` is non-zero.  For coplanarity
+      that is the whole test of `p_pi`.
+    - For the proper-pencil relation `p_rho` also asks for a certified,
+      exchange-free clique holding the triple, so only the k inside such a
+      clique through the pair are candidates.
     """
     if family is None:
         family = family_K(graph)
+    rows = graph.rows
+    clique_masks = family.masks
     if graph.delta_kind == PI:
-        rows = graph.rows
-        spans = set(family.masks)
-        test = lambda k, i, j: (
-            rows[i] & rows[j] & rows[k] | 1 << i | 1 << j | 1 << k) not in spans
+        at_line = [set(c) for c in family.by_line]
+        witness = None
     else:
         if exchange is None:
-            exchange = [podmianka(m, graph) for m in family.masks]
-        cliques = RhoCliqueIndex(family, exchange)
-        test = lambda k, i, j: p_rho(k, i, j, graph, cliques)
+            exchange = [podmianka(m, graph) for m in clique_masks]
+        index = RhoCliqueIndex(family, exchange)
+        at_line, witness = index.at_line, index.witness
     n = graph.count
-    covered: set[tuple[int, int]] = set()
+    covered = [0] * n  # bit j of covered[i]: a found pencil holds i and j
     found: set[int] = set()
     for i in range(n):
-        ri = graph.rows[i]
-        for j in bits_of(ri >> (i + 1) << (i + 1)):
-            if (i, j) in covered:
+        at_i = at_line[i]
+        for j in bits_of(rows[i] >> (i + 1) << (i + 1) & ~covered[i]):
+            if covered[i] >> j & 1:  # found after the loop's mask was taken
                 continue
-            mask = _pencil_closure(i, j, graph, test)
-            if mask.bit_count() < 3:
+            through = at_i.intersection(at_line[j])
+            cij = rows[i] & rows[j]
+            cand = cij
+            if witness is not None:
+                reach = 0
+                for c in through:
+                    if witness[c]:
+                        reach |= clique_masks[c]
+                cand &= reach
+                if not cand:
+                    continue
+            once = twice = 0  # lines in at least one / two cliques through i, j
+            for c in through:
+                twice |= once & clique_masks[c]
+                once |= clique_masks[c]
+            keep = cand & (twice | ~once)
+            single = cand & once & ~twice
+            for c in through:
+                inside = single & clique_masks[c]
+                if not inside:
+                    continue
+                outside = cij & ~clique_masks[c]
+                for k in bits_of(inside):
+                    if rows[k] & outside:
+                        keep |= 1 << k
+            if not keep:
                 continue
+            mask = keep | 1 << i | 1 << j
             found.add(mask)
-            mem = tuple(bits_of(mask))
-            for a in range(len(mem)):
-                for b in range(a + 1, len(mem)):
-                    covered.add((mem[a], mem[b]))
+            for l in bits_of(mask):
+                covered[l] |= mask
     masks = sorted(found, key=lambda m: tuple(bits_of(m)))
     members = [tuple(bits_of(m)) for m in masks]
     by_line: list[list[int]] = [[] for _ in range(n)]
@@ -279,17 +331,15 @@ def detect_parallel(pencils: PencilFamily, graph: LineRelationGraph,
                 break
         if not flag:
             # a related pair of the plane missed by every pencil of the plane
-            # signals parallel lines whose pencil is too small to recover
-            pair_mask_seen = set()
+            # signals parallel lines whose pencil is too small to recover;
+            # covered[x] is the union of the plane's pencils through x
+            covered = dict.fromkeys(cliques.members[ci], 0)
             for pi_idx in inside:
-                mem = tuple(bits_of(pencils.masks[pi_idx]))
-                for x, y in itertools.combinations(mem, 2):
-                    pair_mask_seen.add((x, y))
-            mem = cliques.members[ci]
-            for x, y in itertools.combinations(mem, 2):
-                if (x, y) not in pair_mask_seen:
-                    flag = True
-                    break
+                pmask = pencils.masks[pi_idx]
+                for x in bits_of(pmask):
+                    covered[x] |= pmask
+            mask = cliques.masks[ci]
+            flag = any(mask & ~cov for cov in covered.values())
         affine_plane[ci] = flag
 
     pencil_on_affine = [False] * n_pencils
@@ -342,14 +392,12 @@ def derive_line_geometry(graph: LineRelationGraph,
         exchange = [podmianka(m, graph) for m in cliques.masks]
     pencils = family_P(graph, cliques, exchange)
 
-    pencils_in_clique: list[list[int]] = []
-    for mask in cliques.masks:
-        seen: set[int] = set()
-        for l in bits_of(mask):
-            for pi_idx in pencils.by_line[l]:
-                if pi_idx not in seen and not pencils.masks[pi_idx] & ~mask:
-                    seen.add(pi_idx)
-        pencils_in_clique.append(sorted(seen))
+    # a clique holding a pencil is among the cliques through its first two lines
+    pencils_in_clique: list[list[int]] = [[] for _ in cliques.masks]
+    for pi_idx, (pmask, mem) in enumerate(zip(pencils.masks, pencils.members)):
+        for ci in set(cliques.by_line[mem[0]]).intersection(cliques.by_line[mem[1]]):
+            if not pmask & ~cliques.masks[ci]:
+                pencils_in_clique[ci].append(pi_idx)
 
     clique_dims: list[int | None] = []
     for ci, mask in enumerate(cliques.masks):

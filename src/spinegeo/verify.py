@@ -13,6 +13,7 @@ import itertools
 from .bundles import reconstruct, upsilon_empty, verify_equivalence
 from .cliques import (
     CliqueFamily,
+    GeometricFamilies,
     KIND_AFFINE_SEMIFLAT,
     KIND_PUNCTURED_SEMIFLAT,
     bron_kerbosch,
@@ -24,8 +25,8 @@ from .cliques import (
 )
 from .gf import FieldSpec, enumerate_subspaces, q_binomial
 from .pencils import LineGeometry, derive_line_geometry, family_B, p_pi, p_rho, RhoCliqueIndex
-from .relations import LineRelationGraph, bits_of, compute_pi, compute_rho, strip
-from .spine import PLANE_AFFINE, SpineSpace, validate_params
+from .relations import RHO, LineRelationGraph, bits_of, compute_pi, compute_rho, strip
+from .spine import LINE_AFFINE, PLANE_AFFINE, SpineSpace, validate_params
 
 
 def check_subspace_counts(max_n: int = 6, qs=(2, 3)) -> dict:
@@ -61,20 +62,29 @@ def check_relation_sanity(space: SpineSpace, pi: LineRelationGraph,
 
 
 def check_clique_classification(space: SpineSpace, pi: LineRelationGraph,
-                                rho: LineRelationGraph, bk_cap: int = 5000) -> dict:
+                                rho: LineRelationGraph, bk_cap: int = 5000,
+                                collect: dict | None = None) -> dict:
     """Maximal cliques match the geometric families exactly.
 
     Below the cap the Bron-Kerbosch oracle enumerates all maximal cliques
     and the comparison is a set equality against the families; above it the
     families themselves are verified to be maximal cliques and to be
-    spanned where expected (constructive verification).
+    spanned where expected (constructive verification).  Pass a dict as
+    `collect` to receive the geometric families ("fams") and, below the cap,
+    the Bron-Kerbosch cliques of rho ("rho_cliques"), which
+    `check_exchange_criterion` takes instead of computing them again.
     """
     fams = geometric_families(space)
+    if collect is not None:
+        collect["fams"] = fams
     out: dict = {"pi_family_size": len(fams.pi_family),
                  "rho_family_size": len(fams.rho_family)}
     if pi.count <= bk_cap:
         bk_pi = {frozenset(bits_of(m)) for m in bron_kerbosch(pi, bk_cap)}
-        bk_rho = {frozenset(bits_of(m)) for m in bron_kerbosch(rho, bk_cap)}
+        rho_cliques = bron_kerbosch(rho, bk_cap)
+        if collect is not None:
+            collect["rho_cliques"] = rho_cliques
+        bk_rho = {frozenset(bits_of(m)) for m in rho_cliques}
         out["mode"] = "bron-kerbosch"
         out["pi_equal"] = bk_pi == fams.pi_family
         out["rho_equal"] = bk_rho == fams.rho_family
@@ -107,7 +117,8 @@ def check_clique_classification(space: SpineSpace, pi: LineRelationGraph,
 
 
 def check_exchange_criterion(space: SpineSpace, rho: LineRelationGraph,
-                             bk_cap: int = 5000) -> dict:
+                             bk_cap: int = 5000, fams: GeometricFamilies | None = None,
+                             rho_cliques: list[int] | None = None) -> dict:
     """Exchange succeeds exactly on the semiaffine semiflats, given q >= 3.
 
     Runs over every maximal clique of the proper-pencil relation and
@@ -118,9 +129,16 @@ def check_exchange_criterion(space: SpineSpace, rho: LineRelationGraph,
     semibundle, so no swap gives a maximal clique.  There the affine
     semiflats lie outside the hypothesis: "outside_hypothesis" counts them
     (by line count) and they are not compared.
+
+    `fams` and `rho_cliques` are the geometric families and the
+    Bron-Kerbosch cliques of rho when the caller has them already (see
+    `check_clique_classification`); they are computed when not given.
     """
-    fams = geometric_families(space)
-    if rho.count <= bk_cap:
+    if fams is None:
+        fams = geometric_families(space)
+    if rho_cliques is not None:
+        masks = rho_cliques
+    elif rho.count <= bk_cap:
         masks = bron_kerbosch(rho, bk_cap)
     else:
         masks = []
@@ -405,6 +423,11 @@ def check_reconstruction(space: SpineSpace, graph: LineRelationGraph,
     so no bundle can contain a line without such a host.  When some line
     has none, the check is not applicable and "uncovered_lines" counts
     those lines by kind.
+
+    The proper-pencil relation also needs q >= 3 on affine planes (see
+    `p_rho`).  Over GF(2), when every line is affine, every plane is affine,
+    rho recovers no pencil and no clique gets a dimension, so the check is
+    not applicable there either.
     """
     gates = validate_params(space.params)
     if not gates.bundle_gate:
@@ -416,6 +439,11 @@ def check_reconstruction(space: SpineSpace, graph: LineRelationGraph,
         return {"applicable": False, "ok": True, "uncovered_lines": uncovered,
                 "note": f"lines in no strong subspace of dimension >= 4 ({named}); "
                         "no bundle can contain them"}
+    if (graph.delta_kind == RHO and space.params.space.q == 2
+            and all(ln.kind == LINE_AFFINE for ln in space.lines)):
+        return {"applicable": False, "ok": True, "hypothesis": "q >= 3",
+                "note": "every line is affine and over GF(2) p_rho sees no pencil "
+                        "on an affine plane; rho recovers no pencil"}
     sr = strip(graph, seed)
     geometry = derive_line_geometry(sr.graph)
     fam = family_B(geometry)

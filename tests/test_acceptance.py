@@ -71,10 +71,15 @@ def test_criterion_1_clique_classification(cfg1_space, cfg1_pi, cfg1_rho):
     assert ok, report
 
 
-def test_criterion_2_exchange_criterion(cfg1_space, cfg1_rho):
+def test_criterion_2_exchange_criterion(cfg1_space, cfg1_pi, cfg1_rho):
     twin = build_spine(standard_params(*EXCHANGE_TWIN))
     twin_report = verify.check_exchange_criterion(twin, compute_rho(twin))
-    report = verify.check_exchange_criterion(cfg1_space, cfg1_rho)
+    # as verify-all runs it: on the families and rho cliques of criterion 1
+    found: dict = {}
+    verify.check_clique_classification(cfg1_space, cfg1_pi, cfg1_rho, collect=found)
+    report = verify.check_exchange_criterion(cfg1_space, cfg1_rho, fams=found["fams"],
+                                             rho_cliques=found["rho_cliques"])
+    assert report == verify.check_exchange_criterion(cfg1_space, cfg1_rho)
     excluded = report["outside_hypothesis"]
     ok = _line(
         "2 exchange-criterion", twin_report["ok"] and report["ok"],

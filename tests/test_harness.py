@@ -5,6 +5,8 @@ import pytest
 
 from spinegeo import cli, harness
 from spinegeo.excluded import CASE_NONE, classify_case
+from spinegeo.pencils import family_P
+from spinegeo.spine import LINE_AFFINE
 from spinegeo.harness import (
     CHECK_FAILED,
     CONFIG_ERROR,
@@ -80,6 +82,20 @@ def test_reconstruct_exits_2_when_lines_lack_a_big_host(tmp_path):
     assert code == CONFIG_ERROR
     assert "392 omega" in payload["error"]
     assert payload["pi"]["uncovered_lines"] == {"omega": 392}
+
+
+def test_reconstruct_rho_exits_2_over_gf2_when_every_line_is_affine(tmp_path):
+    # every line of (2,6,2,0,4) is affine, so every plane is affine, and over
+    # GF(2) rho sees no pencil there: the check names that cause up front
+    c = RunConfig(q=2, n=6, k=2, m=0, w=4, delta="rho", seed=11, out_dir=tmp_path)
+    payload, code = cmd_reconstruct(c)
+    assert code == CONFIG_ERROR
+    assert payload["rho"]["applicable"] is False
+    assert payload["rho"]["hypothesis"] == "q >= 3"
+    assert "p_rho sees no pencil" in payload["error"]
+    ws = Workspace(c)
+    assert {ln.kind for ln in ws.space().lines} == {LINE_AFFINE}
+    assert family_P(ws.graph("rho")).masks == []
 
 
 def test_reconstruction_claim_needs_a_big_host_for_every_line(cfg1_space, roomy_space):

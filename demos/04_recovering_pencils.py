@@ -12,7 +12,6 @@ This configuration satisfies the pencil gate (every plane extends into a
 
 from spinegeo import build_spine, compute_pi, standard_params, strip
 from spinegeo.pencils import derive_line_geometry
-from spinegeo.relations import bits_of
 
 space = build_spine(standard_params(q=2, n=6, k=3, m=0, w=1))
 print(f"points {len(space.points)}, lines {len(space.lines)}")
@@ -27,18 +26,10 @@ stripped = strip(pi, seed=11)
 print("\nrunning the abstract pipeline on the stripped coplanarity graph ...")
 geometry = derive_line_geometry(stripped.graph)
 
-inv = [0] * len(stripped.perm)
-for orig, new in enumerate(stripped.perm):
-    inv[new] = orig
-recovered = {frozenset(inv[l] for l in bits_of(m)) for m in geometry.pencils.masks}
-surviving = {
-    frozenset(inv[l] for l in bits_of(geometry.pencils.masks[i]))
-    for i in geometry.proper_pencils
-}
-removed = {
-    frozenset(inv[l] for l in bits_of(geometry.pencils.masks[i]))
-    for i in geometry.parallel_pencils
-}
+masks = geometry.pencils.masks
+recovered = {stripped.original(m) for m in masks}
+surviving = {stripped.original(masks[i]) for i in geometry.proper_pencils}
+removed = {stripped.original(masks[i]) for i in geometry.parallel_pencils}
 print(f"recovered {len(recovered)} pencils; flagged {len(removed)} as parallel")
 print("surviving family == geometric proper pencils:", surviving == geo_proper)
 print("flagged family   == geometric parallel pencils (3+ lines):",

@@ -67,15 +67,6 @@ class ReconstructedSpace:
     transitive: bool
     transitivity_witnesses: list[tuple[int, int, int]] = field(default_factory=list)
 
-    def incident(self, point_index: int, line: int) -> bool:
-        return bool(self.points[point_index] >> line & 1)
-
-    def collinear(self, point_indexes) -> bool:
-        mask = ~0
-        for i in point_indexes:
-            mask &= self.points[i]
-        return bool(mask)
-
 
 def gluing_adjacency(bundle_family: list[int], graph: LineRelationGraph) -> list[set[int]]:
     """The pairs of family members that `upsilon_empty` glues, as neighbour sets.
@@ -162,12 +153,11 @@ def reconstruct_from_geometry(geometry: LineGeometry) -> ReconstructedSpace:
 
 
 def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
-                       strip_result: StripResult | None,
-                       bundle_family: list[int]) -> dict:
+                       strip_result: StripResult, bundle_family: list[int]) -> dict:
     """Compare a reconstruction against the source spine space.
 
-    The stripping permutation (identity when None) carries original line
-    ids to the reconstruction's universe.  The natural map sends a proper
+    The stripping permutation carries original line ids to the
+    reconstruction's universe.  The natural map sends a proper
     point to the bundle of its semibundles in the input family; each check
     is reported separately:
 
@@ -179,10 +169,7 @@ def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
       line-point incidence transfers both ways;
     * collinearity -- two points share a line iff their bundles intersect.
     """
-    perm = strip_result.perm if strip_result is not None else tuple(range(len(space.lines)))
-    inv = [0] * len(perm)
-    for orig, stripped in enumerate(perm):
-        inv[stripped] = orig
+    perm, inv = strip_result.perm, strip_result.inverse
     report: dict = {"checks": {}}
     report["point_count"] = len(space.points)
     report["bundle_count"] = len(recon.points)
@@ -197,8 +184,7 @@ def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
     anomalies = []
     nat: dict[int, int] = {}  # pid -> reconstructed point index
     for ci, k_mask in enumerate(bundle_family):
-        original = frozenset(inv[l] for l in bits_of(k_mask))
-        key = semibundle_at.get(original)
+        key = semibundle_at.get(strip_result.original(k_mask))
         if key is None or key[1] not in space.pid_of_gid:
             anomalies.append({"clique": ci, "reason": "not a proper semibundle"})
             continue

@@ -40,8 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for the stripping permutation")
         p.add_argument("--bk-cap", type=int, default=None, dest="bk_max_lines",
                        help="largest line count fed to the clique oracle")
-        p.add_argument("--transitivity-cap", type=int, default=None,
-                       dest="transitivity_cap")
         p.add_argument("--out", type=Path, default=None, dest="out_dir",
                        help="report directory")
     return parser
@@ -52,15 +50,15 @@ def main(argv=None) -> int:
     flags = {
         key: getattr(args, key)
         for key in ("q", "n", "k", "m", "w", "delta", "seed",
-                    "bk_max_lines", "transitivity_cap", "out_dir")
+                    "bk_max_lines", "out_dir")
     }
     try:
         cfg = harness.config_from_sources(flags, args.config)
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return harness.CONFIG_ERROR
     payload, code = COMMANDS[args.command](cfg)
-    if args.command != "verify-all":
+    if args.command != "verify-all" or "error" in payload:
         interesting = {k: v for k, v in payload.items() if k not in ("config",)}
         for key, value in interesting.items():
             if isinstance(value, dict) and not value.get("applicable", True):

@@ -367,11 +367,8 @@ def _maximal_selectors(space: SpineSpace, plane) -> list[frozenset[int]]:
 
 
 def family_to_json(space: SpineSpace, graph, family: CliqueFamily,
-                   fams: GeometricFamilies | None = None,
-                   with_exchange: bool = False) -> list[dict]:
+                   fams: GeometricFamilies, with_exchange: bool = False) -> list[dict]:
     """Clique family as JSON rows: sorted lines, kind tag, geometric witness."""
-    if fams is None:
-        fams = geometric_families(space)
     rows = []
     for mem, mask in zip(family.members, family.masks):
         kind, witness = classify_clique(mem, space, fams)
@@ -382,14 +379,12 @@ def family_to_json(space: SpineSpace, graph, family: CliqueFamily,
     return rows
 
 
-def classify_clique(members, space: SpineSpace, fams: GeometricFamilies | None = None):
+def classify_clique(members, space: SpineSpace, fams: GeometricFamilies):
     """Match a clique against the geometric families.
 
     Returns (kind, witness): witness is a plane id for flats and semiflats,
     a (strong id, vertex gid) pair for semibundles, None when unclassified.
     """
-    if fams is None:
-        fams = geometric_families(space)
     lines = frozenset(members)
     if lines in fams.semibundle_by_lines:
         sid, g = fams.semibundle_by_lines[lines]

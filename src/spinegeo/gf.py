@@ -147,7 +147,7 @@ def full_subspace(space: FieldSpec) -> Subspace:
 def standard_tail_subspace(space: FieldSpec, w: int) -> Subspace:
     """Span of the last w standard basis vectors of GF(q)^n."""
     if not 0 <= w <= space.n:
-        raise ValueError(f"w = {w} out of range")
+        raise ValueError(f"w = {w} is not in 0..n = {space.n}")
     n = space.n
     rows = tuple(tuple(1 if j == n - w + i else 0 for j in range(n)) for i in range(w))
     return Subspace(space, rows)

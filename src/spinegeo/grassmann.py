@@ -4,6 +4,11 @@ A k-pencil p(H, B) is the set of k-subspaces U with H < U < B, where
 dim H = k-1 and dim B = k+1.  Every pencil extends uniquely to the star
 [H) of all k-subspaces over H and to the top (B] of all k-subspaces
 inside B; these are the two classes of maximal strong subspaces.
+
+The spine space enumerates its own lines (`spine.SpineSpace`), so nothing
+in the pipeline builds on this module.  It is the ambient-space oracle of
+the tests: the spine's lines must be exactly the pencils of this space that
+keep at least two proper points.
 """
 
 from __future__ import annotations

@@ -1,25 +1,34 @@
-"""Run configuration, artifact caching, and the batch command surface.
+"""Run configuration, the memoised pipeline, and the batch command surface.
 
 Every command takes a `RunConfig`, writes a canonical JSON report (plus a
 separate metadata file carrying the only nondeterministic content, the
 timestamp), and returns the payload with an exit code: 0 all checks pass,
 1 a verification failed, 2 the configuration or a gate rejected the run.
-Heavy artifacts (the built space, the relation graphs) are cached under a
-digest of the generating parameters and reused when the digest matches.
+A `Workspace` computes each stage of the pipeline at most once per command.
+The relation graphs are also cached on disk under a digest of the space
+parameters and reused when the digest matches; the space itself is built
+again by every command.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import verify
+from .bundles import ReconstructedSpace, reconstruct
+from .cliques import (CliqueFamily, GeometricFamilies, bron_kerbosch, family_K,
+                      family_to_json, geometric_families)
 from .excluded import CASE_NONE, ExcludedCase, classify_case
-from .relations import compute_pi, compute_rho, graph_from_json, graph_to_json
-from .spine import SpineSpace, build_spine, standard_params, validate_params
+from .pencils import LineGeometry, derive_line_geometry, family_B, geometry_to_json
+from .relations import (LineRelationGraph, StripResult, compute_pi, compute_rho,
+                        graph_from_json, graph_to_json, strip)
+from .spine import (GateReport, SpineParams, SpineSpace, build_spine, standard_params,
+                    validate_params)
 
 OK = 0
 CHECK_FAILED = 1
@@ -40,7 +49,6 @@ class RunConfig:
     delta: str = "both"  # pi | rho | both
     seed: int = 0
     bk_max_lines: int = 5000
-    transitivity_cap: int = 1_000_000
     out_dir: Path = field(default_factory=lambda: Path("spinegeo-runs"))
 
     def deltas(self) -> list[str]:
@@ -55,8 +63,7 @@ class RunConfig:
 
     def digest(self) -> str:
         doc = dict(self.space_key(), delta=self.delta, seed=self.seed,
-                   bk_max_lines=self.bk_max_lines,
-                   transitivity_cap=self.transitivity_cap)
+                   bk_max_lines=self.bk_max_lines)
         return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
 
     def space_digest(self) -> str:
@@ -74,38 +81,79 @@ def config_from_sources(flags: dict, config_file: Path | None = None) -> RunConf
     return RunConfig(**merged)
 
 
+def _stage(method):
+    """Compute a workspace stage on first use and keep it, per argument."""
+    @functools.wraps(method)
+    def memoised(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._stages:
+            self._stages[key] = method(self, *args)
+        return self._stages[key]
+    return memoised
+
+
 class Workspace:
-    """Built artifacts for one parameter set, cached on disk and in memory."""
+    """The pipeline of one `RunConfig`, each stage computed at most once.
+
+    space -> graph(kind) -> the spanned family(kind) and, below the oracle
+    cap, the Bron-Kerbosch cliques(kind); graph(kind) -> stripped(kind) ->
+    geometry(kind) -> reconstruction(kind).  families() are the geometric
+    clique families the checks compare against.  `kind` is "pi" or "rho".
+    """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self._space: SpineSpace | None = None
-        self._graphs: dict[str, object] = {}
+        self._stages: dict[tuple, object] = {}
 
-    @property
-    def cache_dir(self) -> Path:
-        d = self.cfg.out_dir / "cache"
-        d.mkdir(parents=True, exist_ok=True)
-        return d
+    @_stage
+    def params(self) -> SpineParams:
+        return standard_params(self.cfg.q, self.cfg.n, self.cfg.k, self.cfg.m, self.cfg.w)
 
+    @_stage
+    def gates(self) -> GateReport:
+        return validate_params(self.params())
+
+    @_stage
     def space(self) -> SpineSpace:
-        if self._space is None:
-            params = standard_params(self.cfg.q, self.cfg.n, self.cfg.k,
-                                      self.cfg.m, self.cfg.w)
-            self._space = build_spine(params)
-        return self._space
+        return build_spine(self.params())
 
-    def graph(self, kind: str):
-        if kind not in self._graphs:
-            path = self.cache_dir / f"relation-{kind}-{self.cfg.space_digest()}.json"
-            if path.exists():
-                self._graphs[kind] = graph_from_json(json.loads(path.read_text()))
-            else:
-                fn = compute_pi if kind == "pi" else compute_rho
-                g = fn(self.space())
-                path.write_text(canonical_json(graph_to_json(g)))
-                self._graphs[kind] = g
-        return self._graphs[kind]
+    @_stage
+    def graph(self, kind: str) -> LineRelationGraph:
+        path = self.cfg.out_dir / "cache" / f"relation-{kind}-{self.cfg.space_digest()}.json"
+        if path.exists():
+            return graph_from_json(json.loads(path.read_text()))
+        g = (compute_pi if kind == "pi" else compute_rho)(self.space())
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(canonical_json(graph_to_json(g)))
+        return g
+
+    @_stage
+    def families(self) -> GeometricFamilies:
+        return geometric_families(self.space())
+
+    @_stage
+    def cliques(self, kind: str) -> list[int] | None:
+        """Every maximal clique (Bron-Kerbosch), or None above the oracle cap."""
+        g = self.graph(kind)
+        if g.count > self.cfg.bk_max_lines:
+            return None
+        return bron_kerbosch(g, self.cfg.bk_max_lines)
+
+    @_stage
+    def family(self, kind: str) -> CliqueFamily:
+        return family_K(self.graph(kind))
+
+    @_stage
+    def stripped(self, kind: str) -> StripResult:
+        return strip(self.graph(kind), self.cfg.seed)
+
+    @_stage
+    def geometry(self, kind: str) -> LineGeometry:
+        return derive_line_geometry(self.stripped(kind).graph)
+
+    @_stage
+    def reconstruction(self, kind: str) -> ReconstructedSpace:
+        return reconstruct(family_B(self.geometry(kind)), self.stripped(kind).graph)
 
 
 def write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
@@ -118,35 +166,52 @@ def write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
     return path
 
 
-def _config_payload(cfg: RunConfig) -> dict:
-    return dict(cfg.space_key(), delta=cfg.delta, seed=cfg.seed)
+def _write_artifact(cfg: RunConfig, name: str, doc) -> str:
+    path = cfg.out_dir / f"{name}-{cfg.digest()}.json"
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    path.write_text(canonical_json(doc))
+    return path.name
 
 
-def _try_space(cfg: RunConfig):
-    params = standard_params(cfg.q, cfg.n, cfg.k, cfg.m, cfg.w)
-    gates = validate_params(params)
-    if not gates.basic:
-        return None, gates
-    return params, gates
+def _gates_payload(gates: GateReport) -> dict:
+    return {"basic": gates.basic, "pencil": gates.pencil_gate, "bundle": gates.bundle_gate,
+            "problems": gates.problems, "notes": gates.notes}
 
 
-def cmd_build(cfg: RunConfig) -> tuple[dict, int]:
-    params, gates = _try_space(cfg)
-    payload: dict = {"config": _config_payload(cfg),
-                     "gates": {"basic": gates.basic, "pencil": gates.pencil_gate,
-                               "bundle": gates.bundle_gate,
-                               "problems": gates.problems, "notes": gates.notes}}
-    if params is None:
-        payload["error"] = "invalid parameters"
-        write_report(cfg, "build", payload)
-        return payload, CONFIG_ERROR
-    ws = Workspace(cfg)
+def command(name: str):
+    """Turn `body(ws, payload, ...) -> exit code` into the command `name`.
+
+    The command validates the parameters first.  When they are invalid it
+    reports the problems and returns exit code 2 without running the body;
+    otherwise the body fills the payload from the command's `Workspace`.
+    Either way the report is written under `name`.
+    """
+    def wrap(body):
+        @functools.wraps(body)
+        def run(cfg: RunConfig, **kwargs) -> tuple[dict, int]:
+            ws = Workspace(cfg)
+            payload: dict = {"config": dict(cfg.space_key(), delta=cfg.delta, seed=cfg.seed)}
+            try:
+                cfg.deltas()
+                gates = ws.gates()
+            except ValueError as exc:
+                gates = GateReport(False, False, False, [str(exc)])
+            if gates.basic:
+                code = body(ws, payload, **kwargs)
+            else:
+                payload["gates"] = _gates_payload(gates)
+                payload["error"] = "; ".join(gates.problems)
+                code = CONFIG_ERROR
+            write_report(cfg, name, payload)
+            return payload, code
+        return run
+    return wrap
+
+
+@command("build")
+def cmd_build(ws: Workspace, payload: dict) -> int:
+    """Build the spine space and report its size, line kinds and gates."""
     space = ws.space()
-    from .spine import space_json_text
-
-    artifact = ws.cache_dir / f"space-{cfg.space_digest()}.json"
-    if not artifact.exists():
-        artifact.write_text(space_json_text(space))
     kinds: dict[str, int] = {}
     for ln in space.lines:
         kinds[ln.kind] = kinds.get(ln.kind, 0) + 1
@@ -154,6 +219,7 @@ def cmd_build(cfg: RunConfig) -> tuple[dict, int]:
     for st in space.strongs:
         strongs[st.kind] = strongs.get(st.kind, 0) + 1
     payload.update({
+        "gates": _gates_payload(ws.gates()),
         "points": len(space.points),
         "lines": len(space.lines),
         "line_kinds": dict(sorted(kinds.items())),
@@ -161,120 +227,65 @@ def cmd_build(cfg: RunConfig) -> tuple[dict, int]:
         "void_classes": dict(sorted(space.void_classes.items())),
         "degenerate": space.degenerate,
         "case": classify_case(space.params).tag,
-        "space_artifact": artifact.name,
     })
-    write_report(cfg, "build", payload)
-    return payload, OK
+    return OK
 
 
-def cmd_relations(cfg: RunConfig) -> tuple[dict, int]:
-    params, gates = _try_space(cfg)
-    if params is None:
-        payload = {"config": _config_payload(cfg), "error": "; ".join(gates.problems)}
-        write_report(cfg, "relations", payload)
-        return payload, CONFIG_ERROR
-    ws = Workspace(cfg)
-    pi = ws.graph("pi")
-    rho = ws.graph("rho")
-    report = verify.check_relation_sanity(ws.space(), pi, rho)
-    payload = {"config": _config_payload(cfg), "sanity": report}
-    write_report(cfg, "relations", payload)
-    return payload, OK if report["ok"] else CHECK_FAILED
+@command("relations")
+def cmd_relations(ws: Workspace, payload: dict) -> int:
+    """Compute (or load) both line relations and check their invariants."""
+    payload["sanity"] = report = verify.check_relation_sanity(ws)
+    return OK if report["ok"] else CHECK_FAILED
 
 
-def cmd_cliques(cfg: RunConfig) -> tuple[dict, int]:
-    params, gates = _try_space(cfg)
-    if params is None:
-        payload = {"config": _config_payload(cfg), "error": "; ".join(gates.problems)}
-        write_report(cfg, "cliques", payload)
-        return payload, CONFIG_ERROR
-    ws = Workspace(cfg)
-    found: dict = {}
-    classification = verify.check_clique_classification(
-        ws.space(), ws.graph("pi"), ws.graph("rho"), cfg.bk_max_lines, collect=found)
-    exchange = verify.check_exchange_criterion(
-        ws.space(), ws.graph("rho"), cfg.bk_max_lines,
-        fams=found["fams"], rho_cliques=found.get("rho_cliques"))
-    payload = {"config": _config_payload(cfg), "classification": classification,
-               "exchange": exchange}
+@command("cliques")
+def cmd_cliques(ws: Workspace, payload: dict) -> int:
+    """Classify the maximal cliques and test the exchange criterion."""
+    cfg = ws.cfg
+    payload["classification"] = classification = verify.check_clique_classification(ws)
+    payload["exchange"] = exchange = verify.check_exchange_criterion(ws)
     if len(ws.space().lines) <= cfg.bk_max_lines:
-        from .cliques import family_K, family_to_json
-
-        artifact = {
-            kind: family_to_json(ws.space(), ws.graph(kind),
-                                 family_K(ws.graph(kind)), found["fams"],
-                                 with_exchange=kind == "rho")
-            for kind in cfg.deltas()
-        }
-        path = cfg.out_dir / f"clique-families-{cfg.digest()}.json"
-        path.write_text(canonical_json(artifact))
-        payload["families_artifact"] = path.name
-    write_report(cfg, "cliques", payload)
-    return payload, OK if classification["ok"] and exchange["ok"] else CHECK_FAILED
+        artifact = {kind: family_to_json(ws.space(), ws.graph(kind), ws.family(kind),
+                                         ws.families(), with_exchange=kind == "rho")
+                    for kind in cfg.deltas()}
+        payload["families_artifact"] = _write_artifact(cfg, "clique-families", artifact)
+    return OK if classification["ok"] and exchange["ok"] else CHECK_FAILED
 
 
-def cmd_pencils(cfg: RunConfig) -> tuple[dict, int]:
-    params, gates = _try_space(cfg)
-    if params is None:
-        payload = {"config": _config_payload(cfg), "error": "; ".join(gates.problems)}
-        write_report(cfg, "pencils", payload)
-        return payload, CONFIG_ERROR
-    ws = Workspace(cfg)
-    collected: dict = {}
-    report = verify.check_pencil_recovery(ws.space(), ws.graph("pi"), ws.graph("rho"),
-                                          cfg.seed, collect=collected)
-    payload = {"config": _config_payload(cfg), "recovery": report}
-    from .pencils import geometry_to_json
-
-    artifact = {kind: geometry_to_json(geometry)
-                for kind, (sr, geometry) in collected.items() if kind in cfg.deltas()}
-    path = cfg.out_dir / f"pencil-families-{cfg.digest()}.json"
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(artifact))
-    payload["families_artifact"] = path.name
-    write_report(cfg, "pencils", payload)
-    return payload, OK if report["ok"] else CHECK_FAILED
+@command("pencils")
+def cmd_pencils(ws: Workspace, payload: dict) -> int:
+    """Recover the pencils from stripped relations and compare with the geometry."""
+    payload["recovery"] = report = verify.check_pencil_recovery(ws)
+    artifact = {kind: geometry_to_json(ws.geometry(kind)) for kind in ws.cfg.deltas()}
+    payload["families_artifact"] = _write_artifact(ws.cfg, "pencil-families", artifact)
+    return OK if report["ok"] else CHECK_FAILED
 
 
-def cmd_reconstruct(cfg: RunConfig) -> tuple[dict, int]:
-    params, gates = _try_space(cfg)
-    if params is None:
-        payload = {"config": _config_payload(cfg), "error": "; ".join(gates.problems)}
-        write_report(cfg, "reconstruct", payload)
-        return payload, CONFIG_ERROR
-    payload = {"config": _config_payload(cfg),
-               "gates": {"pencil": gates.pencil_gate, "bundle": gates.bundle_gate}}
+@command("reconstruct")
+def cmd_reconstruct(ws: Workspace, payload: dict) -> int:
+    """Reconstruct the points from stripped relations and verify the result."""
+    gates = ws.gates()
+    payload["gates"] = {"pencil": gates.pencil_gate, "bundle": gates.bundle_gate}
     if not gates.bundle_gate:
         payload["error"] = "; ".join(gates.notes)
-        write_report(cfg, "reconstruct", payload)
-        return payload, CONFIG_ERROR
-    ws = Workspace(cfg)
+        return CONFIG_ERROR
     ok = True
-    for kind in cfg.deltas():
-        report = verify.check_reconstruction(ws.space(), ws.graph(kind), cfg.seed)
-        payload[kind] = report
+    for kind in ws.cfg.deltas():
+        payload[kind] = report = verify.check_reconstruction(ws, kind)
         if not report["applicable"]:
             payload["error"] = report["note"]
-            write_report(cfg, "reconstruct", payload)
-            return payload, CONFIG_ERROR
+            return CONFIG_ERROR
         ok = ok and report["ok"]
-    write_report(cfg, "reconstruct", payload)
-    return payload, OK if ok else CHECK_FAILED
+    return OK if ok else CHECK_FAILED
 
 
-def cmd_counterexample(cfg: RunConfig) -> tuple[dict, int]:
-    params, gates = _try_space(cfg)
-    if params is None:
-        payload = {"config": _config_payload(cfg), "error": "; ".join(gates.problems)}
-        write_report(cfg, "counterexample", payload)
-        return payload, CONFIG_ERROR
-    ws = Workspace(cfg)
-    report = verify.check_counterexample(ws.space(), ws.graph("pi"), ws.graph("rho"))
-    payload = {"config": _config_payload(cfg), "counterexample": report}
-    write_report(cfg, "counterexample", payload)
+@command("counterexample")
+def cmd_counterexample(ws: Workspace, payload: dict) -> int:
+    """Build the neighbourhood-case twist and check it breaks the bundles."""
+    payload["counterexample"] = report = verify.check_counterexample(ws)
     if not report["applicable"]:
-        return payload, CONFIG_ERROR
-    return payload, OK if report["ok"] else CHECK_FAILED
+        return CONFIG_ERROR
+    return OK if report["ok"] else CHECK_FAILED
 
 
 def reconstruction_claim(space: SpineSpace, case: ExcludedCase) -> str:
@@ -289,57 +300,50 @@ def reconstruction_claim(space: SpineSpace, case: ExcludedCase) -> str:
     return str(case.star_holds)
 
 
-def cmd_verify_all(cfg: RunConfig, echo=print) -> tuple[dict, int]:
+@command("verify-all")
+def cmd_verify_all(ws: Workspace, payload: dict, echo=print) -> int:
     """Run every applicable structural check and summarise one line each."""
-    params, gates = _try_space(cfg)
-    payload: dict = {"config": _config_payload(cfg), "checks": {}}
-    if params is None:
-        payload["error"] = "; ".join(gates.problems)
-        write_report(cfg, "verify-all", payload)
-        echo(f"configuration invalid: {payload['error']}")
-        return payload, CONFIG_ERROR
-    ws = Workspace(cfg)
-    space = ws.space()
-    pi = ws.graph("pi")
-    rho = ws.graph("rho")
+    cfg = ws.cfg
+    checks = [
+        ("subspace_counts", lambda ws: verify.check_subspace_counts(max_n=cfg.n, qs=(cfg.q,))),
+        ("foundations", verify.check_foundations),
+        ("relation_sanity", verify.check_relation_sanity),
+        ("clique_classification", verify.check_clique_classification),
+        ("exchange_criterion", verify.check_exchange_criterion),
+        ("ternary_pencils", verify.check_ternary_pencils),
+        ("pencil_recovery", verify.check_pencil_recovery),
+    ]
+    gates = ws.gates()
+    if gates.bundle_gate:
+        for kind in cfg.deltas():
+            checks += [
+                (f"upsilon_structure_{kind}",
+                 functools.partial(verify.check_upsilon_structure, kind=kind)),
+                (f"reconstruction_{kind}",
+                 functools.partial(verify.check_reconstruction, kind=kind)),
+            ]
+    else:
+        checks.append(("reconstruction", None))  # gated out: echoed, not reported
+    checks.append(("counterexample", verify.check_counterexample))
 
-    def record(name: str, report: dict):
-        payload["checks"][name] = report
+    payload["checks"] = {}
+    for name, check in checks:
+        if check is None:
+            echo(f"  {name}: skipped ({'; '.join(gates.notes)})")
+            continue
+        payload["checks"][name] = report = check(ws)
         if not report.get("applicable", True):
             echo(f"  {name}: skipped ({report.get('note', 'not applicable')})")
         else:
             echo(f"  {name}: {'pass' if report['ok'] else 'FAIL'}")
-
-    record("subspace_counts", verify.check_subspace_counts(max_n=cfg.n, qs=(cfg.q,)))
-    record("foundations", verify.check_foundations(space))
-    record("relation_sanity", verify.check_relation_sanity(space, pi, rho))
-    found: dict = {}
-    record("clique_classification",
-           verify.check_clique_classification(space, pi, rho, cfg.bk_max_lines,
-                                              collect=found))
-    record("exchange_criterion",
-           verify.check_exchange_criterion(space, rho, cfg.bk_max_lines,
-                                           fams=found["fams"],
-                                           rho_cliques=found.get("rho_cliques")))
-    record("ternary_pencils", verify.check_ternary_pencils(space, pi, rho))
-    record("pencil_recovery", verify.check_pencil_recovery(space, pi, rho, cfg.seed))
+    space = ws.space()
     case = classify_case(space.params)
     payload["case"] = {"tag": case.tag,
                        "reconstruction_claim": reconstruction_claim(space, case)}
-    if gates.bundle_gate:
-        for kind in cfg.deltas():
-            record(f"upsilon_structure_{kind}",
-                   verify.check_upsilon_structure(space, ws.graph(kind), cfg.seed))
-            record(f"reconstruction_{kind}",
-                   verify.check_reconstruction(space, ws.graph(kind), cfg.seed))
-    else:
-        echo(f"  reconstruction: skipped ({'; '.join(gates.notes)})")
-    record("counterexample", verify.check_counterexample(space, pi, rho))
 
     failed = [name for name, rep in payload["checks"].items()
               if rep.get("applicable", True) and not rep["ok"]]
     payload["failed"] = failed
     payload["ok"] = not failed
-    write_report(cfg, "verify-all", payload)
     echo(f"verify-all: {'all checks pass' if not failed else 'FAILED: ' + ', '.join(failed)}")
-    return payload, OK if not failed else CHECK_FAILED
+    return OK if not failed else CHECK_FAILED

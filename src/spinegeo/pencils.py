@@ -375,8 +375,7 @@ def detect_parallel(pencils: PencilFamily, graph: LineRelationGraph,
     return parallel
 
 
-def derive_line_geometry(graph: LineRelationGraph,
-                         cliques: CliqueFamily | None = None) -> LineGeometry:
+def derive_line_geometry(graph: LineRelationGraph) -> LineGeometry:
     """Run the whole abstract pipeline on a relation graph.
 
     Cliques and pencils are recovered from adjacency alone; pencils with an
@@ -385,8 +384,7 @@ def derive_line_geometry(graph: LineRelationGraph,
     pencil get an abstract dimension; those of dimension at least three form
     the semibundle family handed to bundle reconstruction.
     """
-    if cliques is None:
-        cliques = family_K(graph)
+    cliques = family_K(graph)
     exchange = None
     if graph.delta_kind == RHO:
         exchange = [podmianka(m, graph) for m in cliques.masks]

@@ -14,9 +14,9 @@ ids plus a symmetric irreflexive adjacency, with no geometry attached.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .spine import SpineSpace
 
@@ -39,9 +39,6 @@ class LineRelationGraph:
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
-
-    def row(self, i: int) -> int:
-        return self.rows[i]
 
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
@@ -130,6 +127,19 @@ class StripResult:
     graph: LineRelationGraph
     perm: tuple[int, ...]
 
+    @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        """Stripped line id -> original line id."""
+        inv = [0] * len(self.perm)
+        for orig, stripped in enumerate(self.perm):
+            inv[stripped] = orig
+        return tuple(inv)
+
+    def original(self, mask: int) -> frozenset[int]:
+        """Original ids of the stripped lines set in `mask`."""
+        inv = self.inverse
+        return frozenset(inv[l] for l in bits_of(mask))
+
 
 def strip(graph: LineRelationGraph, seed: int) -> StripResult:
     n = graph.count
@@ -210,7 +220,3 @@ def graph_from_json(doc: dict) -> LineRelationGraph:
     g = LineRelationGraph(doc["delta_kind"], rows)
     g.check_invariants()
     return g
-
-
-def graph_json_text(graph: LineRelationGraph) -> str:
-    return json.dumps(graph_to_json(graph), sort_keys=True, indent=1) + "\n"

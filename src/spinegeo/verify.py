@@ -4,29 +4,35 @@ Each check returns a dict with an "ok" flag plus enough detail to locate a
 failure (counts, bounded witness lists).  Checks never assert; the caller
 (test suite or command line) decides what a failure means.  Checks that
 only apply under a gate return {"applicable": False} when the gate fails.
+
+A check reads the space, the relations and every derived stage from a
+`harness.Workspace`, which computes each of them once for all checks.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
-from .bundles import reconstruct, upsilon_empty, verify_equivalence
+from .bundles import upsilon_empty, verify_equivalence
 from .cliques import (
-    CliqueFamily,
-    GeometricFamilies,
     KIND_AFFINE_SEMIFLAT,
     KIND_PUNCTURED_SEMIFLAT,
-    bron_kerbosch,
     classify_clique,
     delta_n,
-    family_K,
-    geometric_families,
     podmianka,
 )
+from .excluded import CASE_NEIGHBOURHOOD, build_homology_map, classify_case, verify_counterexample
 from .gf import FieldSpec, enumerate_subspaces, q_binomial
-from .pencils import LineGeometry, derive_line_geometry, family_B, p_pi, p_rho, RhoCliqueIndex
-from .relations import RHO, LineRelationGraph, bits_of, compute_pi, compute_rho, strip
-from .spine import LINE_AFFINE, PLANE_AFFINE, SpineSpace, validate_params
+from .pencils import RhoCliqueIndex, family_B, p_pi, p_rho
+from .relations import PI, RHO, LineRelationGraph, bits_of
+from .spine import LINE_AFFINE, PLANE_AFFINE, STAR_ALPHA, SpineSpace
+
+if TYPE_CHECKING:
+    from .harness import Workspace
+
+# the scalar of the counterexample's homology; any value in [2, q) moves lines
+HOMOLOGY_SCALE = 2
 
 
 def check_subspace_counts(max_n: int = 6, qs=(2, 3)) -> dict:
@@ -45,15 +51,16 @@ def check_subspace_counts(max_n: int = 6, qs=(2, 3)) -> dict:
     return {"ok": not mismatches, "checked": checked, "mismatches": mismatches}
 
 
-def check_foundations(space: SpineSpace) -> dict:
+def check_foundations(ws: Workspace) -> dict:
     """Intersection dichotomy of strong subspaces plus the tripod span rule."""
+    space = ws.space()
     fact = space.check_fact_intersections()
     tripod = space.check_tripod_span()
     return {"ok": fact["ok"] and tripod["ok"], "intersections": fact, "tripods": tripod}
 
 
-def check_relation_sanity(space: SpineSpace, pi: LineRelationGraph,
-                          rho: LineRelationGraph) -> dict:
+def check_relation_sanity(ws: Workspace) -> dict:
+    pi, rho = ws.graph(PI), ws.graph(RHO)
     pi.check_invariants()
     rho.check_invariants()
     rho_in_pi = all(not (rho.rows[i] & ~pi.rows[i]) for i in range(pi.count))
@@ -61,30 +68,20 @@ def check_relation_sanity(space: SpineSpace, pi: LineRelationGraph,
             "pi_edges": pi.edge_count(), "rho_edges": rho.edge_count()}
 
 
-def check_clique_classification(space: SpineSpace, pi: LineRelationGraph,
-                                rho: LineRelationGraph, bk_cap: int = 5000,
-                                collect: dict | None = None) -> dict:
+def check_clique_classification(ws: Workspace) -> dict:
     """Maximal cliques match the geometric families exactly.
 
-    Below the cap the Bron-Kerbosch oracle enumerates all maximal cliques
-    and the comparison is a set equality against the families; above it the
-    families themselves are verified to be maximal cliques and to be
-    spanned where expected (constructive verification).  Pass a dict as
-    `collect` to receive the geometric families ("fams") and, below the cap,
-    the Bron-Kerbosch cliques of rho ("rho_cliques"), which
-    `check_exchange_criterion` takes instead of computing them again.
+    Below the oracle cap the Bron-Kerbosch oracle enumerates all maximal
+    cliques and the comparison is a set equality against the families;
+    above it the families themselves are verified to be maximal cliques and
+    to be spanned where expected (constructive verification).
     """
-    fams = geometric_families(space)
-    if collect is not None:
-        collect["fams"] = fams
+    fams = ws.families()
     out: dict = {"pi_family_size": len(fams.pi_family),
                  "rho_family_size": len(fams.rho_family)}
-    if pi.count <= bk_cap:
-        bk_pi = {frozenset(bits_of(m)) for m in bron_kerbosch(pi, bk_cap)}
-        rho_cliques = bron_kerbosch(rho, bk_cap)
-        if collect is not None:
-            collect["rho_cliques"] = rho_cliques
-        bk_rho = {frozenset(bits_of(m)) for m in rho_cliques}
+    if ws.cliques(PI) is not None:
+        bk_pi = {frozenset(bits_of(m)) for m in ws.cliques(PI)}
+        bk_rho = {frozenset(bits_of(m)) for m in ws.cliques(RHO)}
         out["mode"] = "bron-kerbosch"
         out["pi_equal"] = bk_pi == fams.pi_family
         out["rho_equal"] = bk_rho == fams.rho_family
@@ -95,12 +92,11 @@ def check_clique_classification(space: SpineSpace, pi: LineRelationGraph,
     else:
         out["mode"] = "constructive"
         problems = []
-        for graph, family in ((pi, fams.pi_family), (rho, fams.rho_family)):
+        for kind, family in ((PI, fams.pi_family), (RHO, fams.rho_family)):
+            graph = ws.graph(kind)
             rows = graph.rows
             for lines in family:
-                mask = 0
-                for l in lines:
-                    mask |= 1 << l
+                mask = graph.mask_of(lines)
                 inter = ~0
                 ok_clique = True
                 for l in lines:
@@ -116,9 +112,7 @@ def check_clique_classification(space: SpineSpace, pi: LineRelationGraph,
     return out
 
 
-def check_exchange_criterion(space: SpineSpace, rho: LineRelationGraph,
-                             bk_cap: int = 5000, fams: GeometricFamilies | None = None,
-                             rho_cliques: list[int] | None = None) -> dict:
+def check_exchange_criterion(ws: Workspace) -> dict:
     """Exchange succeeds exactly on the semiaffine semiflats, given q >= 3.
 
     Runs over every maximal clique of the proper-pencil relation and
@@ -128,25 +122,13 @@ def check_exchange_criterion(space: SpineSpace, rho: LineRelationGraph,
     concurrent, and the concurrent triple extends into the ambient
     semibundle, so no swap gives a maximal clique.  There the affine
     semiflats lie outside the hypothesis: "outside_hypothesis" counts them
-    (by line count) and they are not compared.
-
-    `fams` and `rho_cliques` are the geometric families and the
-    Bron-Kerbosch cliques of rho when the caller has them already (see
-    `check_clique_classification`); they are computed when not given.
+    (by line count) and they are not compared.  Above the oracle cap the
+    cliques are the geometric rho family.
     """
-    if fams is None:
-        fams = geometric_families(space)
-    if rho_cliques is not None:
-        masks = rho_cliques
-    elif rho.count <= bk_cap:
-        masks = bron_kerbosch(rho, bk_cap)
-    else:
-        masks = []
-        for lines in fams.rho_family:
-            m = 0
-            for l in lines:
-                m |= 1 << l
-            masks.append(m)
+    space, rho, fams = ws.space(), ws.graph(RHO), ws.families()
+    masks = ws.cliques(RHO)
+    if masks is None:
+        masks = [rho.mask_of(lines) for lines in fams.rho_family]
     gf2 = space.params.space.q == 2
     mismatches = []
     excluded_sizes: dict[str, int] = {}
@@ -205,8 +187,7 @@ def _outside_report(pencils: set[frozenset[int]], rho: LineRelationGraph) -> dic
             "cause_holds": spanning == len(rows), "pencils": rows}
 
 
-def check_ternary_pencils(space: SpineSpace, pi: LineRelationGraph,
-                          rho: LineRelationGraph) -> dict:
+def check_ternary_pencils(ws: Workspace) -> dict:
     """Ternary concurrency identifies pencils, clique by clique.
 
     For every triple inside every maximal clique of each relation, the
@@ -221,10 +202,9 @@ def check_ternary_pencils(space: SpineSpace, pi: LineRelationGraph,
     affine-plane proper pencils are listed under "outside_hypothesis", and
     the half passes only if each of them spans (the stated cause).
     """
-    gates = validate_params(space.params)
-    if not gates.pencil_gate:
+    if not ws.gates().pencil_gate:
         return {"applicable": False, "ok": True, "note": "pencil gate fails"}
-    fams = geometric_families(space)
+    space, fams = ws.space(), ws.families()
     pencils, pencil_by_line = _pencil_index(space)
 
     def geo_pencil_of(tri):
@@ -236,19 +216,19 @@ def check_ternary_pencils(space: SpineSpace, pi: LineRelationGraph,
                 return None
         return pencils[min(hits)]
 
-    fam_pi = family_K(pi)
-    fam_rho = family_K(rho)
-    rho_index = RhoCliqueIndex.build(rho, fam_rho)
+    rho = ws.graph(RHO)
+    rho_index = RhoCliqueIndex.build(rho, ws.family(RHO))
     outside = _rho_outside_hypothesis(space)
 
     report: dict = {"applicable": True}
-    for name, graph, fam in (("pi", pi, fam_pi), ("rho", rho, fam_rho)):
-        family_sets = {frozenset(m) for m in fam.members}
-        expected = fams.pi_family if name == "pi" else fams.rho_family
+    for name in (PI, RHO):
+        graph = ws.graph(name)
+        family_sets = {frozenset(m) for m in ws.family(name).members}
+        expected = fams.pi_family if name == PI else fams.rho_family
         # spanned cliques are maximal, so the spanning family never exceeds
         # the geometric one; anything unspanned must be an affine semiflat
         unspanned = expected - family_sets
-        if name == "pi":
+        if name == PI:
             coverage_ok = family_sets == expected
         else:
             coverage_ok = family_sets <= expected and all(
@@ -261,7 +241,7 @@ def check_ternary_pencils(space: SpineSpace, pi: LineRelationGraph,
         for mem_set in domain:
             for tri in itertools.combinations(sorted(mem_set), 3):
                 p = geo_pencil_of(tri)
-                if name == "pi":
+                if name == PI:
                     got = p_pi(*tri, graph)
                     want = p is not None
                 elif p is not None and p.line_ids in outside:
@@ -281,7 +261,7 @@ def check_ternary_pencils(space: SpineSpace, pi: LineRelationGraph,
             "witnesses": list(mismatches.values())[:5],
             "ok": coverage_ok and not mismatches,
         }
-        if name == "rho" and outside:
+        if name == RHO and outside:
             excluded = _outside_report(outside, rho)
             report[name]["outside_hypothesis"] = excluded
             report[name]["ok"] = report[name]["ok"] and excluded["cause_holds"]
@@ -289,39 +269,28 @@ def check_ternary_pencils(space: SpineSpace, pi: LineRelationGraph,
     return report
 
 
-def check_pencil_recovery(space: SpineSpace, pi: LineRelationGraph,
-                          rho: LineRelationGraph, seed: int,
-                          collect: dict | None = None) -> dict:
+def check_pencil_recovery(ws: Workspace) -> dict:
     """The abstract pencil family on a stripped graph matches the geometry.
 
     The pipeline only sees ids and adjacency; its surviving pencils are
     mapped back through the stripping permutation and compared with the
     geometric proper pencils as a set.  When the pencil gate fails the
-    comparison is reported without being counted as a failure.  Pass a dict
-    as `collect` to receive the derived geometries for artifact export.
+    comparison is reported without being counted as a failure.
 
     The proper-pencil half assumes q >= 3 on affine planes.  Over GF(2) it is
     compared exactly on the pencils of non-affine planes; the affine-plane
     proper pencils are listed under "outside_hypothesis", and the half
     passes only if each of them spans (the stated cause).
     """
-    gates = validate_params(space.params)
-    geo_proper = {p.line_ids for p in space.pencils() if p.proper}
+    gates, space = ws.gates(), ws.space()
+    geo_proper = space.proper_pencil_sets()
     outside = _rho_outside_hypothesis(space)
     report: dict = {"applicable": True, "gate": gates.pencil_gate}
-    for name, graph in (("pi", pi), ("rho", rho)):
-        sr = strip(graph, seed)
-        geometry = derive_line_geometry(sr.graph)
-        if collect is not None:
-            collect[name] = (sr, geometry)
-        inv = [0] * len(sr.perm)
-        for orig, stripped in enumerate(sr.perm):
-            inv[stripped] = orig
-        recovered = {
-            frozenset(inv[l] for l in bits_of(geometry.pencils.masks[idx]))
-            for idx in geometry.proper_pencils
-        }
-        target = geo_proper - outside if name == "rho" else geo_proper
+    for name in (PI, RHO):
+        sr, geometry = ws.stripped(name), ws.geometry(name)
+        recovered = {sr.original(geometry.pencils.masks[idx])
+                     for idx in geometry.proper_pencils}
+        target = geo_proper - outside if name == RHO else geo_proper
         missing = target - recovered
         extra = recovered - target
         entry = {
@@ -334,8 +303,8 @@ def check_pencil_recovery(space: SpineSpace, pi: LineRelationGraph,
             "extra_witnesses": [sorted(s) for s in list(extra)[:3]],
         }
         cause_holds = True
-        if name == "rho" and outside:
-            entry["outside_hypothesis"] = _outside_report(outside, rho)
+        if name == RHO and outside:
+            entry["outside_hypothesis"] = _outside_report(outside, ws.graph(RHO))
             cause_holds = entry["outside_hypothesis"]["cause_holds"]
         if gates.pencil_gate:
             entry["ok"] = entry["equal"] and cause_holds
@@ -347,8 +316,7 @@ def check_pencil_recovery(space: SpineSpace, pi: LineRelationGraph,
     return report
 
 
-def check_upsilon_structure(space: SpineSpace, graph: LineRelationGraph,
-                            seed: int) -> dict:
+def check_upsilon_structure(ws: Workspace, kind: str) -> dict:
     """Gluing on the abstract semibundle family matches vertex equality.
 
     Runs the stripped pipeline, maps each high-dimensional clique back to
@@ -357,19 +325,16 @@ def check_upsilon_structure(space: SpineSpace, graph: LineRelationGraph,
     the same vertex; transitivity is established by checking every gluing
     class is relation-complete.
     """
-    sr = strip(graph, seed)
-    geometry = derive_line_geometry(sr.graph)
-    fam = family_B(geometry)
+    sr = ws.stripped(kind)
+    fam = family_B(ws.geometry(kind))
     if not fam:
         return {"applicable": False, "ok": True, "note": "empty semibundle family"}
-    inv = [0] * len(sr.perm)
-    for orig, stripped in enumerate(sr.perm):
-        inv[stripped] = orig
+    space = ws.space()
     semibundle_at = {lines: key for key, lines in space.semibundles(min_p_dim=2).items()}
     kinds = []
     unmatched = 0
     for mask in fam:
-        key = semibundle_at.get(frozenset(inv[l] for l in bits_of(mask)))
+        key = semibundle_at.get(sr.original(mask))
         if key is None:
             unmatched += 1
             kinds.append(None)
@@ -388,7 +353,7 @@ def check_upsilon_structure(space: SpineSpace, graph: LineRelationGraph,
             if glued != expected:
                 mismatches.append({"pair": (i, j), "glued": glued,
                                    "hosts": (kinds[i], kinds[j])})
-    recon = reconstruct(fam, sr.graph)
+    recon = ws.reconstruction(kind)
     return {
         "applicable": True,
         "family_size": len(fam),
@@ -413,8 +378,7 @@ def _lines_without_host(space: SpineSpace) -> dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def check_reconstruction(space: SpineSpace, graph: LineRelationGraph,
-                         seed: int) -> dict:
+def check_reconstruction(ws: Workspace, kind: str) -> dict:
     """Full bundle reconstruction from a stripped graph, verified both ways.
 
     Besides the bundle gate the pipeline needs every line to lie in a
@@ -427,39 +391,35 @@ def check_reconstruction(space: SpineSpace, graph: LineRelationGraph,
     The proper-pencil relation also needs q >= 3 on affine planes (see
     `p_rho`).  Over GF(2), when every line is affine, every plane is affine,
     rho recovers no pencil and no clique gets a dimension, so the check is
-    not applicable there either.
+    not applicable there either.  These exits come before any stage of the
+    abstract pipeline runs.
     """
-    gates = validate_params(space.params)
+    gates = ws.gates()
     if not gates.bundle_gate:
         return {"applicable": False, "ok": True,
                 "note": "; ".join(gates.notes) or "bundle gate fails"}
+    space = ws.space()
     uncovered = _lines_without_host(space)
     if uncovered:
         named = ", ".join(f"{count} {kind}" for kind, count in uncovered.items())
         return {"applicable": False, "ok": True, "uncovered_lines": uncovered,
                 "note": f"lines in no strong subspace of dimension >= 4 ({named}); "
                         "no bundle can contain them"}
-    if (graph.delta_kind == RHO and space.params.space.q == 2
+    if (kind == RHO and space.params.space.q == 2
             and all(ln.kind == LINE_AFFINE for ln in space.lines)):
         return {"applicable": False, "ok": True, "hypothesis": "q >= 3",
                 "note": "every line is affine and over GF(2) p_rho sees no pencil "
                         "on an affine plane; rho recovers no pencil"}
-    sr = strip(graph, seed)
-    geometry = derive_line_geometry(sr.graph)
-    fam = family_B(geometry)
-    recon = reconstruct(fam, sr.graph)
-    report = verify_equivalence(space, recon, sr, fam)
+    fam = family_B(ws.geometry(kind))
+    report = verify_equivalence(space, ws.reconstruction(kind), ws.stripped(kind), fam)
     report["applicable"] = True
     report["family_size"] = len(fam)
     return report
 
 
-def check_counterexample(space: SpineSpace, pi: LineRelationGraph,
-                         rho: LineRelationGraph, scale: int = 2) -> dict:
+def check_counterexample(ws: Workspace) -> dict:
     """Neighbourhood-case twist: relation-preserving, bundle-breaking."""
-    from .excluded import CASE_NEIGHBOURHOOD, build_homology_map, classify_case, verify_counterexample
-    from .spine import STAR_ALPHA
-
+    space = ws.space()
     case = classify_case(space.params)
     if case.tag != CASE_NEIGHBOURHOOD:
         return {"applicable": False, "ok": True, "note": f"case {case.tag}"}
@@ -467,8 +427,8 @@ def check_counterexample(space: SpineSpace, pi: LineRelationGraph,
         return {"applicable": False, "ok": False,
                 "note": "no nonidentity central collineation exists over GF(2)"}
     star = next(s for s in space.strongs if s.kind == STAR_ALPHA)
-    lmap = build_homology_map(space, star, scale)
-    report = verify_counterexample(space, lmap, pi, rho)
+    lmap = build_homology_map(space, star, HOMOLOGY_SCALE)
+    report = verify_counterexample(space, lmap, ws.graph(PI), ws.graph(RHO))
     report["applicable"] = True
     report["moved_lines"] = len(lmap.moved)
     return report

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from spinegeo import build_spine, standard_params, verify
-from spinegeo.cliques import geometric_families
-from spinegeo.relations import compute_pi, compute_rho
+from spinegeo import verify
+from spinegeo.harness import RunConfig, Workspace
 
 CFG1 = (2, 6, 2, 1, 3)
 CFG3 = (2, 6, 3, 0, 1)
@@ -25,73 +24,91 @@ ROOMY = (2, 6, 2, 0, 2)
 SEED = 11
 
 
-def _space(params):
-    return build_spine(standard_params(*params))
+def workspace(params, out_dir) -> Workspace:
+    """The pipeline of one configuration, stripped with SEED."""
+    return Workspace(RunConfig(*params, seed=SEED, out_dir=out_dir))
 
 
 @pytest.fixture(scope="session")
-def cfg1_space():
-    return _space(CFG1)
+def cfg1_ws(tmp_path_factory):
+    return workspace(CFG1, tmp_path_factory.mktemp("cfg1"))
 
 
 @pytest.fixture(scope="session")
-def cfg1_pi(cfg1_space):
-    return compute_pi(cfg1_space)
+def cfg1_space(cfg1_ws):
+    return cfg1_ws.space()
 
 
 @pytest.fixture(scope="session")
-def cfg1_rho(cfg1_space):
-    return compute_rho(cfg1_space)
+def cfg1_pi(cfg1_ws):
+    return cfg1_ws.graph("pi")
 
 
 @pytest.fixture(scope="session")
-def cfg1_fams(cfg1_space):
-    return geometric_families(cfg1_space)
+def cfg1_rho(cfg1_ws):
+    return cfg1_ws.graph("rho")
 
 
 @pytest.fixture(scope="session")
-def cfg3_space():
-    return _space(CFG3)
+def cfg1_fams(cfg1_ws):
+    return cfg1_ws.families()
 
 
 @pytest.fixture(scope="session")
-def cfg3_pi(cfg3_space):
-    return compute_pi(cfg3_space)
+def cfg3_ws(tmp_path_factory):
+    return workspace(CFG3, tmp_path_factory.mktemp("cfg3"))
 
 
 @pytest.fixture(scope="session")
-def cfg3_rho(cfg3_space):
-    return compute_rho(cfg3_space)
+def cfg3_space(cfg3_ws):
+    return cfg3_ws.space()
 
 
 @pytest.fixture(scope="session")
-def cex_space():
-    return _space(CEX)
+def cfg3_pi(cfg3_ws):
+    return cfg3_ws.graph("pi")
 
 
 @pytest.fixture(scope="session")
-def cex_pi(cex_space):
-    return compute_pi(cex_space)
+def cfg3_rho(cfg3_ws):
+    return cfg3_ws.graph("rho")
 
 
 @pytest.fixture(scope="session")
-def cex_rho(cex_space):
-    return compute_rho(cex_space)
+def cex_ws(tmp_path_factory):
+    return workspace(CEX, tmp_path_factory.mktemp("cex"))
 
 
 @pytest.fixture(scope="session")
-def roomy_space():
-    return _space(ROOMY)
+def cex_space(cex_ws):
+    return cex_ws.space()
 
 
 @pytest.fixture(scope="session")
-def roomy_reconstruction(roomy_space):
+def cex_pi(cex_ws):
+    return cex_ws.graph("pi")
+
+
+@pytest.fixture(scope="session")
+def cex_rho(cex_ws):
+    return cex_ws.graph("rho")
+
+
+@pytest.fixture(scope="session")
+def roomy_ws(tmp_path_factory):
+    return workspace(ROOMY, tmp_path_factory.mktemp("roomy"))
+
+
+@pytest.fixture(scope="session")
+def roomy_space(roomy_ws):
+    return roomy_ws.space()
+
+
+@pytest.fixture(scope="session")
+def roomy_reconstruction(roomy_ws):
     """`check_reconstruction` reports on roomy for pi and rho (seed 11).
 
-    The roomy pipeline is the slowest work in the suite (minutes), so every
-    test that needs it reads these shared reports.
+    The roomy pipeline is the slowest work in the suite, so every test that
+    needs it reads these shared reports.
     """
-    return {
-        name: verify.check_reconstruction(roomy_space, compute(roomy_space), SEED)
-        for name, compute in (("pi", compute_pi), ("rho", compute_rho))
-    }
+    return {kind: verify.check_reconstruction(roomy_ws, kind) for kind in ("pi", "rho")}

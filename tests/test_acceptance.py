@@ -30,11 +30,12 @@ import time
 
 import pytest
 
-from spinegeo import build_spine, standard_params, verify
+from spinegeo import verify
 from spinegeo.cliques import KIND_AFFINE_SEMIFLAT, delta_n
 from spinegeo.harness import RunConfig, cmd_verify_all
-from spinegeo.relations import compute_pi, compute_rho
 from spinegeo.spine import LINE_OMEGA, PLANE_AFFINE, validate_params
+
+from conftest import workspace
 
 SEED = 11
 EXCHANGE_TWIN = (3, 5, 2, 1, 3)  # cfg1's shape over GF(3)
@@ -61,8 +62,8 @@ def _assert_rho_outside_hypothesis(space, rho, excluded: dict):
     assert excluded["spanning"] == 8680 and excluded["cause_holds"]
 
 
-def test_criterion_1_clique_classification(cfg1_space, cfg1_pi, cfg1_rho):
-    report = verify.check_clique_classification(cfg1_space, cfg1_pi, cfg1_rho)
+def test_criterion_1_clique_classification(cfg1_ws):
+    report = verify.check_clique_classification(cfg1_ws)
     ok = _line(
         "1 clique-classification", report["ok"],
         f"BK vs families: pi {report['pi_family_size']}, rho {report['rho_family_size']}",
@@ -71,15 +72,9 @@ def test_criterion_1_clique_classification(cfg1_space, cfg1_pi, cfg1_rho):
     assert ok, report
 
 
-def test_criterion_2_exchange_criterion(cfg1_space, cfg1_pi, cfg1_rho):
-    twin = build_spine(standard_params(*EXCHANGE_TWIN))
-    twin_report = verify.check_exchange_criterion(twin, compute_rho(twin))
-    # as verify-all runs it: on the families and rho cliques of criterion 1
-    found: dict = {}
-    verify.check_clique_classification(cfg1_space, cfg1_pi, cfg1_rho, collect=found)
-    report = verify.check_exchange_criterion(cfg1_space, cfg1_rho, fams=found["fams"],
-                                             rho_cliques=found["rho_cliques"])
-    assert report == verify.check_exchange_criterion(cfg1_space, cfg1_rho)
+def test_criterion_2_exchange_criterion(cfg1_ws, tmp_path):
+    twin_report = verify.check_exchange_criterion(workspace(EXCHANGE_TWIN, tmp_path))
+    report = verify.check_exchange_criterion(cfg1_ws)
     excluded = report["outside_hypothesis"]
     ok = _line(
         "2 exchange-criterion", twin_report["ok"] and report["ok"],
@@ -104,10 +99,10 @@ def test_criterion_2_exchange_criterion(cfg1_space, cfg1_pi, cfg1_rho):
     assert ok
 
 
-def test_criterion_3_ternary_pencils(cfg3_space, cfg3_pi, cfg3_rho):
+def test_criterion_3_ternary_pencils(cfg3_ws, cfg3_space, cfg3_rho):
     gates = validate_params(cfg3_space.params)
     assert gates.pencil_gate, "the pencil gate must hold on this configuration"
-    report = verify.check_ternary_pencils(cfg3_space, cfg3_pi, cfg3_rho)
+    report = verify.check_ternary_pencils(cfg3_ws)
     rho = report["rho"]
     ok = _line(
         "3 ternary-pencils", report["ok"],
@@ -127,8 +122,8 @@ def test_criterion_3_ternary_pencils(cfg3_space, cfg3_pi, cfg3_rho):
     assert ok
 
 
-def test_criterion_4_pencil_space_definability(cfg3_space, cfg3_pi, cfg3_rho):
-    report = verify.check_pencil_recovery(cfg3_space, cfg3_pi, cfg3_rho, SEED)
+def test_criterion_4_pencil_space_definability(cfg3_ws, cfg3_space, cfg3_rho):
+    report = verify.check_pencil_recovery(cfg3_ws)
     rho = report["rho"]
     ok = _line(
         "4 pencil-space-definability", report["ok"],
@@ -148,10 +143,9 @@ def test_criterion_4_pencil_space_definability(cfg3_space, cfg3_pi, cfg3_rho):
     assert ok
 
 
-def test_criterion_5_reconstruction(cfg1_space, cfg1_pi, cfg1_rho, roomy_reconstruction):
+def test_criterion_5_reconstruction(cfg1_ws, cfg1_space, roomy_reconstruction):
     start = time.time()
-    pinched = {name: verify.check_reconstruction(cfg1_space, graph, SEED)
-               for name, graph in (("pi", cfg1_pi), ("rho", cfg1_rho))}
+    pinched = {kind: verify.check_reconstruction(cfg1_ws, kind) for kind in ("pi", "rho")}
     elapsed = time.time() - start
     roomy = roomy_reconstruction
     ok = all(r["ok"] for r in roomy.values())
@@ -179,10 +173,8 @@ def test_criterion_5_reconstruction(cfg1_space, cfg1_pi, cfg1_rho, roomy_reconst
         assert "392 omega" in rep["note"]
 
 
-def test_criterion_6_gluing_structure(cfg1_space, cfg1_pi, cfg1_rho):
-    reports = {}
-    for name, graph in (("pi", cfg1_pi), ("rho", cfg1_rho)):
-        reports[name] = verify.check_upsilon_structure(cfg1_space, graph, SEED)
+def test_criterion_6_gluing_structure(cfg1_ws):
+    reports = {kind: verify.check_upsilon_structure(cfg1_ws, kind) for kind in ("pi", "rho")}
     ok = all(r["ok"] for r in reports.values())
     _line(
         "6 gluing-structure", ok,
@@ -196,8 +188,8 @@ def test_criterion_6_gluing_structure(cfg1_space, cfg1_pi, cfg1_rho):
         assert rep["ok"]
 
 
-def test_criterion_7_automorphism_counterexample(cex_space, cex_pi, cex_rho):
-    report = verify.check_counterexample(cex_space, cex_pi, cex_rho)
+def test_criterion_7_automorphism_counterexample(cex_ws):
+    report = verify.check_counterexample(cex_ws)
     ok = _line(
         "7 automorphism-counterexample", report["applicable"] and report["ok"],
         f"moved lines {report.get('moved_lines')}, witness {report.get('witness')}",
@@ -211,9 +203,9 @@ def test_criterion_7_automorphism_counterexample(cex_space, cex_pi, cex_rho):
     assert ok
 
 
-def test_criterion_8_foundations(cfg1_space, cfg3_space):
-    f1 = verify.check_foundations(cfg1_space)
-    f3 = verify.check_foundations(cfg3_space)
+def test_criterion_8_foundations(cfg1_ws, cfg3_ws):
+    f1 = verify.check_foundations(cfg1_ws)
+    f3 = verify.check_foundations(cfg3_ws)
     counts = verify.check_subspace_counts(max_n=6, qs=(2, 3))
     ok = _line(
         "8 foundations", f1["ok"] and f3["ok"] and counts["ok"],

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from spinegeo import build_spine, standard_params
 from spinegeo.gf import FieldSpec, contains, enumerate_subspaces, full_subspace
 from spinegeo.grassmann import build_grassmann, pencil_through, star_of, top_of
 
@@ -66,3 +67,16 @@ def test_every_pencil_in_exactly_one_star_and_top(g24):
         key = (p.h.rows, p.b.rows)
         assert key not in seen
         seen[key] = p
+
+
+@pytest.mark.parametrize("params", [(2, 5, 2, 1, 3), (2, 4, 2, 2, 4)])
+def test_spine_lines_are_the_ambient_pencils_with_two_proper_points(params):
+    # the ambient space as oracle for the spine's own line enumeration;
+    # (2,4,2,2,4) is the w = n case, where every pencil is a line
+    space = build_spine(standard_params(*params))
+    ambient = build_grassmann(space.params.space, space.params.k)
+    proper = {u.rows for u in space.points}
+    want = {(p.h.rows, p.b.rows) for p in ambient.pencils
+            if sum(u.rows in proper for u in p.points) >= 2}
+    assert {(ln.h.rows, ln.b.rows) for ln in space.lines} == want
+    assert len(space.lines) == len(want)

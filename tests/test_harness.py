@@ -143,3 +143,80 @@ def test_cli_rejects_bad_delta(tmp_path):
         "--delta", "both", "--out", str(tmp_path),
     ])
     assert code == OK
+
+
+def test_config_file_with_the_removed_transitivity_cap_exits_2(tmp_path, capsys):
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(dict(SMALL, transitivity_cap=10)))
+    code = cli.main(["build", "--config", str(f), "--out", str(tmp_path)])
+    assert code == CONFIG_ERROR
+    assert "transitivity_cap" in capsys.readouterr().err
+    assert not list(tmp_path.glob("build-*.json"))
+
+
+def test_cli_exits_2_on_a_missing_config_file(tmp_path, capsys):
+    code = cli.main(["build", "--config", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path)])
+    assert code == CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing.json" in err
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    ("build", "--q=4", "q = 4 is not prime"),
+    ("build", "--w=9", "w = 9 is not in 0..n = 5"),
+    ("verify-all", "--w=9", "w = 9 is not in 0..n = 5"),
+])
+def test_cli_exits_2_on_parameters_outside_the_field_or_space(tmp_path, capsys,
+                                                              command, flag, message):
+    argv = [command, "--q=2", "--n=5", "--k=2", "--m=1", "--w=3", flag, "--out", str(tmp_path)]
+    assert cli.main(argv) == CONFIG_ERROR
+    assert capsys.readouterr().out == f"error: {message}\n"
+    report = next(p for p in tmp_path.glob(f"{command}-*.json")
+                  if not p.name.endswith(".meta.json"))
+    assert json.loads(report.read_text())["error"] == message
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of the named spinegeo functions, through every module that imports them."""
+    import sys
+
+    import spinegeo.cliques
+    import spinegeo.pencils
+    import spinegeo.relations
+
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        home = next(m for m in (spinegeo.cliques, spinegeo.pencils, spinegeo.relations)
+                    if hasattr(m, name))
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("spinegeo") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_verify_all_computes_each_stage_once_per_relation(tmp_path, monkeypatch):
+    # cfg1 passes the bundle gate, so pencil recovery and the gluing check
+    # both need the stripped geometry of each relation
+    counts = _count_calls(monkeypatch, ["strip", "derive_line_geometry",
+                                        "geometric_families", "bron_kerbosch"])
+    c = RunConfig(q=2, n=6, k=2, m=1, w=3, seed=11, out_dir=tmp_path)
+    payload, code = harness.cmd_verify_all(c, echo=lambda *_: None)
+    assert code == OK
+    assert {"pencil_recovery", "upsilon_structure_pi", "upsilon_structure_rho"} <= set(
+        payload["checks"])
+    assert counts == {"strip": 2, "derive_line_geometry": 2,
+                      "geometric_families": 1, "bron_kerbosch": 2}
+
+
+def test_build_writes_no_space_cache(tmp_path):
+    payload, code = cmd_build(cfg(tmp_path))
+    assert code == OK
+    assert "space_artifact" not in payload
+    assert not (tmp_path / "cache").exists()

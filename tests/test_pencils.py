@@ -404,13 +404,7 @@ def test_pipeline_is_strip_invariant(cfg1_pi):
     plain = derive_line_geometry(cfg1_pi)
     sr = strip(cfg1_pi, seed=21)
     stripped = derive_line_geometry(sr.graph)
-    inv = [0] * len(sr.perm)
-    for orig, new in enumerate(sr.perm):
-        inv[new] = orig
-    back = {
-        frozenset(inv[l] for l in bits_of(stripped.cliques.masks[ci]))
-        for ci in stripped.bundle_cliques
-    }
+    back = {sr.original(stripped.cliques.masks[ci]) for ci in stripped.bundle_cliques}
     plain_sets = {
         frozenset(bits_of(plain.cliques.masks[ci])) for ci in plain.bundle_cliques
     }

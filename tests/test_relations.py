@@ -109,10 +109,7 @@ def test_pipeline_on_stripped_graph_matches_up_to_permutation(cfg1_rho):
     sr = strip(cfg1_rho, seed=9)
     plain = {frozenset(m) for m in family_K(cfg1_rho).members}
     stripped = family_K(sr.graph).members
-    inv = [0] * len(sr.perm)
-    for orig, new in enumerate(sr.perm):
-        inv[new] = orig
-    mapped_back = {frozenset(inv[l] for l in mem) for mem in stripped}
+    mapped_back = {frozenset(sr.inverse[l] for l in mem) for mem in stripped}
     assert mapped_back == plain
 
 

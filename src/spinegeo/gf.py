@@ -4,7 +4,28 @@ Subspaces of GF(q)^n are represented by their reduced row-echelon basis,
 which is a canonical form: two subspaces are equal iff their canonical
 bases are identical tuples.  Everything here is integer arithmetic mod q,
 no floating point.  All values are immutable after construction and every
-operation is a pure function, so concurrent reads are safe.
+operation is a pure function (the memo of decoded rows below only ever gains
+entries, each equal to what a recomputation gives), so concurrent reads are
+safe.
+
+Eliminations run on packed vectors (`_Lanes`): a vector of GF(q)^n is one
+Python int holding a lane of w bits per coordinate, coordinate 0 in the
+most significant lane, so the leading coordinate of a vector is read off
+its bit length.  w is the smallest multiple of 8 with 2^(w-1) >= 2q - 1
+(8 for every q < 64, so a row packs and unpacks as bytes): the lane-wise
+sum of two reduced vectors then never carries into the next lane, and one
+masked conditional subtract of q reduces it again.  Scaling is
+double-and-add on that sum, so the same SWAR path serves every prime q.
+Results are unpacked back into the canonical tuples; outside this module
+only `subspace_key`, the packed canonical basis, is seen, as a cheap
+dictionary key.
+
+`enumerate_between` lists the subspaces between h and b through a
+complement of h in b whose vectors are the rows of b, chosen greedily in
+row order.  Any complement spans the same subspaces, but the order of the
+list follows from this basis, and that order fixes the point, line and
+plane ids of a spine space (and with them every report and cache), so the
+basis must not change.
 """
 
 from __future__ import annotations
@@ -42,35 +63,141 @@ class FieldSpec:
             raise ValueError(f"ambient dimension n = {self.n} must be >= 3")
 
 
+class _Lanes:
+    """Packed vectors of GF(q)^n: one lane of `width` bits per coordinate.
+
+    The operations are closures over the field's constants rather than
+    methods: they run in the innermost loops of the space build, where
+    attribute lookups would cost as much as the arithmetic.  A `basis` is a
+    dict from pivot column to the multiples of a row whose pivot entry is 1
+    and whose entries in the other pivot columns are 0.
+    """
+
+    def __init__(self, q: int, n: int):
+        nbytes = 1
+        while 2 ** (8 * nbytes - 1) < 2 * q - 1:
+            nbytes += 1
+        width = 8 * nbytes
+        top = width - 1
+        ones = sum(1 << (width * i) for i in range(n))
+        high = ones << top  # the top bit of every lane
+        bias = ((1 << top) - q) * ones  # sets that bit in every lane >= q
+        mask = (1 << width) - 1
+        shift = tuple(width * (n - 1 - c) for c in range(n))
+        inv = (0,) + tuple(pow(x, q - 2, q) for x in range(1, q))
+        self.q, self.width = q, width
+
+        if nbytes == 1:
+            def pack(row) -> int:
+                return int.from_bytes(bytes(row), "big")
+
+            def decode(v: int) -> Vec:
+                return tuple(v.to_bytes(n, "big"))
+        else:
+            def pack(row) -> int:
+                return sum(x << s for x, s in zip(row, shift))
+
+            def decode(v: int) -> Vec:
+                return tuple((v >> s) & mask for s in shift)
+
+        # every vector decoded once: at most q^n entries, and the subspaces
+        # share their row tuples
+        decoded: dict[int, Vec] = {}
+
+        def unpack(v: int) -> Vec:
+            row = decoded.get(v)
+            if row is None:
+                row = decoded[v] = decode(v)
+            return row
+
+        def add(a: int, b: int) -> int:
+            """Lane-wise a + b mod q: no lane carries, and one masked
+            subtract of q reduces every lane that reached q."""
+            s = a + b
+            return s - (((s + bias) & high) >> top) * q
+
+        def multiples(v: int) -> list[int]:
+            """[0, v, 2v, ..., (q-1)v]; v - f*r is add(v, multiples(r)[q - f])."""
+            out = [0, v]
+            for _ in range(q - 2):
+                out.append(add(out[-1], v))
+            return out
+
+        def scale(v: int, f: int) -> int:
+            """f * v by double-and-add."""
+            out = 0
+            while f:
+                if f & 1:
+                    out = add(out, v)
+                v = add(v, v)
+                f >>= 1
+            return out
+
+        def lead(v: int) -> int:
+            """Column of the first nonzero coordinate of a nonzero v."""
+            return n - 1 - (v.bit_length() - 1) // width
+
+        def reduce(v: int, basis: dict) -> int:
+            """v minus its components along the rows of `basis`."""
+            for c, mults in basis.items():
+                f = (v >> shift[c]) & mask
+                if f:
+                    s = v + mults[q - f]
+                    v = s - (((s + bias) & high) >> top) * q
+            return v
+
+        def extend(echelon: dict, v: int) -> bool:
+            """Add v to an echelon basis (lead column -> multiples of a row
+            with lead entry 1) unless v lies in its span; True if added."""
+            while v:
+                c = n - 1 - (v.bit_length() - 1) // width
+                f = (v >> shift[c]) & mask
+                mults = echelon.get(c)
+                if mults is None:
+                    echelon[c] = multiples(v if f == 1 else scale(v, inv[f]))
+                    return True
+                s = v + mults[q - f]
+                v = s - (((s + bias) & high) >> top) * q
+            return False
+
+        def reduced_basis(vecs) -> dict:
+            """A basis of the span of `vecs`, each row with pivot entry 1 and
+            zeros in the other pivot columns."""
+            echelon: dict = {}
+            for v in vecs:
+                extend(echelon, v)
+            if len(echelon) < 2:  # one row, its lead entry 1: already reduced
+                return echelon
+            basis: dict = {}
+            for c in sorted(echelon, reverse=True):  # clear the later pivot columns
+                basis[c] = multiples(reduce(echelon[c][1], basis))
+            return basis
+
+        def rref(vecs) -> list[int]:
+            """Reduced row-echelon basis of the span, rows by increasing pivot:
+            the earlier a reduced row's pivot, the larger its packed int."""
+            return sorted((mults[1] for mults in reduced_basis(vecs).values()), reverse=True)
+
+        self.pack, self.unpack, self.add, self.multiples = pack, unpack, add, multiples
+        self.lead, self.reduce, self.extend, self.reduced_basis, self.rref = (
+            lead, reduce, extend, reduced_basis, rref)
+
+
+@lru_cache(maxsize=None)
+def _lanes(q: int, n: int) -> _Lanes:
+    return _Lanes(q, n)
+
+
 def _rref_rows(rows, q: int, n: int) -> Rows:
     """Reduced row-echelon form of `rows` mod q; zero rows dropped."""
-    mat = [list(r) for r in rows]
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], q - 2, q)
-        if inv != 1:
-            mat[r] = [(x * inv) % q for x in mat[r]]
-        for i in range(len(mat)):
-            f = mat[i][c]
-            if i != r and f:
-                row_r = mat[r]
-                mat[i] = [(a - f * b) % q for a, b in zip(mat[i], row_r)]
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:r])
+    lanes = _lanes(q, n)
+    return tuple(map(lanes.unpack, lanes.rref(map(lanes.pack, rows))))
 
 
 def _rank(rows, q: int, n: int) -> int:
-    return len(_rref_rows(rows, q, n))
+    lanes = _lanes(q, n)
+    echelon: dict[int, list[int]] = {}
+    return sum(lanes.extend(echelon, lanes.pack(row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -168,10 +295,17 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Largest subspace contained in both a and b (Zassenhaus block trick)."""
     _check_same_space(a, b)
     q, n = a.space.q, a.space.n
-    block = [row + row for row in a.rows] + [row + (0,) * n for row in b.rows]
-    reduced = _rref_rows(block, q, 2 * n)
-    meet = [row[n:] for row in reduced if not any(row[:n])]
-    return Subspace(a.space, _rref_rows(meet, q, n))
+    lanes, wide = _lanes(q, n), _lanes(q, 2 * n)
+    half = n * lanes.width
+    block = [(v << half) | v for v in map(lanes.pack, a.rows)]
+    block += [v << half for v in map(lanes.pack, b.rows)]
+    # in an echelon basis of the block, the rows that lead in the second half
+    # have a vanishing first half, and their second halves span the meet
+    echelon: dict[int, list[int]] = {}
+    for v in block:
+        wide.extend(echelon, v)
+    meet = [mults[1] for c, mults in echelon.items() if c >= n]
+    return Subspace(a.space, tuple(map(lanes.unpack, lanes.rref(meet))))
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
@@ -240,36 +374,93 @@ def enumerate_subspaces(space: FieldSpec, k: int) -> list[Subspace]:
     return [Subspace(space, rows) for rows in _enumerate_rref(space.q, space.n, k)]
 
 
+def subspace_key(sub: Subspace) -> tuple[int, ...]:
+    """The packed canonical basis: equal keys iff equal subspaces of one space."""
+    return tuple(map(_lanes(sub.space.q, sub.space.n).pack, sub.rows))
+
+
+class Interval:
+    """The k-subspaces U with h <= U <= b, as lifts of the quotient b/h.
+
+    `lifts()` yields, in the order of `enumerate_between`, one packed basis
+    of U modulo h per U (a tuple of k - dim h vectors); `subspace(lift)`
+    canonicalises one.  Callers that discard most of the U can test a lift
+    first with `meet_dim`, which is exact on any basis, and canonicalise
+    only the ones they keep.
+    """
+
+    def __init__(self, h: Subspace, b: Subspace, k: int):
+        _check_same_space(h, b)
+        self.space, self.h, self.k = h.space, h, k
+        q, n = h.space.q, h.space.n
+        self.lanes = lanes = _lanes(q, n)
+        self.h_rows = [lanes.pack(row) for row in h.rows]
+        self.h_basis = {lanes.lead(v): lanes.multiples(v) for v in self.h_rows}
+        # the complement: rows of b, in row order, that raise the rank of h
+        ext = dict(self.h_basis)
+        comp = [v for v in map(lanes.pack, b.rows) if lanes.extend(ext, v)]
+        if h.dim + len(comp) != b.dim:
+            raise ValueError("h is not contained in b")
+        if not h.dim <= k <= b.dim:
+            raise ValueError(f"k = {k} outside [{h.dim}, {b.dim}]")
+        # reduced modulo h, a lift spans U together with h just the same
+        self.comp = [lanes.reduce(v, self.h_basis) for v in comp]
+        self._meet_base: tuple[Rows, dict, int] | None = None
+
+    def lifts(self):
+        """Every (k - dim h)-subspace of the quotient, lifted; the quotient
+        bases run through the RREF matrices in `_enumerate_rref` order."""
+        lanes, comp = self.lanes, self.comp
+        add, q, d = lanes.add, lanes.q, len(comp)
+        mults = [lanes.multiples(v) for v in comp]
+        for pivots in itertools.combinations(range(d), self.k - self.h.dim):
+            # row i of the quotient matrix: 1 at pivots[i], free entries to its
+            # right; its free values vary in lexicographic order, the later
+            # rows faster, so the matrices are the product of the row lists
+            choices = []
+            for p in pivots:
+                row_lifts = [comp[p]]
+                for j in range(p + 1, d):
+                    if j not in pivots:
+                        row_lifts = [add(v, m) for v in row_lifts for m in mults[j]]
+                choices.append(row_lifts)
+            yield from itertools.product(*choices)
+
+    def key(self, lift) -> tuple[int, ...]:
+        """`subspace_key` of the U spanned by h and a lift."""
+        lanes = self.lanes
+        # the lift is independent modulo h and zero in h's pivot columns
+        new = lanes.reduced_basis(lift)
+        rows = [lanes.reduce(v, new) for v in self.h_rows]
+        rows += [mults[1] for mults in new.values()]
+        rows.sort(reverse=True)
+        return tuple(rows)
+
+    def subspace(self, lift) -> Subspace:
+        """The canonical U spanned by h and a lift."""
+        return Subspace(self.space, tuple(map(self.lanes.unpack, self.key(lift))))
+
+    def meet_dim(self, lift, w: Subspace) -> int:
+        """dim(U meet w) for the U spanned by h and a lift, from the lift itself."""
+        lanes = self.lanes
+        if self._meet_base is None or self._meet_base[0] != w.rows:
+            echelon = dict(self.h_basis)
+            rank = len(echelon) + sum(lanes.extend(echelon, lanes.pack(row)) for row in w.rows)
+            self._meet_base = (w.rows, echelon, rank)
+        _, echelon, rank = self._meet_base
+        echelon = dict(echelon)
+        rank += sum(lanes.extend(echelon, v) for v in lift)
+        return self.h.dim + len(lift) + w.dim - rank
+
+
 def enumerate_between(h: Subspace, b: Subspace, k: int) -> list[Subspace]:
     """All k-subspaces U with h <= U <= b, deterministically ordered.
 
     Works in the quotient b/h: extends h's basis to a basis of b, then lifts
     every (k - dim h)-subspace of the quotient.
     """
-    _check_same_space(h, b)
-    if not contains(b, h):
-        raise ValueError("h is not contained in b")
-    if not h.dim <= k <= b.dim:
-        raise ValueError(f"k = {k} outside [{h.dim}, {b.dim}]")
-    q, n = h.space.q, h.space.n
-    comp = []
-    ext = list(h.rows)
-    for row in b.rows:
-        if _rank(tuple(ext) + (row,), q, n) > len(ext):
-            ext.append(row)
-            comp.append(row)
-    d = len(comp)  # = b.dim - h.dim
-    out = []
-    for quot_rows in _enumerate_rref(q, d, k - h.dim):
-        lifted = []
-        for srow in quot_rows:
-            vec = [0] * n
-            for coeff, crow in zip(srow, comp):
-                if coeff:
-                    vec = [(a + coeff * c) % q for a, c in zip(vec, crow)]
-            lifted.append(tuple(vec))
-        out.append(Subspace(h.space, _rref_rows(tuple(h.rows) + tuple(lifted), q, n)))
-    return out
+    interval = Interval(h, b, k)
+    return [interval.subspace(lift) for lift in interval.lifts()]
 
 
 def invert_matrix(mat, q: int):

@@ -6,8 +6,9 @@ timestamp), and returns the payload with an exit code: 0 all checks pass,
 1 a verification failed, 2 the configuration or a gate rejected the run.
 A `Workspace` computes each stage of the pipeline at most once per command.
 The relation graphs are also cached on disk under a digest of the space
-parameters and reused when the digest matches; the space itself is built
-again by every command.
+parameters and reused when the digest matches; a cache that does not decode
+is recomputed, rewritten and noted in the sidecar.  The space itself is
+built again by every command.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
+import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import verify
@@ -70,12 +73,27 @@ class RunConfig:
         return hashlib.sha256(canonical_json(self.space_key()).encode()).hexdigest()[:16]
 
 
+# the Python types a config value may have, by the field's annotation
+_ACCEPTED = {"int": (int,), "str": (str,), "Path": (str, Path)}
+
+
 def config_from_sources(flags: dict, config_file: Path | None = None) -> RunConfig:
-    """Merge a JSON config file with command-line flags; flags win."""
+    """Merge a JSON config file with command-line flags; flags win.
+
+    Raises TypeError for an unknown key or a value of the wrong type (a
+    bool is not an int), ValueError for a file that is not JSON.
+    """
     merged: dict = {}
     if config_file is not None:
         merged.update(json.loads(Path(config_file).read_text()))
     merged.update({k: v for k, v in flags.items() if v is not None})
+    for f in fields(RunConfig):  # unknown keys: RunConfig raises
+        if f.name not in merged:
+            continue
+        value = merged[f.name]
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTED[f.type]):
+            raise TypeError(f"{f.name} must be {'a path' if f.type == 'Path' else f.type},"
+                            f" not {value!r}")
     if "out_dir" in merged:
         merged["out_dir"] = Path(merged["out_dir"])
     return RunConfig(**merged)
@@ -104,6 +122,7 @@ class Workspace:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self._stages: dict[tuple, object] = {}
+        self.notes: list[str] = []  # what the report's `.meta.json` sidecar records
 
     @_stage
     def params(self) -> SpineParams:
@@ -119,12 +138,17 @@ class Workspace:
 
     @_stage
     def graph(self, kind: str) -> LineRelationGraph:
+        """The relation, read from its cache when that decodes, else computed
+        and written there; a cache that does not decode is noted and replaced."""
         path = self.cfg.out_dir / "cache" / f"relation-{kind}-{self.cfg.space_digest()}.json"
         if path.exists():
-            return graph_from_json(json.loads(path.read_text()))
+            try:
+                return graph_from_json(json.loads(path.read_text()))
+            except (AssertionError, LookupError, TypeError, ValueError) as exc:
+                self.notes.append(f"recomputed {path.name}: the cache did not decode"
+                                  f" ({type(exc).__name__}: {exc})")
         g = (compute_pi if kind == "pi" else compute_rho)(self.space())
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(canonical_json(graph_to_json(g)))
+        _write_atomic(path, canonical_json(graph_to_json(g)))
         return g
 
     @_stage
@@ -156,12 +180,28 @@ class Workspace:
         return reconstruct(family_B(self.geometry(kind)), self.stripped(kind).graph)
 
 
-def write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, so a reader
+    sees the old content or the new, never a part."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_report(cfg: RunConfig, name: str, payload: dict, notes=()) -> Path:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{name}-{cfg.digest()}.json"
     path.write_text(canonical_json(payload))
     meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "report": path.name}
+    if notes:
+        meta["notes"] = list(notes)
     (cfg.out_dir / f"{name}-{cfg.digest()}.meta.json").write_text(canonical_json(meta))
     return path
 
@@ -202,7 +242,7 @@ def command(name: str):
                 payload["gates"] = _gates_payload(gates)
                 payload["error"] = "; ".join(gates.problems)
                 code = CONFIG_ERROR
-            write_report(cfg, name, payload)
+            write_report(cfg, name, payload, ws.notes)
             return payload, code
         return run
     return wrap

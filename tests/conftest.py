@@ -29,6 +29,13 @@ def workspace(params, out_dir) -> Workspace:
     return Workspace(RunConfig(*params, seed=SEED, out_dir=out_dir))
 
 
+def release(ws: Workspace, *stages: str) -> None:
+    """Drop what a workspace computed for the named stages, for any argument,
+    so the memory serves the tests that follow; a later reader recomputes it."""
+    for key in [key for key in ws._stages if key[0] in stages]:
+        del ws._stages[key]
+
+
 @pytest.fixture(scope="session")
 def cfg1_ws(tmp_path_factory):
     return workspace(CFG1, tmp_path_factory.mktemp("cfg1"))

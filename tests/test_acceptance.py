@@ -35,7 +35,7 @@ from spinegeo.cliques import KIND_AFFINE_SEMIFLAT, delta_n
 from spinegeo.harness import RunConfig, cmd_verify_all
 from spinegeo.spine import LINE_OMEGA, PLANE_AFFINE, validate_params
 
-from conftest import workspace
+from conftest import release, workspace
 
 SEED = 11
 EXCHANGE_TWIN = (3, 5, 2, 1, 3)  # cfg1's shape over GF(3)
@@ -99,10 +99,27 @@ def test_criterion_2_exchange_criterion(cfg1_ws, tmp_path):
     assert ok
 
 
-def test_criterion_3_ternary_pencils(cfg3_ws, cfg3_space, cfg3_rho):
+# Criterion 3 is the only reader of cfg3's family stages (about 220 MB) and
+# criterion 4 of its stripped and geometry stages (about 1.1 GB).  Kept, they
+# would stay resident through the roomy reconstruction of criterion 5, so
+# each test's workspace drops them when the test ends.
+
+@pytest.fixture
+def cfg3_ternary_ws(cfg3_ws):
+    yield cfg3_ws
+    release(cfg3_ws, "family")
+
+
+@pytest.fixture
+def cfg3_recovery_ws(cfg3_ws):
+    yield cfg3_ws
+    release(cfg3_ws, "stripped", "geometry")
+
+
+def test_criterion_3_ternary_pencils(cfg3_ternary_ws, cfg3_space, cfg3_rho):
     gates = validate_params(cfg3_space.params)
     assert gates.pencil_gate, "the pencil gate must hold on this configuration"
-    report = verify.check_ternary_pencils(cfg3_ws)
+    report = verify.check_ternary_pencils(cfg3_ternary_ws)
     rho = report["rho"]
     ok = _line(
         "3 ternary-pencils", report["ok"],
@@ -122,8 +139,8 @@ def test_criterion_3_ternary_pencils(cfg3_ws, cfg3_space, cfg3_rho):
     assert ok
 
 
-def test_criterion_4_pencil_space_definability(cfg3_ws, cfg3_space, cfg3_rho):
-    report = verify.check_pencil_recovery(cfg3_ws)
+def test_criterion_4_pencil_space_definability(cfg3_recovery_ws, cfg3_space, cfg3_rho):
+    report = verify.check_pencil_recovery(cfg3_recovery_ws)
     rho = report["rho"]
     ok = _line(
         "4 pencil-space-definability", report["ok"],

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,11 @@ from hypothesis import strategies as st
 
 from spinegeo.gf import (
     FieldSpec,
+    Interval,
+    Subspace,
+    _enumerate_rref,
+    _rank,
+    _rref_rows,
     apply_matrix,
     contains,
     dim_intersect,
@@ -18,6 +24,7 @@ from spinegeo.gf import (
     q_binomial,
     rref,
     standard_tail_subspace,
+    subspace_key,
     subspace_sum,
     zero_subspace,
 )
@@ -202,3 +209,131 @@ def test_invert_and_apply_matrix_roundtrip():
     assert apply_matrix(apply_matrix(sub, mat), inv) == sub
     with pytest.raises(ValueError):
         invert_matrix(((1, 1, 0), (1, 1, 0), (0, 0, 1)), 3)
+
+
+# ---------- packed kernel against the tuple elimination it replaced -----------
+
+def reference_rref_rows(rows, q, n):
+    """The tuple-of-lists elimination the packed kernel replaced."""
+    mat = [list(r) for r in rows]
+    r = 0
+    for c in range(n):
+        pivot = None
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], q - 2, q)
+        if inv != 1:
+            mat[r] = [(x * inv) % q for x in mat[r]]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if i != r and f:
+                row_r = mat[r]
+                mat[i] = [(a - f * b) % q for a, b in zip(mat[i], row_r)]
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r])
+
+
+def reference_enumerate_between(h, b, k):
+    """`enumerate_between` as it was before the packed kernel: the greedy
+    complement from b's rows, every quotient RREF matrix lifted, then reduced."""
+    q, n = h.space.q, h.space.n
+    comp = []
+    ext = list(h.rows)
+    for row in b.rows:
+        if len(reference_rref_rows(tuple(ext) + (row,), q, n)) > len(ext):
+            ext.append(row)
+            comp.append(row)
+    out = []
+    for quot_rows in _enumerate_rref(q, len(comp), k - h.dim):
+        lifted = []
+        for srow in quot_rows:
+            vec = [0] * n
+            for coeff, crow in zip(srow, comp):
+                if coeff:
+                    vec = [(a + coeff * c) % q for a, c in zip(vec, crow)]
+            lifted.append(tuple(vec))
+        out.append(Subspace(h.space, reference_rref_rows(tuple(h.rows) + tuple(lifted), q, n)))
+    return out
+
+
+@st.composite
+def matrices(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                         max_size=n + 2))
+    return q, n, [tuple(row) for row in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices())
+def test_packed_elimination_matches_reference(case):
+    q, n, rows = case
+    expected = reference_rref_rows(rows, q, n)
+    assert _rref_rows(rows, q, n) == expected
+    assert _rank(rows, q, n) == len(expected)
+
+
+def test_packed_intersection_matches_reference():
+    spec = FieldSpec(3, 4)
+    subs = [s for k in range(5) for s in enumerate_subspaces(spec, k)]
+    rng = random.Random(5)
+    for a, b in (rng.sample(subs, 2) for _ in range(400)):
+        # Zassenhaus with the reference elimination
+        block = [row + row for row in a.rows] + [row + (0,) * 4 for row in b.rows]
+        reduced = reference_rref_rows(block, 3, 8)
+        meet = [row[4:] for row in reduced if not any(row[:4])]
+        assert intersect(a, b).rows == reference_rref_rows(meet, 3, 4)
+
+
+def _between_triples(spec):
+    subs = [s for k in range(spec.n + 1) for s in enumerate_subspaces(spec, k)]
+    return [(h, b, k) for h in subs for b in subs if contains(b, h)
+            for k in range(h.dim, b.dim + 1)]
+
+
+def test_enumerate_between_matches_reference_on_all_of_gf2_5():
+    triples = _between_triples(FieldSpec(2, 5))
+    assert len(triples) == 15_384  # sum of [5,d]_2 [d,e]_2 (d-e+1) over e <= d
+    for h, b, k in triples:
+        assert enumerate_between(h, b, k) == reference_enumerate_between(h, b, k)
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 3)])
+def test_enumerate_between_matches_reference_on_sampled_triples(q, n):
+    triples = _between_triples(FieldSpec(q, n))
+    for h, b, k in random.Random(q * 10 + n).sample(triples, 600):
+        assert enumerate_between(h, b, k) == reference_enumerate_between(h, b, k)
+
+
+def test_two_byte_lanes_match_reference():
+    # q >= 64 needs 16-bit lanes, the path no pinned configuration takes
+    rng = random.Random(67)
+    for q in (67, 131):
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(0, n + 2))]
+            assert _rref_rows(rows, q, n) == reference_rref_rows(rows, q, n)
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4)])
+def test_interval_meet_dim_is_exact_on_the_lift(q, n):
+    spec = FieldSpec(q, n)
+    subs = [s for k in range(n + 1) for s in enumerate_subspaces(spec, k)]
+    rng = random.Random(q)
+    full = full_subspace(spec)
+    for h in rng.sample(subs, 40):
+        for k in range(h.dim, n + 1):
+            interval = Interval(h, full, k)
+            for w in rng.sample(subs, 3):
+                for lift in interval.lifts():
+                    u = interval.subspace(lift)
+                    assert interval.meet_dim(lift, w) == dim_intersect(u, w)
+                    assert interval.key(lift) == subspace_key(u)

@@ -220,3 +220,39 @@ def test_build_writes_no_space_cache(tmp_path):
     assert code == OK
     assert "space_artifact" not in payload
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("q", "2", "q must be int, not '2'"),
+    ("seed", True, "seed must be int, not True"),
+    ("delta", 5, "delta must be str, not 5"),
+    ("out_dir", 7, "out_dir must be a path, not 7"),
+])
+def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, key, value, message):
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(dict(SMALL, **{key: value})))
+    code = cli.main(["build", "--config", str(f)] + ([] if key == "out_dir" else
+                                                      ["--out", str(tmp_path)]))
+    assert code == CONFIG_ERROR
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not list(tmp_path.glob("build-*.json"))
+
+
+def test_truncated_relation_cache_is_recomputed(tmp_path, capsys):
+    fresh_dir, dir_ = tmp_path / "fresh", tmp_path / "cut"
+    argv = ["relations", "--q=2", "--n=5", "--k=2", "--m=1", "--w=3", "--out"]
+    assert cli.main(argv + [str(fresh_dir)]) == OK
+    assert cli.main(argv + [str(dir_)]) == OK
+    cache = next((dir_ / "cache").glob("relation-pi-*.json"))
+    cache.write_bytes(cache.read_bytes()[:100])
+    assert cli.main(argv + [str(dir_)]) == OK
+    assert cache.read_bytes() == (fresh_dir / "cache" / cache.name).read_bytes()
+    assert sorted(p.name for p in (dir_ / "cache").iterdir()) == sorted(
+        p.name for p in (fresh_dir / "cache").iterdir())  # no temporary file left
+    report = next(p for p in dir_.glob("relations-*.json") if ".meta" not in p.name)
+    assert report.read_bytes() == (fresh_dir / report.name).read_bytes()
+    notes = json.loads(report.with_suffix(".meta.json").read_text())["notes"]
+    assert len(notes) == 1 and cache.name in notes[0] and "JSONDecodeError" in notes[0]
+    # the rewritten cache is read again without a note
+    assert cli.main(argv + [str(dir_)]) == OK
+    assert "notes" not in json.loads(report.with_suffix(".meta.json").read_text())

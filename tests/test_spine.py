@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 import json
 from collections import Counter
 
 import pytest
 
-from spinegeo.gf import FieldSpec, dim_intersect, enumerate_subspaces, standard_tail_subspace
+from spinegeo.gf import (FieldSpec, dim_intersect, enumerate_subspaces, rref,
+                         standard_tail_subspace)
 from spinegeo.spine import (
     LINE_AFFINE,
     LINE_ALPHA,
@@ -223,3 +225,45 @@ def test_space_export_is_canonical_and_deterministic(cfg1_space):
     assert len(doc["points"]) == 196
     assert len(doc["lines"]) == 1470
     assert all(set(p) <= set("01") and len(p) == 12 for p in doc["points"])
+
+
+# ---------- ids and bytes pinned -------------------------------------------------
+
+# sha256 of the space JSON, the plane table and the pencil table, computed with
+# the tuple elimination that preceded the packed kernel: the enumeration order
+# fixes every id, so any change of order or content shows here
+PINNED_TABLES = {
+    (2, 5, 2, 1, 3): "7c46575d284ec1491c445da464dfab8de7be8238cc01f99e9facbc666fc488f8",
+    (3, 4, 2, 1, 3): "e02674d08ce9790b8a9b93ea15652c6efeb6935d6cc031975479a9e27e8825bd",
+    (3, 5, 2, 1, 2): "13d1cdd536c5b27d34407220b9b8465db099096ef4af0d9e036ddc7916f08ebc",
+}
+
+
+@pytest.mark.parametrize("params", sorted(PINNED_TABLES))
+def test_space_plane_and_pencil_tables_are_pinned(params):
+    space = build_spine(standard_params(*params))
+    planes = [(x.id, x.side, x.low.rows, x.high.rows, x.kind, x.line_ids, x.closure_gids,
+               x.improper_gids) for x in space.planes()]
+    pencils = [(x.plane_id, x.vertex_gid, x.proper, sorted(x.line_ids))
+               for x in space.pencils()]
+    text = space_json_text(space) + repr(planes) + repr(pencils)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TABLES[params]
+
+
+@pytest.mark.parametrize("params", [(2, 5, 2, 1, 3), (3, 4, 2, 1, 3)])
+def test_a_head_w_gives_the_census_of_the_tail_w(params):
+    q, n, k, m, w = params
+    spec = FieldSpec(q, n)
+    head = rref(spec, [tuple(int(i == j) for j in range(n)) for i in range(w)])
+    tail_space = build_spine(standard_params(*params))
+    head_space = build_spine(SpineParams(spec, k, m, head))
+    assert not head_space._tail_w
+    for space in (tail_space, head_space):
+        assert all(space.meet_w_dim(space.grass[g]) == m for g in space.proper_gids)
+    assert len(head_space.points) == len(tail_space.points)
+    assert (Counter(ln.kind for ln in head_space.lines)
+            == Counter(ln.kind for ln in tail_space.lines))
+    assert (Counter(st.kind for st in head_space.strongs)
+            == Counter(st.kind for st in tail_space.strongs))
+    assert (Counter(pl.kind for pl in head_space.planes())
+            == Counter(pl.kind for pl in tail_space.planes()))

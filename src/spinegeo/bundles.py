@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .pencils import LineGeometry
 from .relations import LineRelationGraph, StripResult, bits_of
 from .spine import SpineSpace
 
@@ -145,11 +144,6 @@ def reconstruct(bundle_family: list[int], graph: LineRelationGraph) -> Reconstru
         bundles.setdefault(mask)
     points = sorted(bundles, key=lambda m: tuple(bits_of(m)))
     return ReconstructedSpace(graph.count, points, class_of, not witnesses, witnesses)
-
-
-def reconstruct_from_geometry(geometry: LineGeometry) -> ReconstructedSpace:
-    family = [geometry.cliques.masks[ci] for ci in geometry.bundle_cliques]
-    return reconstruct(family, geometry.graph)
 
 
 def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,

@@ -94,9 +94,6 @@ class CliqueFamily:
     certificates: list[tuple[int, int, int]]
     by_line: list[list[int]]
 
-    def index_of(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.masks)}
-
 
 def family_K(graph: LineRelationGraph) -> CliqueFamily:
     """All cliques spanned by positive triples, found by edge iteration.
@@ -366,15 +363,17 @@ def _maximal_selectors(space: SpineSpace, plane) -> list[frozenset[int]]:
     return out
 
 
-def family_to_json(space: SpineSpace, graph, family: CliqueFamily,
-                   fams: GeometricFamilies, with_exchange: bool = False) -> list[dict]:
-    """Clique family as JSON rows: sorted lines, kind tag, geometric witness."""
+def family_to_json(space: SpineSpace, cliques, fams: GeometricFamilies,
+                   exchange: list[bool] | None = None) -> list[dict]:
+    """Cliques as JSON rows sorted by line ids: lines, kind tag, geometric
+    witness, and the exchange flag when `exchange` gives one per clique."""
+    flags = exchange if exchange is not None else [None] * len(cliques)
     rows = []
-    for mem, mask in zip(family.members, family.masks):
+    for mem, flag in sorted((tuple(sorted(c)), f) for c, f in zip(cliques, flags)):
         kind, witness = classify_clique(mem, space, fams)
         row = {"lines": list(mem), "kind": kind, "witness": witness}
-        if with_exchange:
-            row["exchange"] = podmianka(mask, graph)
+        if exchange is not None:
+            row["exchange"] = flag
         rows.append(row)
     return rows
 

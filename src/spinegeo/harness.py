@@ -4,7 +4,8 @@ Every command takes a `RunConfig`, writes a canonical JSON report (plus a
 separate metadata file carrying the only nondeterministic content, the
 timestamp), and returns the payload with an exit code: 0 all checks pass,
 1 a verification failed, 2 the configuration or a gate rejected the run.
-A `Workspace` computes each stage of the pipeline at most once per command.
+A `Workspace` computes each stage of the pipeline at most once per command,
+and each relation's spanned cliques once, in `geometry(kind)`.
 The relation graphs are also cached on disk under a digest of the space
 parameters and reused when the digest matches; a cache that does not decode
 is recomputed, rewritten and noted in the sidecar.  The space itself is
@@ -24,8 +25,7 @@ from pathlib import Path
 
 from . import verify
 from .bundles import ReconstructedSpace, reconstruct
-from .cliques import (CliqueFamily, GeometricFamilies, bron_kerbosch, family_K,
-                      family_to_json, geometric_families)
+from .cliques import GeometricFamilies, bron_kerbosch, family_to_json, geometric_families
 from .excluded import CASE_NONE, ExcludedCase, classify_case
 from .pencils import LineGeometry, derive_line_geometry, family_B, geometry_to_json
 from .relations import (LineRelationGraph, StripResult, compute_pi, compute_rho,
@@ -113,10 +113,12 @@ def _stage(method):
 class Workspace:
     """The pipeline of one `RunConfig`, each stage computed at most once.
 
-    space -> graph(kind) -> the spanned family(kind) and, below the oracle
-    cap, the Bron-Kerbosch cliques(kind); graph(kind) -> stripped(kind) ->
-    geometry(kind) -> reconstruction(kind).  families() are the geometric
-    clique families the checks compare against.  `kind` is "pi" or "rho".
+    space -> graph(kind) -> stripped(kind) -> geometry(kind) ->
+    reconstruction(kind), and below the oracle cap graph(kind) -> the
+    Bron-Kerbosch cliques(kind).  geometry(kind) holds the relation's one
+    spanned clique family, on the stripped graph; stripped(kind) maps it
+    back to the original line ids.  families() are the geometric clique
+    families the checks compare against.  `kind` is "pi" or "rho".
     """
 
     def __init__(self, cfg: RunConfig):
@@ -162,10 +164,6 @@ class Workspace:
         if g.count > self.cfg.bk_max_lines:
             return None
         return bron_kerbosch(g, self.cfg.bk_max_lines)
-
-    @_stage
-    def family(self, kind: str) -> CliqueFamily:
-        return family_K(self.graph(kind))
 
     @_stage
     def stripped(self, kind: str) -> StripResult:
@@ -285,9 +283,12 @@ def cmd_cliques(ws: Workspace, payload: dict) -> int:
     payload["classification"] = classification = verify.check_clique_classification(ws)
     payload["exchange"] = exchange = verify.check_exchange_criterion(ws)
     if len(ws.space().lines) <= cfg.bk_max_lines:
-        artifact = {kind: family_to_json(ws.space(), ws.graph(kind), ws.family(kind),
-                                         ws.families(), with_exchange=kind == "rho")
-                    for kind in cfg.deltas()}
+        artifact = {}
+        for kind in cfg.deltas():
+            sr, geometry = ws.stripped(kind), ws.geometry(kind)
+            artifact[kind] = family_to_json(
+                ws.space(), [sr.original(m) for m in geometry.cliques.masks],
+                ws.families(), geometry.exchange)
         payload["families_artifact"] = _write_artifact(cfg, "clique-families", artifact)
     return OK if classification["ok"] and exchange["ok"] else CHECK_FAILED
 

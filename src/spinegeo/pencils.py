@@ -58,9 +58,8 @@ class RhoCliqueIndex:
         self.at_line = [set(c) for c in self.family.by_line]
 
     @classmethod
-    def build(cls, graph: LineRelationGraph, family: CliqueFamily | None = None):
-        if family is None:
-            family = family_K(graph)
+    def build(cls, graph: LineRelationGraph):
+        family = family_K(graph)
         flags = [podmianka(m, graph) for m in family.masks]
         return cls(family, flags)
 
@@ -343,7 +342,6 @@ def detect_parallel(pencils: PencilFamily, graph: LineRelationGraph,
         affine_plane[ci] = flag
 
     pencil_on_affine = [False] * n_pencils
-    clique_index_by_mask = cliques.index_of()
     pencil_planes: list[list[int]] = [[] for _ in range(n_pencils)]
     for ci in plane_cliques:
         for pi_idx in pencils_in_clique[ci]:

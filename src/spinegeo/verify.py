@@ -26,7 +26,7 @@ from .excluded import CASE_NEIGHBOURHOOD, build_homology_map, classify_case, ver
 from .gf import FieldSpec, enumerate_subspaces, q_binomial
 from .pencils import RhoCliqueIndex, family_B, p_pi, p_rho
 from .relations import PI, RHO, LineRelationGraph, bits_of
-from .spine import LINE_AFFINE, PLANE_AFFINE, STAR_ALPHA, SpineSpace
+from .spine import LINE_AFFINE, PLANE_AFFINE, STAR_ALPHA, GeoPencil, SpineSpace
 
 if TYPE_CHECKING:
     from .harness import Workspace
@@ -156,13 +156,17 @@ def check_exchange_criterion(ws: Workspace) -> dict:
     return report
 
 
-def _pencil_index(space: SpineSpace):
-    by_line: dict[int, list[int]] = {}
-    pencils = space.pencils()
-    for idx, p in enumerate(pencils):
-        for l in p.line_ids:
-            by_line.setdefault(l, []).append(idx)
-    return pencils, by_line
+def _pencil_of_triple(space: SpineSpace) -> dict[tuple[int, int, int], GeoPencil]:
+    """Every sorted triple of lines inside a geometric pencil, mapped to it.
+
+    Two lines lie in at most one pencil, so no triple is claimed twice.
+    """
+    out: dict[tuple[int, int, int], GeoPencil] = {}
+    for p in space.pencils():
+        for tri in itertools.combinations(sorted(p.line_ids), 3):
+            assert tri not in out, f"lines {tri} lie in two pencils"
+            out[tri] = p
+    return out
 
 
 def _rho_outside_hypothesis(space: SpineSpace) -> set[frozenset[int]]:
@@ -197,6 +201,9 @@ def check_ternary_pencils(ws: Workspace) -> dict:
     in a pencil with a proper vertex.  Applicable only when every plane
     extends into a strong subspace of dimension at least 3.
 
+    The predicates run on the stripped graph and `derive_line_geometry`'s
+    cliques; cliques and triples are compared in original line ids.
+
     The proper-pencil half assumes q >= 3 on affine planes.  Over GF(2) its
     triples are compared on the pencils of non-affine planes only; the
     affine-plane proper pencils are listed under "outside_hypothesis", and
@@ -205,49 +212,40 @@ def check_ternary_pencils(ws: Workspace) -> dict:
     if not ws.gates().pencil_gate:
         return {"applicable": False, "ok": True, "note": "pencil gate fails"}
     space, fams = ws.space(), ws.families()
-    pencils, pencil_by_line = _pencil_index(space)
-
-    def geo_pencil_of(tri):
-        hits = None
-        for l in tri:
-            s = set(pencil_by_line.get(l, ()))
-            hits = s if hits is None else hits & s
-            if not hits:
-                return None
-        return pencils[min(hits)]
-
-    rho = ws.graph(RHO)
-    rho_index = RhoCliqueIndex.build(rho, ws.family(RHO))
+    pencil_of = _pencil_of_triple(space)
     outside = _rho_outside_hypothesis(space)
 
     report: dict = {"applicable": True}
     for name in (PI, RHO):
-        graph = ws.graph(name)
-        family_sets = {frozenset(m) for m in ws.family(name).members}
-        expected = fams.pi_family if name == PI else fams.rho_family
+        sr, geometry = ws.stripped(name), ws.geometry(name)
+        graph, perm, inv = sr.graph, sr.perm, sr.inverse
+        # cliques as sorted tuples of original ids: far smaller than frozensets
+        spanned = {tuple(sorted(inv[l] for l in mem)) for mem in geometry.cliques.members}
+        expected = {tuple(sorted(s))
+                    for s in (fams.pi_family if name == PI else fams.rho_family)}
         # spanned cliques are maximal, so the spanning family never exceeds
         # the geometric one; anything unspanned must be an affine semiflat
-        unspanned = expected - family_sets
+        unspanned = expected - spanned
         if name == PI:
-            coverage_ok = family_sets == expected
+            coverage_ok = spanned == expected
         else:
-            coverage_ok = family_sets <= expected and all(
+            coverage_ok = spanned <= expected and all(
                 classify_clique(s, space, fams)[0] == KIND_AFFINE_SEMIFLAT
                 for s in unspanned
             )
+            rho_index = RhoCliqueIndex(geometry.cliques, geometry.exchange)
         mismatches = {}
         total = 0
-        domain = sorted(family_sets | expected, key=sorted)
-        for mem_set in domain:
-            for tri in itertools.combinations(sorted(mem_set), 3):
-                p = geo_pencil_of(tri)
+        for mem in sorted(spanned | expected):
+            for tri in itertools.combinations(mem, 3):
+                p = pencil_of.get(tri)
                 if name == PI:
-                    got = p_pi(*tri, graph)
+                    got = p_pi(perm[tri[0]], perm[tri[1]], perm[tri[2]], graph)
                     want = p is not None
                 elif p is not None and p.line_ids in outside:
                     continue
                 else:
-                    got = p_rho(*tri, graph, rho_index)
+                    got = p_rho(perm[tri[0]], perm[tri[1]], perm[tri[2]], graph, rho_index)
                     want = p is not None and p.proper
                 total += 1
                 if got != want and tri not in mismatches:
@@ -262,11 +260,26 @@ def check_ternary_pencils(ws: Workspace) -> dict:
             "ok": coverage_ok and not mismatches,
         }
         if name == RHO and outside:
-            excluded = _outside_report(outside, rho)
+            excluded = _outside_report(outside, ws.graph(RHO))
             report[name]["outside_hypothesis"] = excluded
             report[name]["ok"] = report[name]["ok"] and excluded["cause_holds"]
     report["ok"] = report["pi"]["ok"] and report["rho"]["ok"]
     return report
+
+
+def _pencil_comparison(recovered: set, target: set) -> dict:
+    """Recovered against geometric pencils: the counts and a few witnesses."""
+    missing = target - recovered
+    extra = recovered - target
+    return {
+        "recovered": len(recovered),
+        "geometric": len(target),
+        "missing": len(missing),
+        "extra": len(extra),
+        "equal": not missing and not extra,
+        "missing_witnesses": [sorted(s) for s in list(missing)[:3]],
+        "extra_witnesses": [sorted(s) for s in list(extra)[:3]],
+    }
 
 
 def check_pencil_recovery(ws: Workspace) -> dict:
@@ -288,20 +301,11 @@ def check_pencil_recovery(ws: Workspace) -> dict:
     report: dict = {"applicable": True, "gate": gates.pencil_gate}
     for name in (PI, RHO):
         sr, geometry = ws.stripped(name), ws.geometry(name)
-        recovered = {sr.original(geometry.pencils.masks[idx])
-                     for idx in geometry.proper_pencils}
         target = geo_proper - outside if name == RHO else geo_proper
-        missing = target - recovered
-        extra = recovered - target
-        entry = {
-            "recovered": len(recovered),
-            "geometric": len(target),
-            "missing": len(missing),
-            "extra": len(extra),
-            "equal": not missing and not extra,
-            "missing_witnesses": [sorted(s) for s in list(missing)[:3]],
-            "extra_witnesses": [sorted(s) for s in list(extra)[:3]],
-        }
+        # the recovered sets live only in the call, so one relation's are
+        # freed before the next relation's are built
+        entry = _pencil_comparison({sr.original(geometry.pencils.masks[idx])
+                                    for idx in geometry.proper_pencils}, target)
         cause_holds = True
         if name == RHO and outside:
             entry["outside_hypothesis"] = _outside_report(outside, ws.graph(RHO))

@@ -12,8 +12,13 @@ roomy -- a config whose lines all sit in 4-dimensional stars, where the
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+import spinegeo.cliques
+import spinegeo.pencils
+import spinegeo.relations
 from spinegeo import verify
 from spinegeo.harness import RunConfig, Workspace
 
@@ -34,6 +39,24 @@ def release(ws: Workspace, *stages: str) -> None:
     so the memory serves the tests that follow; a later reader recomputes it."""
     for key in [key for key in ws._stages if key[0] in stages]:
         del ws._stages[key]
+
+
+def count_calls(monkeypatch, names):
+    """Count calls of the named spinegeo functions, through every module that imports them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        home = next(m for m in (spinegeo.cliques, spinegeo.pencils, spinegeo.relations)
+                    if hasattr(m, name))
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("spinegeo") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -35,7 +35,7 @@ from spinegeo.cliques import KIND_AFFINE_SEMIFLAT, delta_n
 from spinegeo.harness import RunConfig, cmd_verify_all
 from spinegeo.spine import LINE_OMEGA, PLANE_AFFINE, validate_params
 
-from conftest import release, workspace
+from conftest import count_calls, release, workspace
 
 SEED = 11
 EXCHANGE_TWIN = (3, 5, 2, 1, 3)  # cfg1's shape over GF(3)
@@ -99,15 +99,16 @@ def test_criterion_2_exchange_criterion(cfg1_ws, tmp_path):
     assert ok
 
 
-# Criterion 3 is the only reader of cfg3's family stages (about 220 MB) and
-# criterion 4 of its stripped and geometry stages (about 1.1 GB).  Kept, they
-# would stay resident through the roomy reconstruction of criterion 5, so
-# each test's workspace drops them when the test ends.
+# Criterion 3 computes cfg3's stripped and geometry stages (about 1.1 GB),
+# and criterion 4 reads them.  Kept, they would stay resident through the
+# roomy reconstruction of criterion 5, so criterion 4's workspace drops them
+# when the test ends.
 
-@pytest.fixture
-def cfg3_ternary_ws(cfg3_ws):
-    yield cfg3_ws
-    release(cfg3_ws, "family")
+@pytest.fixture(scope="module")
+def cfg3_calls():
+    """Calls of `family_K` and `strip` from the first cfg3 criterion on."""
+    with pytest.MonkeyPatch.context() as mp:
+        yield count_calls(mp, ["family_K", "strip"])
 
 
 @pytest.fixture
@@ -116,10 +117,10 @@ def cfg3_recovery_ws(cfg3_ws):
     release(cfg3_ws, "stripped", "geometry")
 
 
-def test_criterion_3_ternary_pencils(cfg3_ternary_ws, cfg3_space, cfg3_rho):
+def test_criterion_3_ternary_pencils(cfg3_ws, cfg3_space, cfg3_rho, cfg3_calls):
     gates = validate_params(cfg3_space.params)
     assert gates.pencil_gate, "the pencil gate must hold on this configuration"
-    report = verify.check_ternary_pencils(cfg3_ternary_ws)
+    report = verify.check_ternary_pencils(cfg3_ws)
     rho = report["rho"]
     ok = _line(
         "3 ternary-pencils", report["ok"],
@@ -139,8 +140,12 @@ def test_criterion_3_ternary_pencils(cfg3_ternary_ws, cfg3_space, cfg3_rho):
     assert ok
 
 
-def test_criterion_4_pencil_space_definability(cfg3_recovery_ws, cfg3_space, cfg3_rho):
+def test_criterion_4_pencil_space_definability(cfg3_recovery_ws, cfg3_space, cfg3_rho,
+                                               cfg3_calls):
     report = verify.check_pencil_recovery(cfg3_recovery_ws)
+    # one spanned family per relation: criterion 3 computed the geometry
+    # that criterion 4 reads
+    assert cfg3_calls == {"family_K": 2, "strip": 2}
     rho = report["rho"]
     ok = _line(
         "4 pencil-space-definability", report["ok"],

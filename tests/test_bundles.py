@@ -7,7 +7,6 @@ from spinegeo.bundles import (
     bundle_of,
     gluing_adjacency,
     reconstruct,
-    reconstruct_from_geometry,
     upsilon,
     upsilon_empty,
     verify_equivalence,
@@ -156,9 +155,3 @@ def test_reconstruction_succeeds_with_roomy_stars(roomy_reconstruction):
         assert report["bundle_count"] == report["point_count"] == 560
         # nontrivial gluing: every point lies in three stars
         assert report["family_size"] == 3 * 560
-
-
-def test_reconstruct_from_geometry_matches_manual(cfg1_geometry, cfg1_B, cfg1_pi):
-    auto = reconstruct_from_geometry(cfg1_geometry)
-    manual = reconstruct(cfg1_B, cfg1_pi)
-    assert auto.points == manual.points

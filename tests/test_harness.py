@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from spinegeo.harness import (
     config_from_sources,
     reconstruction_claim,
 )
+
+from conftest import count_calls
 
 SMALL = dict(q=2, n=5, k=2, m=1, w=3)
 
@@ -177,35 +180,11 @@ def test_cli_exits_2_on_parameters_outside_the_field_or_space(tmp_path, capsys,
     assert json.loads(report.read_text())["error"] == message
 
 
-def _count_calls(monkeypatch, names):
-    """Count calls of the named spinegeo functions, through every module that imports them."""
-    import sys
-
-    import spinegeo.cliques
-    import spinegeo.pencils
-    import spinegeo.relations
-
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        home = next(m for m in (spinegeo.cliques, spinegeo.pencils, spinegeo.relations)
-                    if hasattr(m, name))
-        original = getattr(home, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("spinegeo") and getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
-    return counts
-
-
 def test_verify_all_computes_each_stage_once_per_relation(tmp_path, monkeypatch):
     # cfg1 passes the bundle gate, so pencil recovery and the gluing check
     # both need the stripped geometry of each relation
-    counts = _count_calls(monkeypatch, ["strip", "derive_line_geometry",
-                                        "geometric_families", "bron_kerbosch"])
+    counts = count_calls(monkeypatch, ["strip", "derive_line_geometry",
+                                       "geometric_families", "bron_kerbosch"])
     c = RunConfig(q=2, n=6, k=2, m=1, w=3, seed=11, out_dir=tmp_path)
     payload, code = harness.cmd_verify_all(c, echo=lambda *_: None)
     assert code == OK
@@ -213,6 +192,18 @@ def test_verify_all_computes_each_stage_once_per_relation(tmp_path, monkeypatch)
         payload["checks"])
     assert counts == {"strip": 2, "derive_line_geometry": 2,
                       "geometric_families": 1, "bron_kerbosch": 2}
+
+
+@pytest.mark.parametrize("params, sha256", [
+    ((2, 5, 2, 1, 3), "fd65fa0b87d50802a021b62a135ef9d4a82c47ab1d5cce108e191bace08f2792"),
+    ((3, 4, 2, 1, 3), "c684fe1fea401dc96ae842ba86951fe851a289a84a3e7a2b29b857516d26dfa5"),
+])
+def test_clique_families_artifact_bytes(tmp_path, params, sha256):
+    # every row (lines, kind, witness, and rho's exchange flag), byte for byte
+    flags = [f"--{key}={value}" for key, value in zip("qnkmw", params)]
+    assert cli.main(["cliques", *flags, "--out", str(tmp_path)]) == OK
+    (artifact,) = tmp_path.glob("clique-families-*.json")
+    assert hashlib.sha256(artifact.read_bytes()).hexdigest() == sha256
 
 
 def test_build_writes_no_space_cache(tmp_path):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .relations import LineRelationGraph, StripResult, bits_of
+from .relations import LineRelationGraph, StripResult, bits_of, by_members
 from .spine import SpineSpace
 
 
@@ -142,7 +142,7 @@ def reconstruct(bundle_family: list[int], graph: LineRelationGraph) -> Reconstru
         for i in comp:
             mask |= bundle_family[i]
         bundles.setdefault(mask)
-    points = sorted(bundles, key=lambda m: tuple(bits_of(m)))
+    points = [m for _, m in by_members(bundles)]
     return ReconstructedSpace(graph.count, points, class_of, not witnesses, witnesses)
 
 
@@ -249,8 +249,8 @@ def _digest(mask: int) -> str:
 
 
 def _geo_bundle_mask(space: SpineSpace, pid: int, perm) -> int:
+    """The lines through proper point `pid`, in stripped ids."""
     mask = 0
     for lid in space.lines_through.get(space.proper_gids[pid], ()):
-        if pid in space.lines[lid].proper_pids:
-            mask |= 1 << perm[lid]
+        mask |= 1 << perm[lid]
     return mask

@@ -38,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", choices=["pi", "rho", "both"], default=None)
         p.add_argument("--seed", type=int, default=None,
                        help="seed for the stripping permutation")
-        p.add_argument("--bk-cap", type=int, default=None, dest="bk_max_lines",
-                       help="largest line count fed to the clique oracle")
         p.add_argument("--out", type=Path, default=None, dest="out_dir",
                        help="report directory")
     return parser
@@ -49,8 +47,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     flags = {
         key: getattr(args, key)
-        for key in ("q", "n", "k", "m", "w", "delta", "seed",
-                    "bk_max_lines", "out_dir")
+        for key in ("q", "n", "k", "m", "w", "delta", "seed", "out_dir")
     }
     try:
         cfg = harness.config_from_sources(flags, args.config)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .relations import LineRelationGraph, bits_of
+from .relations import RHO, LineRelationGraph, bits_of, by_members
 from .spine import (
     PLANE_AFFINE,
     PLANE_PROJECTIVE,
@@ -80,22 +80,49 @@ def span_clique(l1: int, l2: int, l3: int, graph: LineRelationGraph) -> frozense
 
 
 @dataclass
-class CliqueFamily:
-    """Cliques spanned by positive triples, deduplicated and sorted.
+class LineSetFamily:
+    """Line sets (cliques or pencils) of one relation graph, sorted by ids.
 
-    `masks[i]` is the bitmask of clique i, `members[i]` its sorted line ids,
-    `certificates[i]` one triple whose span is exactly that clique.
-    `by_line[l]` lists the clique indexes containing line l.
+    `masks[i]` is the bitmask of set i and `members[i]` its sorted line ids;
+    `by_line[l]` lists the indexes of the sets containing line l, ascending
+    (readers intersect it through a temporary set: a stored set per line
+    takes about four times the memory of the list).  A clique family also
+    has `certificates[i]`, one triple whose span is exactly clique i (None
+    for a maximal clique that no triple spans), and, on a proper-pencil
+    graph, `exchange[i]`, the `podmianka` flag of clique i.
     """
 
-    graph: LineRelationGraph
     masks: list[int]
     members: list[tuple[int, ...]]
-    certificates: list[tuple[int, int, int]]
     by_line: list[list[int]]
+    certificates: list[tuple[int, int, int] | None] | None = None
+    exchange: list[bool] | None = None
 
 
-def family_K(graph: LineRelationGraph) -> CliqueFamily:
+def line_set_family(masks, count: int) -> LineSetFamily:
+    """Distinct masks over `count` lines, sorted by member ids and indexed by line."""
+    members, ordered = [], []
+    for mem, m in by_members(masks):
+        members.append(mem)
+        ordered.append(m)
+    by_line: list[list[int]] = [[] for _ in range(count)]
+    for idx, mem in enumerate(members):
+        for l in mem:
+            by_line[l].append(idx)
+    return LineSetFamily(ordered, members, by_line)
+
+
+def _clique_family(graph: LineRelationGraph, masks, certify) -> LineSetFamily:
+    """The family of `masks`, certified by `certify(members, mask)`, with the
+    exchange flags when the graph is a proper-pencil relation."""
+    family = line_set_family(masks, graph.count)
+    family.certificates = [certify(mem, m) for mem, m in zip(family.members, family.masks)]
+    if graph.delta_kind == RHO:
+        family.exchange = [podmianka(m, graph) for m in family.masks]
+    return family
+
+
+def family_K(graph: LineRelationGraph) -> LineSetFamily:
     """All cliques spanned by positive triples, found by edge iteration.
 
     For every related pair (i, j) each common neighbour k > j is tested; a
@@ -108,6 +135,7 @@ def family_K(graph: LineRelationGraph) -> CliqueFamily:
     containing it, so a covered triple either does not span or spans a
     clique already found.  The first triple found for each clique is
     therefore the same as without the skip, and so are the certificates.
+    On a proper-pencil graph each clique also gets its exchange flag.
     """
     rows = graph.rows
     n = graph.count
@@ -133,31 +161,21 @@ def family_K(graph: LineRelationGraph) -> CliqueFamily:
                 covered |= mask
                 for l in bits_of(mask >> i << i):
                     at_line[l].append(mask)
-    order = sorted(found, key=lambda m: tuple(bits_of(m)))
-    masks = list(order)
-    members = [tuple(bits_of(m)) for m in masks]
-    certificates = [found[m] for m in masks]
-    by_line: list[list[int]] = [[] for _ in range(n)]
-    for idx, mem in enumerate(members):
-        for l in mem:
-            by_line[l].append(idx)
-    return CliqueFamily(graph, masks, members, certificates, by_line)
+    return _clique_family(graph, found, lambda mem, mask: found[mask])
 
 
-def family_from_masks(graph: LineRelationGraph, masks) -> CliqueFamily:
+def family_from_masks(graph: LineRelationGraph, masks) -> LineSetFamily:
     """Package an externally produced clique list (e.g. geometric families).
 
     Each mask is verified to be a maximal clique of the graph, and a
     spanning triple is searched inside each clique; cliques without one get
     certificate None (they are maximal but not spanned, like the affine
-    semiflats for the proper-pencil relation).
+    semiflats for the proper-pencil relation).  On a proper-pencil graph
+    each clique also gets its exchange flag.
     """
     rows = graph.rows
-    order = sorted(set(masks), key=lambda m: tuple(bits_of(m)))
-    members = []
-    certs = []
-    for mask in order:
-        mem = tuple(bits_of(mask))
+
+    def certify(mem, mask):
         if not _mask_is_clique(mask, rows):
             raise ValueError(f"not a clique: {mem}")
         inter = ~0
@@ -165,30 +183,26 @@ def family_from_masks(graph: LineRelationGraph, masks) -> CliqueFamily:
             inter &= rows[v]
         if inter & ~mask:
             raise ValueError(f"clique not maximal: {mem}")
-        cert = None
         for tri in itertools.combinations(mem, 3):
-            common = rows[tri[0]] & rows[tri[1]] & rows[tri[2]]
-            if _mask_is_clique(common, rows):
-                cert = tri
-                break
-        members.append(mem)
-        certs.append(cert)
-    by_line: list[list[int]] = [[] for _ in range(graph.count)]
-    for idx, mem in enumerate(members):
-        for l in mem:
-            by_line[l].append(idx)
-    return CliqueFamily(graph, list(order), members, certs, by_line)
+            if _mask_is_clique(rows[tri[0]] & rows[tri[1]] & rows[tri[2]], rows):
+                return tri
+        return None
+
+    return _clique_family(graph, set(masks), certify)
 
 
-def bron_kerbosch(graph: LineRelationGraph, max_lines: int | None = 5000) -> list[int]:
+BK_MAX_LINES = 5000  # the largest line universe handed to the Bron-Kerbosch oracle
+
+
+def bron_kerbosch(graph: LineRelationGraph) -> list[int]:
     """All maximal cliques as bitmasks, by pivoting Bron-Kerbosch.
 
-    Runs over a degeneracy ordering at the outer level.  `max_lines` guards
-    against accidental use on large universes; pass None to override.
+    Runs over a degeneracy ordering at the outer level.  Raises above
+    `BK_MAX_LINES` lines, against accidental use on large universes.
     """
     n = graph.count
-    if max_lines is not None and n > max_lines:
-        raise ValueError(f"{n} lines exceeds the Bron-Kerbosch cap of {max_lines}")
+    if n > BK_MAX_LINES:
+        raise ValueError(f"{n} lines exceeds the Bron-Kerbosch cap of {BK_MAX_LINES}")
     rows = graph.rows
     out: list[int] = []
 
@@ -236,7 +250,7 @@ def bron_kerbosch(graph: LineRelationGraph, max_lines: int | None = 5000) -> lis
             else:
                 earlier |= 1 << u
         expand(1 << v, later, earlier)
-    return sorted(out, key=lambda m: tuple(bits_of(m)))
+    return [m for _, m in by_members(out)]
 
 
 def podmianka(clique_mask: int, graph: LineRelationGraph) -> bool:

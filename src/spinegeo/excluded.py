@@ -193,10 +193,7 @@ def verify_counterexample(space: SpineSpace, lmap: LineMap,
     report["pairs_checked_per_relation"] = n * (n - 1) // 2
 
     star = space.strongs[lmap.star_id]
-    sb = space.semibundles(min_p_dim=2)
-    by_strong_vertex = {}
-    for (sid, g), lines in sb.items():
-        by_strong_vertex[(sid, g)] = lines
+    by_strong_vertex = space.semibundles(min_p_dim=2)
 
     witness = None
     for top in space.strongs:
@@ -239,21 +236,10 @@ def verify_counterexample(space: SpineSpace, lmap: LineMap,
 
     bundle_broken = False
     if witness is not None:
-        pid = witness["vertex"]
-        gid = witness["vertex_gid"]
-        bundle = {
-            lid for lid in space.lines_through.get(gid, ())
-            if pid in space.lines[lid].proper_pids
-        }
-        image = {perm[l] for l in bundle}
-        all_bundles = set()
-        for p2 in range(len(space.points)):
-            g2 = space.proper_gids[p2]
-            all_bundles.add(frozenset(
-                lid for lid in space.lines_through.get(g2, ())
-                if p2 in space.lines[lid].proper_pids
-            ))
-        bundle_broken = frozenset(image) not in all_bundles
+        # the lines through a proper point: its bundle
+        bundle = space.lines_through.get(witness["vertex_gid"], ())
+        all_bundles = {frozenset(space.lines_through.get(g2, ())) for g2 in space.proper_gids}
+        bundle_broken = frozenset(perm[l] for l in bundle) not in all_bundles
         report["moved_bundle_size"] = len(bundle)
     report["checks"]["bundle_not_preserved"] = bundle_broken
     report["ok"] = all(report["checks"].values())

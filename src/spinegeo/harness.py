@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import verify
+from . import cliques, verify
 from .bundles import ReconstructedSpace, reconstruct
 from .cliques import GeometricFamilies, bron_kerbosch, family_to_json, geometric_families
 from .excluded import CASE_NONE, ExcludedCase, classify_case
@@ -51,7 +51,6 @@ class RunConfig:
     w: int
     delta: str = "both"  # pi | rho | both
     seed: int = 0
-    bk_max_lines: int = 5000
     out_dir: Path = field(default_factory=lambda: Path("spinegeo-runs"))
 
     def deltas(self) -> list[str]:
@@ -65,8 +64,7 @@ class RunConfig:
         return {"q": self.q, "n": self.n, "k": self.k, "m": self.m, "w": self.w}
 
     def digest(self) -> str:
-        doc = dict(self.space_key(), delta=self.delta, seed=self.seed,
-                   bk_max_lines=self.bk_max_lines)
+        doc = dict(self.space_key(), delta=self.delta, seed=self.seed)
         return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
 
     def space_digest(self) -> str:
@@ -161,9 +159,9 @@ class Workspace:
     def cliques(self, kind: str) -> list[int] | None:
         """Every maximal clique (Bron-Kerbosch), or None above the oracle cap."""
         g = self.graph(kind)
-        if g.count > self.cfg.bk_max_lines:
+        if g.count > cliques.BK_MAX_LINES:
             return None
-        return bron_kerbosch(g, self.cfg.bk_max_lines)
+        return bron_kerbosch(g)
 
     @_stage
     def stripped(self, kind: str) -> StripResult:
@@ -282,13 +280,13 @@ def cmd_cliques(ws: Workspace, payload: dict) -> int:
     cfg = ws.cfg
     payload["classification"] = classification = verify.check_clique_classification(ws)
     payload["exchange"] = exchange = verify.check_exchange_criterion(ws)
-    if len(ws.space().lines) <= cfg.bk_max_lines:
+    if len(ws.space().lines) <= cliques.BK_MAX_LINES:
         artifact = {}
         for kind in cfg.deltas():
-            sr, geometry = ws.stripped(kind), ws.geometry(kind)
+            sr, family = ws.stripped(kind), ws.geometry(kind).cliques
             artifact[kind] = family_to_json(
-                ws.space(), [sr.original(m) for m in geometry.cliques.masks],
-                ws.families(), geometry.exchange)
+                ws.space(), [sr.original(m) for m in family.masks],
+                ws.families(), family.exchange)
         payload["families_artifact"] = _write_artifact(cfg, "clique-families", artifact)
     return OK if classification["ok"] and exchange["ok"] else CHECK_FAILED
 

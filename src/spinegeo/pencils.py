@@ -21,9 +21,9 @@ affine plane.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cliques import CliqueFamily, _mask_is_clique, family_K, podmianka
+from .cliques import LineSetFamily, _mask_is_clique, family_K, line_set_family, podmianka
 from .relations import PI, RHO, LineRelationGraph, bits_of
 
 
@@ -38,45 +38,20 @@ def p_pi(l1: int, l2: int, l3: int, graph: LineRelationGraph) -> bool:
     return not _mask_is_clique(common, rows)
 
 
-@dataclass
-class RhoCliqueIndex:
-    """Spanned cliques of a proper-pencil graph with their exchange flags.
-
-    `witness[c]` marks the certified, exchange-free cliques, the ones that
-    make a non-spanning triple inside them concurrent; `at_line[l]` is the
-    set of clique indexes containing line l.
-    """
-
-    family: CliqueFamily
-    exchange: list[bool]  # podmianka per clique
-    witness: list[bool] = field(init=False, repr=False)
-    at_line: list[set[int]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.witness = [cert is not None and not ex
-                        for cert, ex in zip(self.family.certificates, self.exchange)]
-        self.at_line = [set(c) for c in self.family.by_line]
-
-    @classmethod
-    def build(cls, graph: LineRelationGraph):
-        family = family_K(graph)
-        flags = [podmianka(m, graph) for m in family.masks]
-        return cls(family, flags)
-
-
 def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
-          cliques: RhoCliqueIndex | None = None) -> bool:
+          family: LineSetFamily | None) -> bool:
     """Ternary concurrency for the common-pencil relation.
 
     The triple qualifies iff it does not span, and some spanned,
-    exchange-free clique contains all three lines.  With a prebuilt clique
-    index both halves are lookups: the triple must lie in a witness clique,
-    and it spans iff it lies in exactly one clique of the family and its
-    common neighbourhood lies inside that clique (see `family_P`; exact when
-    the family holds every spanned clique and only maximal cliques, as
-    `family_K` does).  Without an index the witness triple is searched among
-    the lines related to all three (any containing clique lives there), so
-    the two paths agree.
+    exchange-free clique contains all three lines.  Given the graph's clique
+    family with its exchange flags, both halves are lookups: the triple must
+    lie in a certified, exchange-free clique, and it spans iff it lies in
+    exactly one clique of the family and its common neighbourhood lies
+    inside that clique (see `family_P`; exact when the family holds every
+    spanned clique and only maximal cliques, as `family_K` does).  With
+    `family` None the witness triple is searched literally among the lines
+    related to all three (any containing clique lives there), so the two
+    paths agree.
 
     Recovering the proper pencils on affine planes needs q >= 3.  Over GF(2)
     such a pencil is three lines, one per direction of AG(2,2), and that
@@ -88,15 +63,15 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
     rows = graph.rows
     if not (rows[l1] >> l2 & 1 and rows[l1] >> l3 & 1 and rows[l2] >> l3 & 1):
         return False
-    if cliques is not None:
-        at_line = cliques.at_line
-        hits = at_line[l1].intersection(at_line[l2], at_line[l3])
-        if not any(cliques.witness[c] for c in hits):
+    if family is not None:
+        by_line, certificates, exchange = family.by_line, family.certificates, family.exchange
+        hits = set(by_line[l1]).intersection(by_line[l2], by_line[l3])
+        if not any(certificates[c] is not None and not exchange[c] for c in hits):
             return False
         if len(hits) > 1:  # a spanning triple lies in one maximal clique only
             return True
         (c,) = hits
-        return bool(rows[l1] & rows[l2] & rows[l3] & ~cliques.family.masks[c])
+        return bool(rows[l1] & rows[l2] & rows[l3] & ~family.masks[c])
     common = rows[l1] & rows[l2] & rows[l3]
     if _mask_is_clique(common, rows):  # the triple itself spans
         return False
@@ -121,16 +96,6 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
     return False
 
 
-@dataclass
-class PencilFamily:
-    """Recovered pencils: maximal sets in which every triple is concurrent."""
-
-    delta_kind: str
-    masks: list[int]
-    members: list[tuple[int, ...]]
-    by_line: list[list[int]]
-
-
 def _pencil_closure(i: int, j: int, graph, test) -> int:
     mask = (1 << i) | (1 << j)
     for k in bits_of(graph.rows[i] & graph.rows[j]):
@@ -139,8 +104,7 @@ def _pencil_closure(i: int, j: int, graph, test) -> int:
     return mask
 
 
-def family_P(graph: LineRelationGraph, family: CliqueFamily | None = None,
-             exchange: list[bool] | None = None) -> PencilFamily:
+def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
     """Close ternary concurrency into full pencils.
 
     Two related lines determine at most one pencil, so the closure of a pair
@@ -150,13 +114,12 @@ def family_P(graph: LineRelationGraph, family: CliqueFamily | None = None,
     is one bitmask per line.  Maximality and consistency of every inner
     triple are checked by `verify_pencils` (exercised in the test suite).
 
-    `family` is the graph's `family_K` (built when not given) and `exchange`
-    its `podmianka` flags, used for the proper-pencil relation (computed
-    when not given).  A pair (i, j) is closed from its common neighbourhood
-    ``cij`` and the family cliques through it.  The tests below are exact
-    whenever the family's masks are maximal cliques that include every
-    spanned clique, as `family_K`'s are: the span of a spanning triple is
-    then the only family clique containing it.
+    `family` is the graph's clique family (`family_K`), with its exchange
+    flags on the proper-pencil relation.  A pair (i, j) is closed from its
+    common neighbourhood ``cij`` and the family cliques through it.  The
+    tests below are exact whenever the family's masks are maximal cliques
+    that include every spanned clique, as `family_K`'s are: the span of a
+    spanning triple is then the only family clique containing it.
 
     - Spanning, for a third line k in ``cij``: a k in no family clique
       through the pair, or in two of them, does not span with it.  A k in
@@ -168,23 +131,17 @@ def family_P(graph: LineRelationGraph, family: CliqueFamily | None = None,
       exchange-free clique holding the triple, so only the k inside such a
       clique through the pair are candidates.
     """
-    if family is None:
-        family = family_K(graph)
     rows = graph.rows
-    clique_masks = family.masks
-    if graph.delta_kind == PI:
-        at_line = [set(c) for c in family.by_line]
-        witness = None
-    else:
-        if exchange is None:
-            exchange = [podmianka(m, graph) for m in clique_masks]
-        index = RhoCliqueIndex(family, exchange)
-        at_line, witness = index.at_line, index.witness
+    clique_masks, at_line = family.masks, family.by_line
+    witness = None  # certified, exchange-free cliques, on the proper-pencil relation
+    if graph.delta_kind == RHO:
+        witness = [cert is not None and not ex
+                   for cert, ex in zip(family.certificates, family.exchange)]
     n = graph.count
     covered = [0] * n  # bit j of covered[i]: a found pencil holds i and j
     found: set[int] = set()
     for i in range(n):
-        at_i = at_line[i]
+        at_i = set(at_line[i])
         for j in bits_of(rows[i] >> (i + 1) << (i + 1) & ~covered[i]):
             if covered[i] >> j & 1:  # found after the loop's mask was taken
                 continue
@@ -219,24 +176,19 @@ def family_P(graph: LineRelationGraph, family: CliqueFamily | None = None,
             found.add(mask)
             for l in bits_of(mask):
                 covered[l] |= mask
-    masks = sorted(found, key=lambda m: tuple(bits_of(m)))
-    members = [tuple(bits_of(m)) for m in masks]
-    by_line: list[list[int]] = [[] for _ in range(n)]
-    for idx, mem in enumerate(members):
-        for l in mem:
-            by_line[l].append(idx)
-    return PencilFamily(graph.delta_kind, masks, members, by_line)
+    return line_set_family(found, n)
 
 
-def verify_pencils(pencils: PencilFamily, graph: LineRelationGraph,
-                   cliques: RhoCliqueIndex | None = None) -> list[str]:
-    """Check every recovered pencil is concurrency-closed and maximal."""
+def verify_pencils(pencils: LineSetFamily, graph: LineRelationGraph,
+                   family: LineSetFamily) -> list[str]:
+    """Check every recovered pencil is concurrency-closed and maximal.
+
+    `family` is the graph's clique family, which `p_rho` reads.
+    """
     if graph.delta_kind == PI:
         test = lambda k, i, j: p_pi(k, i, j, graph)
     else:
-        if cliques is None:
-            cliques = RhoCliqueIndex.build(graph)
-        test = lambda k, i, j: p_rho(k, i, j, graph, cliques)
+        test = lambda k, i, j: p_rho(k, i, j, graph, family)
     problems = []
     for mask, mem in zip(pencils.masks, pencils.members):
         for i, j in itertools.combinations(mem, 2):
@@ -293,19 +245,17 @@ class LineGeometry:
     """Everything the abstract pipeline derives from one relation graph."""
 
     graph: LineRelationGraph
-    cliques: CliqueFamily
-    exchange: list[bool] | None          # per clique, rho graphs only
-    pencils: PencilFamily
+    cliques: LineSetFamily               # with exchange flags on rho graphs
+    pencils: LineSetFamily
     pencils_in_clique: list[list[int]]   # pencil indexes inside each clique
     clique_dims: list[int | None]        # None when the clique has no pencil
     parallel_pencils: set[int]           # pencil indexes, pi graphs only
     proper_pencils: list[int]            # pencil indexes forming P0
-    k0: list[int]                        # clique indexes containing a P0 pencil
-    bundle_cliques: list[int]            # K0 members of dimension >= 3
+    bundle_cliques: list[int]            # cliques holding a P0 pencil, of dimension >= 3
 
 
-def detect_parallel(pencils: PencilFamily, graph: LineRelationGraph,
-                    cliques: CliqueFamily, pencils_in_clique, clique_dims) -> set[int]:
+def detect_parallel(pencils: LineSetFamily, graph: LineRelationGraph,
+                    cliques: LineSetFamily, pencils_in_clique, clique_dims) -> set[int]:
     """Improper-vertex pencils of a coplanarity graph (see module docstring).
 
     Scope: over GF(2), a 3-dimensional strong subspace slit by a line makes
@@ -317,23 +267,21 @@ def detect_parallel(pencils: PencilFamily, graph: LineRelationGraph,
     n_pencils = len(pencils.masks)
     plane_cliques = [i for i, d in enumerate(clique_dims) if d == 2]
 
+    # two disjoint pencils of a plane are both parallel and make it affine
     affine_plane: dict[int, bool] = {}
+    parallel: set[int] = set()
     for ci in plane_cliques:
-        inside = pencils_in_clique[ci]
         flag = False
-        for a in range(len(inside)):
-            for b in range(a + 1, len(inside)):
-                if not pencils.masks[inside[a]] & pencils.masks[inside[b]]:
-                    flag = True
-                    break
-            if flag:
-                break
+        for a, b in itertools.combinations(pencils_in_clique[ci], 2):
+            if not pencils.masks[a] & pencils.masks[b]:
+                parallel.update((a, b))
+                flag = True
         if not flag:
             # a related pair of the plane missed by every pencil of the plane
             # signals parallel lines whose pencil is too small to recover;
             # covered[x] is the union of the plane's pencils through x
             covered = dict.fromkeys(cliques.members[ci], 0)
-            for pi_idx in inside:
+            for pi_idx in pencils_in_clique[ci]:
                 pmask = pencils.masks[pi_idx]
                 for x in bits_of(pmask):
                     covered[x] |= pmask
@@ -341,11 +289,11 @@ def detect_parallel(pencils: PencilFamily, graph: LineRelationGraph,
             flag = any(mask & ~cov for cov in covered.values())
         affine_plane[ci] = flag
 
+    pencil_on_plane = [False] * n_pencils
     pencil_on_affine = [False] * n_pencils
-    pencil_planes: list[list[int]] = [[] for _ in range(n_pencils)]
     for ci in plane_cliques:
         for pi_idx in pencils_in_clique[ci]:
-            pencil_planes[pi_idx].append(ci)
+            pencil_on_plane[pi_idx] = True
             if affine_plane[ci]:
                 pencil_on_affine[pi_idx] = True
 
@@ -355,19 +303,10 @@ def detect_parallel(pencils: PencilFamily, graph: LineRelationGraph,
             for l in bits_of(pencils.masks[pi_idx]):
                 line_on_affine[l] = True
 
-    parallel: set[int] = set()
-    for ci in plane_cliques:
-        inside = pencils_in_clique[ci]
-        for a in range(len(inside)):
-            for b in range(a + 1, len(inside)):
-                if not pencils.masks[inside[a]] & pencils.masks[inside[b]]:
-                    parallel.add(inside[a])
-                    parallel.add(inside[b])
     for pi_idx in range(n_pencils):
         if pi_idx in parallel:
             continue
-        planes = pencil_planes[pi_idx]
-        if planes and not any(affine_plane[ci] for ci in planes):
+        if pencil_on_plane[pi_idx] and not pencil_on_affine[pi_idx]:
             if all(line_on_affine[l] for l in bits_of(pencils.masks[pi_idx])):
                 parallel.add(pi_idx)
     return parallel
@@ -383,10 +322,7 @@ def derive_line_geometry(graph: LineRelationGraph) -> LineGeometry:
     the semibundle family handed to bundle reconstruction.
     """
     cliques = family_K(graph)
-    exchange = None
-    if graph.delta_kind == RHO:
-        exchange = [podmianka(m, graph) for m in cliques.masks]
-    pencils = family_P(graph, cliques, exchange)
+    pencils = family_P(graph, cliques)
 
     # a clique holding a pencil is among the cliques through its first two lines
     pencils_in_clique: list[list[int]] = [[] for _ in cliques.masks]
@@ -408,16 +344,12 @@ def derive_line_geometry(graph: LineRelationGraph) -> LineGeometry:
     else:
         parallel = set()
     proper = [i for i in range(len(pencils.masks)) if i not in parallel]
-    proper_set = set(proper)
-
-    k0 = [
-        ci
-        for ci in range(len(cliques.masks))
-        if any(p in proper_set for p in pencils_in_clique[ci])
+    bundle_cliques = [
+        ci for ci, d in enumerate(clique_dims)
+        if d is not None and d >= 3 and any(p not in parallel for p in pencils_in_clique[ci])
     ]
-    bundle_cliques = [ci for ci in k0 if clique_dims[ci] is not None and clique_dims[ci] >= 3]
-    return LineGeometry(graph, cliques, exchange, pencils, pencils_in_clique,
-                        clique_dims, parallel, proper, k0, bundle_cliques)
+    return LineGeometry(graph, cliques, pencils, pencils_in_clique,
+                        clique_dims, parallel, proper, bundle_cliques)
 
 
 def family_B(geometry: LineGeometry) -> list[int]:

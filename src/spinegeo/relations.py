@@ -78,6 +78,12 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def by_members(masks) -> list[tuple[tuple[int, ...], int]]:
+    """(member ids, mask) of each mask, sorted by the member ids; the ids of
+    a mask are read once, for the key and for the caller."""
+    return sorted((tuple(bits_of(m)), m) for m in masks)
+
+
 def _relation_rows(space: SpineSpace, proper_only: bool) -> list[int]:
     n = len(space.lines)
     rows = [0] * n

@@ -189,15 +189,7 @@ class SpineSpace:
         space, k, m, w = params.space, params.k, params.m, params.w
         full = full_subspace(space)
 
-        # Tail-shaped W admits a cheap intersection dimension: U /\ W is the
-        # kernel of the projection onto the leading n-w coordinates.
-        head = space.n - w.dim
-        self._tail_w = w == standard_tail_subspace(space, w.dim)
-
         def meet_w_dim(u: Subspace) -> int:
-            if self._tail_w:
-                proj = tuple(row[:head] for row in u.rows)
-                return u.dim - _rank(proj, space.q, head)
             return dim_intersect(u, w)
 
         self.meet_w_dim = meet_w_dim

@@ -24,7 +24,7 @@ from .cliques import (
 )
 from .excluded import CASE_NEIGHBOURHOOD, build_homology_map, classify_case, verify_counterexample
 from .gf import FieldSpec, enumerate_subspaces, q_binomial
-from .pencils import RhoCliqueIndex, family_B, p_pi, p_rho
+from .pencils import family_B, p_pi, p_rho
 from .relations import PI, RHO, LineRelationGraph, bits_of
 from .spine import LINE_AFFINE, PLANE_AFFINE, STAR_ALPHA, GeoPencil, SpineSpace
 
@@ -71,10 +71,11 @@ def check_relation_sanity(ws: Workspace) -> dict:
 def check_clique_classification(ws: Workspace) -> dict:
     """Maximal cliques match the geometric families exactly.
 
-    Below the oracle cap the Bron-Kerbosch oracle enumerates all maximal
-    cliques and the comparison is a set equality against the families;
-    above it the families themselves are verified to be maximal cliques and
-    to be spanned where expected (constructive verification).
+    Up to `BK_MAX_LINES` lines the Bron-Kerbosch oracle enumerates all
+    maximal cliques and the comparison is a set equality against the
+    families.  Above it ("constructive" mode) each geometric family member
+    is only verified to be a clique and maximal; nothing shows there that
+    no other maximal clique exists.
     """
     fams = ws.families()
     out: dict = {"pi_family_size": len(fams.pi_family),
@@ -233,7 +234,6 @@ def check_ternary_pencils(ws: Workspace) -> dict:
                 classify_clique(s, space, fams)[0] == KIND_AFFINE_SEMIFLAT
                 for s in unspanned
             )
-            rho_index = RhoCliqueIndex(geometry.cliques, geometry.exchange)
         mismatches = {}
         total = 0
         for mem in sorted(spanned | expected):
@@ -245,7 +245,8 @@ def check_ternary_pencils(ws: Workspace) -> dict:
                 elif p is not None and p.line_ids in outside:
                     continue
                 else:
-                    got = p_rho(perm[tri[0]], perm[tri[1]], perm[tri[2]], graph, rho_index)
+                    got = p_rho(perm[tri[0]], perm[tri[1]], perm[tri[2]], graph,
+                                geometry.cliques)
                     want = p is not None and p.proper
                 total += 1
                 if got != want and tri not in mismatches:

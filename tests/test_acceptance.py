@@ -30,12 +30,13 @@ import time
 
 import pytest
 
+import spinegeo.cliques
 from spinegeo import verify
 from spinegeo.cliques import KIND_AFFINE_SEMIFLAT, delta_n
 from spinegeo.harness import RunConfig, cmd_verify_all
 from spinegeo.spine import LINE_OMEGA, PLANE_AFFINE, validate_params
 
-from conftest import count_calls, release, workspace
+from conftest import CFG1, count_calls, release, workspace
 
 SEED = 11
 EXCHANGE_TWIN = (3, 5, 2, 1, 3)  # cfg1's shape over GF(3)
@@ -97,6 +98,21 @@ def test_criterion_2_exchange_criterion(cfg1_ws, tmp_path):
     assert excluded["count"] == 196 and excluded["sizes"] == {"3": 196}
     assert report["per_kind"][KIND_AFFINE_SEMIFLAT] == {"True": 0, "False": 196}
     assert ok
+
+
+def test_criteria_1_and_2_in_constructive_mode(cfg1_ws, tmp_path, monkeypatch):
+    # no pinned config exceeds the oracle cap; lowered below cfg1's 1 470
+    # lines, it sends both checks down their constructive path
+    oracle_exchange = verify.check_exchange_criterion(cfg1_ws)
+    monkeypatch.setattr(spinegeo.cliques, "BK_MAX_LINES", 1000)
+    ws = workspace(CFG1, tmp_path)
+    assert ws.cliques("pi") is None and ws.cliques("rho") is None
+    report = verify.check_clique_classification(ws)
+    assert report["mode"] == "constructive"
+    assert report["ok"] and not report["problems"], report
+    # there the exchange check runs over the geometric rho family, which on
+    # cfg1 equals the Bron-Kerbosch cliques (criterion 1): the same report
+    assert verify.check_exchange_criterion(ws) == oracle_exchange
 
 
 # Criterion 3 computes cfg3's stripped and geometry stages (about 1.1 GB),

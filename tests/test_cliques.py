@@ -191,12 +191,14 @@ def test_family_from_masks_verifies_and_certifies(cfg1_rho, cfg1_fams):
         family_from_masks(cfg1_rho, [masks[0] & (masks[0] - 1)])  # strict subset
 
 
-def test_bron_kerbosch_cap():
+def test_bron_kerbosch_cap(monkeypatch):
+    import spinegeo.cliques
     from spinegeo.relations import LineRelationGraph
 
+    monkeypatch.setattr(spinegeo.cliques, "BK_MAX_LINES", 5)
     g = LineRelationGraph("pi", [0] * 10)
     with pytest.raises(ValueError):
-        bron_kerbosch(g, max_lines=5)
+        bron_kerbosch(g)
 
 
 # ---------- exchange and classification ---------------------------------------------

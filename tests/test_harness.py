@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from spinegeo import cli, harness
+from spinegeo.cliques import family_K
 from spinegeo.excluded import CASE_NONE, classify_case
 from spinegeo.pencils import family_P
 from spinegeo.spine import LINE_AFFINE
@@ -98,7 +99,8 @@ def test_reconstruct_rho_exits_2_over_gf2_when_every_line_is_affine(tmp_path):
     assert "p_rho sees no pencil" in payload["error"]
     ws = Workspace(c)
     assert {ln.kind for ln in ws.space().lines} == {LINE_AFFINE}
-    assert family_P(ws.graph("rho")).masks == []
+    rho = ws.graph("rho")
+    assert family_P(rho, family_K(rho)).masks == []
 
 
 def test_reconstruction_claim_needs_a_big_host_for_every_line(cfg1_space, roomy_space):
@@ -149,12 +151,14 @@ def test_cli_rejects_bad_delta(tmp_path):
 
 
 def test_config_file_with_the_removed_transitivity_cap_exits_2(tmp_path, capsys):
-    f = tmp_path / "cfg.json"
-    f.write_text(json.dumps(dict(SMALL, transitivity_cap=10)))
-    code = cli.main(["build", "--config", str(f), "--out", str(tmp_path)])
-    assert code == CONFIG_ERROR
-    assert "transitivity_cap" in capsys.readouterr().err
-    assert not list(tmp_path.glob("build-*.json"))
+    # bk_max_lines went the same way: the oracle cap is the constant BK_MAX_LINES
+    for removed in ("transitivity_cap", "bk_max_lines"):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(dict(SMALL, **{removed: 10})))
+        code = cli.main(["build", "--config", str(f), "--out", str(tmp_path)])
+        assert code == CONFIG_ERROR
+        assert removed in capsys.readouterr().err
+        assert not list(tmp_path.glob("build-*.json"))
 
 
 def test_cli_exits_2_on_a_missing_config_file(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 from spinegeo import build_spine, standard_params
 from spinegeo.cliques import _mask_is_clique, bron_kerbosch, family_K, family_from_masks
 from spinegeo.pencils import (
-    RhoCliqueIndex,
     clique_dimension,
     derive_line_geometry,
     detect_parallel,
@@ -35,6 +34,11 @@ def hosted_pencils(space, kind=None, proper=True):
             host = space.top_id_by_b.get(plane.high.rows)
         if host is not None and space.strongs[host].p_dim >= 3:
             yield p, plane
+
+
+def pencils_of(graph):
+    """The pencils `family_P` recovers from the graph's spanned cliques."""
+    return family_P(graph, family_K(graph))
 
 
 # ---------- the ternary predicates -----------------------------------------------
@@ -87,11 +91,11 @@ def test_p_rho_rejects_parallel_triples(cfg3_space, cfg3_rho):
     assert not p_rho(*tri, cfg3_rho, None)
 
 
-def parent_p_rho(l1, l2, l3, graph, index):
+def parent_p_rho(l1, l2, l3, graph, fam):
     """Reference: the indexed `p_rho` before the lookup rewrite.
 
     Spanning is decided by a full clique test of the common neighbourhood,
-    the witness by intersecting the clique lists of the three lines.
+    the witness by intersecting the clique sets of the three lines.
     """
     rows = graph.rows
     if len({l1, l2, l3}) != 3:
@@ -100,16 +104,15 @@ def parent_p_rho(l1, l2, l3, graph, index):
         return False
     if _mask_is_clique(rows[l1] & rows[l2] & rows[l3], rows):
         return False
-    fam = index.family
     hits = set(fam.by_line[l1]) & set(fam.by_line[l2]) & set(fam.by_line[l3])
-    return any(fam.certificates[c] is not None and not index.exchange[c] for c in hits)
+    return any(fam.certificates[c] is not None and not fam.exchange[c] for c in hits)
 
 
 def test_p_rho_fast_path_matches_literal(cfg1_space, cfg1_rho, cex_space, cex_rho):
     import random
 
     for space, rho in ((cfg1_space, cfg1_rho), (cex_space, cex_rho)):
-        index = RhoCliqueIndex.build(rho)
+        fam = family_K(rho)
         rng = random.Random(3)
         pencils = space.pencils()
         for _ in range(25):
@@ -117,14 +120,14 @@ def test_p_rho_fast_path_matches_literal(cfg1_space, cfg1_rho, cex_space, cex_rh
             tri = sorted(p.line_ids)[:3]
             if len(tri) < 3:
                 continue
-            assert p_rho(*tri, rho, index) == p_rho(*tri, rho, None)
+            assert p_rho(*tri, rho, fam) == p_rho(*tri, rho, None)
         for _ in range(25):
             tri = rng.sample(range(rho.count), 3)
-            assert p_rho(*tri, rho, index) == p_rho(*tri, rho, None)
+            assert p_rho(*tri, rho, fam) == p_rho(*tri, rho, None)
         # inside cliques, where the lookups decide: against the parent's index path
-        for mem in rng.sample(index.family.members, 40):
+        for mem in rng.sample(fam.members, 40):
             for tri in itertools.islice(itertools.combinations(mem, 3), 30):
-                assert p_rho(*tri, rho, index) == parent_p_rho(*tri, rho, index)
+                assert p_rho(*tri, rho, fam) == parent_p_rho(*tri, rho, fam)
 
 
 def test_p_rho_index_needs_a_certified_clique():
@@ -143,20 +146,19 @@ def test_p_rho_index_needs_a_certified_clique():
     rho = LineRelationGraph("rho", rows)
     family = family_from_masks(rho, bron_kerbosch(rho))
     assert family.certificates[family.masks.index(0b1111)] is None
-    index = RhoCliqueIndex(family, [m != 0b1111 for m in family.masks])
+    family.exchange = [m != 0b1111 for m in family.masks]
     for tri in itertools.combinations(range(4), 3):
-        assert parent_p_rho(*tri, rho, index) is False
-        assert p_rho(*tri, rho, index) is False
-    assert family_P(rho, family, index.exchange).masks == []
+        assert parent_p_rho(*tri, rho, family) is False
+        assert p_rho(*tri, rho, family) is False
+    assert family_P(rho, family).masks == []
 
 
 # ---------- the pencil family -------------------------------------------------------
 
 def test_family_P_pencils_are_closed_and_maximal(cfg1_pi, cfg1_rho):
-    fp = family_P(cfg1_pi)
-    assert not verify_pencils(fp, cfg1_pi)
-    fr = family_P(cfg1_rho)
-    assert not verify_pencils(fr, cfg1_rho)
+    for graph in (cfg1_pi, cfg1_rho):
+        fam = family_K(graph)
+        assert not verify_pencils(family_P(graph, fam), graph, fam)
 
 
 def pairwise_closure(graph, test):
@@ -200,23 +202,23 @@ def test_family_P_clique_lookup_matches_literal_p_pi(cfg1_pi, cex_pi):
         fast = family_P(pi, family_K(pi))
         assert set(fast.masks) == literal
         assert len(fast.masks) == len(literal)
-    assert len(family_P(cfg1_pi).masks) == 7448
+    assert len(pencils_of(cfg1_pi).masks) == 7448
 
 
 def test_family_P_rho_matches_pairwise_p_rho_closure(cfg1_rho, cex_rho):
     for rho in (cfg1_rho, cex_rho):
-        index = RhoCliqueIndex.build(rho)
+        fam = family_K(rho)
         reference = pairwise_closure(
-            rho, lambda k, i, j: parent_p_rho(k, i, j, rho, index))
+            rho, lambda k, i, j: parent_p_rho(k, i, j, rho, fam))
         assert reference
-        assert family_P(rho, index.family, index.exchange).masks == reference
+        assert family_P(rho, fam).masks == reference
         # the same pencils from every maximal clique, certified or not
         every = family_from_masks(rho, bron_kerbosch(rho))
         assert family_P(rho, every).masks == reference
 
 
 def test_family_P_partial_linear(cfg1_pi):
-    fp = family_P(cfg1_pi)
+    fp = pencils_of(cfg1_pi)
     by_line = fp.by_line
     for idx, mask in enumerate(fp.masks):
         for other in {j for l in bits_of(mask) for j in by_line[l]}:
@@ -225,15 +227,15 @@ def test_family_P_partial_linear(cfg1_pi):
 
 
 def test_rho_pencils_are_pi_pencils(cfg1_pi, cfg1_rho):
-    pi_sets = {frozenset(m) for m in family_P(cfg1_pi).members}
-    rho_sets = {frozenset(m) for m in family_P(cfg1_rho).members}
+    pi_sets = {frozenset(m) for m in pencils_of(cfg1_pi).members}
+    rho_sets = {frozenset(m) for m in pencils_of(cfg1_rho).members}
     assert rho_sets <= pi_sets
 
 
 def test_recovered_pencils_match_hosted_geometry(cfg1_space, cfg1_pi):
     # over this configuration the recoverable pencils are exactly those whose
     # base plane lies inside a 4-dimensional star
-    fp = family_P(cfg1_pi)
+    fp = pencils_of(cfg1_pi)
     recovered = {frozenset(m) for m in fp.members}
     expected = {p.line_ids for p, _ in hosted_pencils(cfg1_space, proper=True)}
     expected |= {
@@ -246,7 +248,7 @@ def test_recovered_pencils_match_hosted_geometry(cfg1_space, cfg1_pi):
 # ---------- pencil coplanarity --------------------------------------------------------
 
 def test_pencil_coplanarity(cfg1_space, cfg1_pi):
-    fp = family_P(cfg1_pi)
+    fp = pencils_of(cfg1_pi)
     geo = {p.line_ids: p for p in cfg1_space.pencils()}
     by_plane = {}
     for mem, mask in zip(fp.members, fp.masks):
@@ -390,14 +392,17 @@ def parent_detect_parallel(pencils, cliques, pencils_in_clique, clique_dims):
 
 
 def test_detect_parallel_matches_pair_set_version(cfg1_pi):
-    g = derive_line_geometry(cfg1_pi)
-    args = (g.pencils, g.cliques, g.pencils_in_clique, g.clique_dims)
     # cfg1 has affine planes of both kinds: with disjoint pencils and with a
-    # related pair no recovered pencil holds
-    assert parent_affine_planes(*args)
-    want = parent_detect_parallel(*args)
-    assert len(want) == 588
-    assert detect_parallel(g.pencils, cfg1_pi, *args[1:]) == want
+    # related pair no recovered pencil holds; on the GF(3) twin the parallel
+    # pencils have three lines, and the disjoint pairs find them all
+    twin_pi = compute_pi(build_spine(standard_params(3, 5, 2, 1, 3)))
+    for pi, count in ((cfg1_pi, 588), (twin_pi, 208)):
+        g = derive_line_geometry(pi)
+        args = (g.pencils, g.cliques, g.pencils_in_clique, g.clique_dims)
+        assert parent_affine_planes(*args)
+        want = parent_detect_parallel(*args)
+        assert len(want) == count
+        assert detect_parallel(g.pencils, pi, *args[1:]) == want
 
 
 def test_pipeline_is_strip_invariant(cfg1_pi):

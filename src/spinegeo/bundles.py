@@ -57,12 +57,15 @@ class ReconstructedSpace:
 
     `points` are deduplicated bundle masks; a line is incident to a point
     iff its bit is set in the bundle; points are collinear iff their
-    bundles intersect.
+    bundles intersect.  `class_of` gives each input clique's gluing class,
+    and `point_of_class` each class's point: the index into `points` of the
+    class's union.
     """
 
     line_count: int
     points: list[int]
-    class_of: list[int]  # gluing class index per input clique
+    class_of: list[int]
+    point_of_class: list[int]
     transitive: bool
     transitivity_witnesses: list[tuple[int, int, int]] = field(default_factory=list)
 
@@ -103,8 +106,9 @@ def reconstruct(bundle_family: list[int], graph: LineRelationGraph) -> Reconstru
     The gluing relation is reflexive and symmetric by construction; its
     transitivity on the family is verified, not assumed.  Classes are taken
     as connected components of `gluing_adjacency` (the pairs `upsilon_empty`
-    glues, read off reach masks), each checked to be relation-complete; any failing triple is reported as a witness while
-    the bundles are still produced from the component unions.
+    glues, read off reach masks), each checked to be relation-complete; any
+    failing triple is reported as a witness while the bundles are still
+    produced from the component unions.
     """
     n = len(bundle_family)
     adj = gluing_adjacency(bundle_family, graph)
@@ -136,14 +140,16 @@ def reconstruct(bundle_family: list[int], graph: LineRelationGraph) -> Reconstru
                     witnesses.append((comp[a], mid, comp[b]))
         if witnesses:
             break
-    bundles: dict[int, None] = {}
+    unions = []
     for comp in classes:
         mask = 0
         for i in comp:
             mask |= bundle_family[i]
-        bundles.setdefault(mask)
-    points = [m for _, m in by_members(bundles)]
-    return ReconstructedSpace(graph.count, points, class_of, not witnesses, witnesses)
+        unions.append(mask)
+    points = [m for _, m in by_members(set(unions))]
+    index = {m: i for i, m in enumerate(points)}
+    return ReconstructedSpace(graph.count, points, class_of, [index[m] for m in unions],
+                              not witnesses, witnesses)
 
 
 def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
@@ -170,27 +176,15 @@ def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
     report["checks"]["count"] = len(space.points) == len(recon.points)
     report["checks"]["transitive_gluing"] = recon.transitive
 
-    semibundle_at = {
-        lines: key for key, lines in space.semibundles(min_p_dim=2).items()
-    }
-    index_of = {m: i for i, m in enumerate(recon.points)}
-
     anomalies = []
     nat: dict[int, int] = {}  # pid -> reconstructed point index
     for ci, k_mask in enumerate(bundle_family):
-        key = semibundle_at.get(strip_result.original(k_mask))
+        key = space.semibundle_at(strip_result.original(k_mask))
         if key is None or key[1] not in space.pid_of_gid:
             anomalies.append({"clique": ci, "reason": "not a proper semibundle"})
             continue
         pid = space.pid_of_gid[key[1]]
-        bundle_mask = 0
-        for cj, other in enumerate(bundle_family):
-            if recon.class_of[cj] == recon.class_of[ci]:
-                bundle_mask |= other
-        target = index_of.get(bundle_mask)
-        if target is None:
-            anomalies.append({"clique": ci, "reason": "class union is not a point"})
-            continue
+        target = recon.point_of_class[recon.class_of[ci]]
         if pid in nat and nat[pid] != target:
             anomalies.append({"point": pid, "reason": "two bundles at one point"})
         nat[pid] = target
@@ -205,9 +199,9 @@ def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
         str(pid): _digest(recon.points[idx]) for pid, idx in sorted(nat.items())
     }
 
+    geo_masks = [_geo_bundle_mask(space, pid, perm) for pid in range(len(space.points))]
     incidence_bad = []
-    for pid in range(len(space.points)):
-        geo_mask = _geo_bundle_mask(space, pid, perm)
+    for pid, geo_mask in enumerate(geo_masks):
         got_mask = recon.points[nat[pid]] if pid in nat else 0
         if geo_mask != got_mask:
             missing = [inv[l] for l in bits_of(geo_mask & ~got_mask)]
@@ -224,7 +218,6 @@ def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
 
     collinear_bad = 0
     collinear_witness = None
-    geo_masks = [_geo_bundle_mask(space, pid, perm) for pid in range(len(space.points))]
     for p1 in range(len(space.points)):
         r1 = recon.points[nat[p1]] if p1 in nat else 0
         for p2 in range(p1 + 1, len(space.points)):

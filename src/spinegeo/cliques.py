@@ -24,6 +24,7 @@ from .spine import (
     PLANE_PROJECTIVE,
     PLANE_PUNCTURED,
     LINE_AFFINE,
+    PlaneInfo,
     SpineSpace,
 )
 
@@ -294,59 +295,56 @@ def podmianka(clique_mask: int, graph: LineRelationGraph) -> bool:
 class GeometricFamilies:
     """Geometric clique families of a spine space, ready for matching.
 
-    flats: full line set of every plane.
-    semibundles: lines of a >=3-dimensional strong subspace through one
-        closure point, split by whether the vertex is proper.
+    planes: the space's plane table (the list itself, not a copy).
+    flat_by_lines: full line set of every plane, to its plane id.
+    planes_by_line: the ids of the planes through each line.
     rho_semiflats: the maximal-clique semiflats of the proper-pencil
         relation (projective flats, punctured choices, filtered selectors).
+    pi_family, rho_family: the flats, resp. semiflats, together with the
+        semibundles of the strong subspaces of dimension >= 3 (for rho, those
+        at a proper vertex); the space's `semibundle_at` keys them.
     """
 
+    planes: list[PlaneInfo]
     flat_by_lines: dict[frozenset[int], int]
-    semibundle_by_lines: dict[frozenset[int], tuple[int, int]]
-    plane_kinds: dict[int, str]
-    plane_lines: dict[int, frozenset[int]]
     planes_by_line: dict[int, list[int]]
     rho_semiflats: set[frozenset[int]]
     pi_family: set[frozenset[int]]
     rho_family: set[frozenset[int]]
 
 
+def _punctured_split(space: SpineSpace, plane) -> tuple[frozenset[int], frozenset[int]]:
+    """The affine lines of a punctured plane, and its projective lines."""
+    affine = frozenset(l for l in plane.line_ids if space.lines[l].kind == LINE_AFFINE)
+    return affine, frozenset(plane.line_ids) - affine
+
+
 def geometric_families(space: SpineSpace) -> GeometricFamilies:
     planes = space.planes()
     flat_by_lines = {frozenset(p.line_ids): p.id for p in planes}
-    plane_kinds = {p.id: p.kind for p in planes}
-    plane_lines = {p.id: frozenset(p.line_ids) for p in planes}
     planes_by_line: dict[int, list[int]] = {}
     for p in planes:
         for lid in p.line_ids:
             planes_by_line.setdefault(lid, []).append(p.id)
-
-    semibundle_by_lines = {
-        lines: key for key, lines in space.semibundles(min_p_dim=3).items()
-    }
 
     rho_semiflats: set[frozenset[int]] = set()
     for p in planes:
         if p.kind == PLANE_PROJECTIVE:
             rho_semiflats.add(frozenset(p.line_ids))
         elif p.kind == PLANE_PUNCTURED:
-            affine = [l for l in p.line_ids if space.lines[l].kind == LINE_AFFINE]
-            projective = frozenset(l for l in p.line_ids if l not in set(affine))
+            affine, projective = _punctured_split(space, p)
             for a in affine:
                 rho_semiflats.add(projective | {a})
         else:
             rho_semiflats.update(_maximal_selectors(space, p))
 
-    pi_family = set(flat_by_lines) | set(semibundle_by_lines)
+    semibundles = space.semibundles(min_p_dim=3)
+    pi_family = set(flat_by_lines) | set(semibundles.values())
     rho_family = set(rho_semiflats) | {
-        lines
-        for lines, (sid, g) in semibundle_by_lines.items()
-        if g in space.pid_of_gid
+        lines for (sid, g), lines in semibundles.items() if g in space.pid_of_gid
     }
-    return GeometricFamilies(
-        flat_by_lines, semibundle_by_lines, plane_kinds, plane_lines,
-        planes_by_line, rho_semiflats, pi_family, rho_family,
-    )
+    return GeometricFamilies(planes, flat_by_lines, planes_by_line, rho_semiflats,
+                             pi_family, rho_family)
 
 
 def _maximal_selectors(space: SpineSpace, plane) -> list[frozenset[int]]:
@@ -399,13 +397,14 @@ def classify_clique(members, space: SpineSpace, fams: GeometricFamilies):
     a (strong id, vertex gid) pair for semibundles, None when unclassified.
     """
     lines = frozenset(members)
-    if lines in fams.semibundle_by_lines:
-        sid, g = fams.semibundle_by_lines[lines]
-        proper = g in space.pid_of_gid
-        return (KIND_SEMIBUNDLE_PROPER if proper else KIND_SEMIBUNDLE_IMPROPER, (sid, g))
+    key = space.semibundle_at(lines)
+    if key is not None and space.strongs[key[0]].p_dim >= 3:
+        proper = key[1] in space.pid_of_gid
+        return (KIND_SEMIBUNDLE_PROPER if proper else KIND_SEMIBUNDLE_IMPROPER, key)
+    planes = fams.planes
     if lines in fams.flat_by_lines:
         pid = fams.flat_by_lines[lines]
-        if fams.plane_kinds[pid] == PLANE_PROJECTIVE:
+        if planes[pid].kind == PLANE_PROJECTIVE:
             return (KIND_PROJECTIVE_FLAT, pid)
         return (KIND_FLAT, pid)
     candidates = None
@@ -414,16 +413,15 @@ def classify_clique(members, space: SpineSpace, fams: GeometricFamilies):
         candidates = plist if candidates is None else candidates & plist
         if not candidates:
             break
-    for pid in sorted(candidates or ()):
-        kind = fams.plane_kinds[pid]
-        if kind == PLANE_PUNCTURED:
-            affine = {l for l in fams.plane_lines[pid] if space.lines[l].kind == LINE_AFFINE}
-            projective = fams.plane_lines[pid] - affine
-            if projective <= lines and len(lines & affine) == 1 and lines <= fams.plane_lines[pid]:
+    for pid in sorted(candidates or ()):  # the planes holding every line
+        plane = planes[pid]
+        if plane.kind == PLANE_PUNCTURED:
+            affine, projective = _punctured_split(space, plane)
+            if projective <= lines and len(lines & affine) == 1:
                 return (KIND_PUNCTURED_SEMIFLAT, pid)
-        elif kind == PLANE_AFFINE:
-            directions = {space.lines[l].improper_gid for l in fams.plane_lines[pid]}
-            if lines <= fams.plane_lines[pid] and len(lines) == len(directions) and \
+        elif plane.kind == PLANE_AFFINE:
+            directions = {space.lines[l].improper_gid for l in plane.line_ids}
+            if len(lines) == len(directions) and \
                     len({space.lines[l].improper_gid for l in lines}) == len(lines):
                 return (KIND_AFFINE_SEMIFLAT, pid)
     return (KIND_UNCLASSIFIED, None)

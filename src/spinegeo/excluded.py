@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import _rank, apply_matrix, invert_matrix
+from .gf import _rank, apply_matrix, invert_matrix, subspace_key
 from .relations import LineRelationGraph, bits_of
 from .spine import STAR_ALPHA, SpineParams, SpineSpace, StrongSubspace, validate_params
 
@@ -129,7 +129,7 @@ def build_homology_map(space: SpineSpace, star: StrongSubspace, scale: int) -> L
     t_mat = _mat_mul(_mat_mul(b_inv, tuple(tuple(r) for r in d), q), b_mat, q)
 
     star_lines = set(star.line_ids)
-    w_gid = space.gid_of[w.rows]
+    w_gid = space.gid_of[subspace_key(w)]
     perm = list(range(len(space.lines)))
     moved = []
     for lid in star_lines:
@@ -217,12 +217,9 @@ def verify_counterexample(space: SpineSpace, lmap: LineMap,
             if img_top != k_top:
                 continue
             if img_star != k_star:
-                # find the vertex the star semibundle moved to
-                moved_to = None
-                for (sid, g2), lines in by_strong_vertex.items():
-                    if sid == star.id and lines == img_star:
-                        moved_to = g2
-                        break
+                # the vertex the star semibundle moved to
+                key = space.semibundle_at(img_star)
+                moved_to = key[1] if key is not None and key[0] == star.id else None
                 if moved_to is not None and moved_to != gid:
                     witness = {
                         "top": top.id, "shared_line": line_id,

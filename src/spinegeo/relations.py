@@ -88,13 +88,8 @@ def _relation_rows(space: SpineSpace, proper_only: bool) -> list[int]:
     n = len(space.lines)
     rows = [0] * n
     closure_sets = [set(ln.closure_gids) for ln in space.lines]
-    by_h: dict[tuple, list[int]] = {}
-    by_b: dict[tuple, list[int]] = {}
-    for ln in space.lines:
-        by_h.setdefault(ln.h.rows, []).append(ln.id)
-        by_b.setdefault(ln.b.rows, []).append(ln.id)
     proper = space.pid_of_gid
-    for group in list(by_h.values()) + list(by_b.values()):
+    for group in (*space.lines_by_h.values(), *space.lines_by_b.values()):
         for a in range(len(group)):
             i = group[a]
             ci = closure_sets[i]

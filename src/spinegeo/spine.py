@@ -7,9 +7,14 @@ points as lines.  Lines come in three classes (one affine, two projective), and 
 maximal strong subspaces come in four classes (two star shapes, two top
 shapes), each a projective space with a subspace removed ("slit" space).
 
-The module also materialises planes and line pencils on demand, and runs
-the two foundational structure checks used by the verification suite:
-the star/top intersection dichotomy and the tripod span property.
+A built space enumerates each of its generators once (the k-subspaces,
+and the (k-1)- and (k+1)-subspaces with their meets with W) and keeps one
+index per object: lines by pencil base and by pencil span, lines through
+each closure point, and each k-subspace's id by its packed basis.  Planes,
+line pencils and semibundles are materialised on demand and cached.  The
+module also runs the two foundational structure checks used by the
+verification suite: the star/top intersection dichotomy and the tripod
+span property.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .gf import (
     enumerate_subspaces,
     full_subspace,
     intersect,
-    rref,
     standard_tail_subspace,
     subspace_key,
     subspace_sum,
@@ -141,7 +145,6 @@ class SpineLine:
     b: Subspace
     kind: str
     closure_gids: tuple[int, ...]  # the q+1 pencil members, proper or not
-    proper_gids: tuple[int, ...]
     proper_pids: tuple[int, ...]
     improper_gid: int | None  # set exactly for affine lines
 
@@ -195,20 +198,26 @@ class SpineSpace:
         self.meet_w_dim = meet_w_dim
 
         self.grass: list[Subspace] = enumerate_subspaces(space, k)
-        self.gid_of = {u.rows: i for i, u in enumerate(self.grass)}
-        self._gid_of_key = {subspace_key(u): i for i, u in enumerate(self.grass)}
+        # packed canonical basis -> Grassmann id, for every k-subspace
+        self.gid_of = {subspace_key(u): i for i, u in enumerate(self.grass)}
         self.proper_gids: list[int] = [
             g for g, u in enumerate(self.grass) if meet_w_dim(u) == m
         ]
         self.pid_of_gid = {g: i for i, g in enumerate(self.proper_gids)}
         self.points: list[Subspace] = [self.grass[g] for g in self.proper_gids]
 
+        # the generators of lines and strong subspaces, each with its meet
+        # with W: the (k-1)-subspaces (pencil bases, star generators) and the
+        # (k+1)-subspaces (top generators)
+        lows = [(h, meet_w_dim(h)) for h in enumerate_subspaces(space, k - 1)]
+        highs = [(b, meet_w_dim(b)) for b in enumerate_subspaces(space, k + 1)]
+
         self.lines: list[SpineLine] = []
         self.line_id_by_hb: dict[tuple, int] = {}
-        lines_by_h: dict[tuple, list[int]] = {}
-        lines_by_b: dict[tuple, list[int]] = {}
-        for h in enumerate_subspaces(space, k - 1):
-            dh = meet_w_dim(h)
+        # line ids by pencil base H and by pencil span B, keyed by their rows
+        self.lines_by_h: dict[tuple, list[int]] = {}
+        self.lines_by_b: dict[tuple, list[int]] = {}
+        for h, dh in lows:
             if dh not in (m - 1, m):
                 continue
             candidates = Interval(h, full, k + 1)
@@ -222,7 +231,7 @@ class SpineSpace:
                 assert meet_w_dim(b) == db
                 kind = classify_line(dh, db, m)
                 closure = self._gids_between(h, b, k)
-                proper = tuple(g for g in closure if g in self.pid_of_gid)
+                proper = tuple(self.pid_of_gid[g] for g in closure if g in self.pid_of_gid)
                 improper = tuple(g for g in closure if g not in self.pid_of_gid)
                 if kind == LINE_AFFINE:
                     assert len(improper) == 1
@@ -234,95 +243,78 @@ class SpineSpace:
                     improper_gid = None
                 assert len(proper) >= 2
                 lid = len(self.lines)
-                self.lines.append(
-                    SpineLine(
-                        lid, h, b, kind, closure,
-                        proper, tuple(self.pid_of_gid[g] for g in proper),
-                        improper_gid,
-                    )
-                )
+                self.lines.append(SpineLine(lid, h, b, kind, closure, proper, improper_gid))
                 self.line_id_by_hb[(h.rows, b.rows)] = lid
-                lines_by_h.setdefault(h.rows, []).append(lid)
-                lines_by_b.setdefault(b.rows, []).append(lid)
+                self.lines_by_h.setdefault(h.rows, []).append(lid)
+                self.lines_by_b.setdefault(b.rows, []).append(lid)
 
         self.degenerate = not self.points or not self.lines
 
-        self.lines_through: dict[int, tuple[int, ...]] = {}
-        acc: dict[int, list[int]] = {}
-        for ln in self.lines:
-            for g in ln.closure_gids:
-                acc.setdefault(g, []).append(ln.id)
-        self.lines_through = {g: tuple(v) for g, v in acc.items()}
+        self.lines_through: dict[int, tuple[int, ...]] = {
+            g: tuple(lids) for g, lids in self._by_closure_point(range(len(self.lines))).items()
+        }
 
         self.strongs: list[StrongSubspace] = []
         self.void_classes: dict[str, str] = {}
         self.star_id_by_h: dict[tuple, int] = {}
         self.top_id_by_b: dict[tuple, int] = {}
-        self._build_strong(lines_by_h, lines_by_b)
+        self._build_strong(lows, highs)
 
         self.star_of_line = [self.star_id_by_h.get(ln.h.rows) for ln in self.lines]
         self.top_of_line = [self.top_id_by_b.get(ln.b.rows) for ln in self.lines]
 
         self._planes: list[PlaneInfo] | None = None
         self._pencils: list[GeoPencil] | None = None
+        self._semibundles: dict[tuple[int, int], frozenset[int]] | None = None
+        self._semibundle_at: dict[frozenset[int], tuple[int, int]] | None = None
+
+    def _by_closure_point(self, line_ids) -> dict[int, list[int]]:
+        """The given lines grouped by the closure points they pass through,
+        points in order of first sight and lines in the given order."""
+        out: dict[int, list[int]] = {}
+        for lid in line_ids:
+            for g in self.lines[lid].closure_gids:
+                out.setdefault(g, []).append(lid)
+        return out
 
     # -- strong subspaces --------------------------------------------------
 
-    def _build_strong(self, lines_by_h, lines_by_b):
+    def _build_strong(self, lows, highs):
         params = self.params
         space, k, m, w = params.space, params.k, params.m, params.w
         n, wd = space.n, w.dim
-        full = full_subspace(space)
+        full, zero = full_subspace(space), zero_subspace(space)
+        # one row per class, in id order: kind, point dimension, removed
+        # dimension, generators with their meets, required meet, the closure's
+        # bounds from a generator, and the lines by generator
         specs = [
-            (STAR_OMEGA, wd - m, -1),
-            (STAR_ALPHA, n - k, wd - m - 1),
-            (TOP_ALPHA, k - m, -1),
-            (TOP_OMEGA, k, k - m - 1),
+            (STAR_OMEGA, wd - m, -1, lows, m - 1,
+             lambda h: (h, subspace_sum(h, w)), self.lines_by_h),
+            (STAR_ALPHA, n - k, wd - m - 1, lows, m, lambda h: (h, full), self.lines_by_h),
+            (TOP_ALPHA, k - m, -1, highs, m, lambda b: (intersect(b, w), b), self.lines_by_b),
+            (TOP_OMEGA, k, k - m - 1, highs, m + 1, lambda b: (zero, b), self.lines_by_b),
         ]
-        for kind, p_dim, d_dim in specs:
+        for kind, p_dim, d_dim, generators, meet, bounds, lines_by in specs:
             if p_dim < 2:
                 self.void_classes[kind] = f"dimension {p_dim} < 2, not a maximal strong subspace"
                 continue
+            if meet < 0:  # only the omega stars ask for m-1
+                self.void_classes[kind] = "no (k-1)-subspace meets W in dimension m-1 = -1"
+                continue
             found = 0
-            if kind == STAR_OMEGA:
-                if m == 0:
-                    self.void_classes[kind] = "no (k-1)-subspace meets W in dimension m-1 = -1"
-                    continue
-                for h in enumerate_subspaces(space, k - 1):
-                    if self.meet_w_dim(h) != m - 1:
-                        continue
-                    closure = self._gids_between(h, subspace_sum(h, w), k)
-                    found += self._add_strong(kind, h, closure, p_dim, d_dim,
-                                              lines_by_h.get(h.rows, ()))
-            elif kind == STAR_ALPHA:
-                for h in enumerate_subspaces(space, k - 1):
-                    if self.meet_w_dim(h) != m:
-                        continue
-                    closure = self._gids_between(h, full, k)
-                    found += self._add_strong(kind, h, closure, p_dim, d_dim,
-                                              lines_by_h.get(h.rows, ()))
-            elif kind == TOP_ALPHA:
-                for b in enumerate_subspaces(space, k + 1):
-                    if self.meet_w_dim(b) != m:
-                        continue
-                    closure = self._gids_between(intersect(b, w), b, k)
-                    found += self._add_strong(kind, b, closure, p_dim, d_dim,
-                                              lines_by_b.get(b.rows, ()))
-            else:  # TOP_OMEGA
-                for b in enumerate_subspaces(space, k + 1):
-                    if self.meet_w_dim(b) != m + 1:
-                        continue
-                    closure = self._gids_between(zero_subspace(space), b, k)
-                    found += self._add_strong(kind, b, closure, p_dim, d_dim,
-                                              lines_by_b.get(b.rows, ()))
+            for gen, meet_dim in generators:
+                if meet_dim == meet:
+                    closure = self._gids_between(*bounds(gen), k)
+                    found += self._add_strong(kind, gen, closure, p_dim, d_dim,
+                                              lines_by.get(gen.rows, ()))
             if not found:
-                self.void_classes.setdefault(kind, "no generator subspace exists for these parameters")
+                self.void_classes[kind] = "no generator subspace exists for these parameters"
 
     def _gids_between(self, low: Subspace, high: Subspace, k: int) -> tuple[int, ...]:
         """Grassmann ids of the k-subspaces between low and high, in the order
         of `enumerate_between`."""
         interval = Interval(low, high, k)
-        return tuple(self._gid_of_key[interval.key(lift)] for lift in interval.lifts())
+        return tuple(self.gid_of[interval.key(lift)] for lift in interval.lifts())
 
     def _add_strong(self, kind, generator, closure, p_dim, d_dim, line_ids) -> int:
         closure_gids = frozenset(closure)
@@ -342,7 +334,7 @@ class SpineSpace:
             self.top_id_by_b[generator.rows] = sid
         return 1
 
-    # -- planes and pencils (built on demand, cached) ----------------------
+    # -- planes, pencils and semibundles (built on demand, cached) ---------
 
     def planes(self) -> list[PlaneInfo]:
         if self._planes is None:
@@ -420,14 +412,12 @@ class SpineSpace:
         if self._pencils is None:
             out = []
             for plane in self.planes():
-                line_closures = [
-                    (lid, set(self.lines[lid].closure_gids)) for lid in plane.line_ids
-                ]
+                through = self._by_closure_point(plane.line_ids)
                 for g in plane.closure_gids:
-                    members = frozenset(lid for lid, cl in line_closures if g in cl)
+                    members = through.get(g, ())
                     if len(members) >= 2:
                         out.append(
-                            GeoPencil(plane.id, g, g in self.pid_of_gid, members)
+                            GeoPencil(plane.id, g, g in self.pid_of_gid, frozenset(members))
                         )
             self._pencils = out
         return self._pencils
@@ -436,19 +426,32 @@ class SpineSpace:
         return {p.line_ids for p in self.pencils() if p.proper}
 
     def semibundles(self, min_p_dim: int = 3) -> dict[tuple[int, int], frozenset[int]]:
-        """Line sets L_U(X) keyed by (strong id, vertex gid), X at least min_p_dim."""
-        out = {}
-        for st in self.strongs:
-            if st.p_dim < min_p_dim:
-                continue
-            bucket: dict[int, list[int]] = {}
-            for lid in st.line_ids:
-                for g in self.lines[lid].closure_gids:
-                    bucket.setdefault(g, []).append(lid)
-            for g, lids in bucket.items():
-                if len(lids) >= 2:
-                    out[(st.id, g)] = frozenset(lids)
-        return out
+        """Line sets L_U(X) keyed by (strong id, vertex gid), X at least min_p_dim.
+
+        The sets of every X of dimension at least 2 are built once, with the
+        `semibundle_at` lookup, and filtered per call.
+        """
+        if self._semibundles is None:
+            table = {}
+            for st in self.strongs:
+                if st.p_dim < 2:
+                    continue
+                for g, lids in self._by_closure_point(st.line_ids).items():
+                    if len(lids) >= 2:
+                        table[(st.id, g)] = frozenset(lids)
+            self._semibundles = table
+            self._semibundle_at = {lines: key for key, lines in table.items()}
+            # two lines fix their strong subspace and their common point
+            assert len(self._semibundle_at) == len(table)
+        return {key: lines for key, lines in self._semibundles.items()
+                if self.strongs[key[0]].p_dim >= min_p_dim}
+
+    def semibundle_at(self, lines: frozenset[int]) -> tuple[int, int] | None:
+        """The (strong id, vertex gid) of the L_U(X) equal to `lines`, X at
+        least 2-dimensional, or None."""
+        if self._semibundle_at is None:
+            self.semibundles(min_p_dim=2)
+        return self._semibundle_at.get(lines)
 
     # -- foundational checks ------------------------------------------------
 

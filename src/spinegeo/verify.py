@@ -335,11 +335,10 @@ def check_upsilon_structure(ws: Workspace, kind: str) -> dict:
     if not fam:
         return {"applicable": False, "ok": True, "note": "empty semibundle family"}
     space = ws.space()
-    semibundle_at = {lines: key for key, lines in space.semibundles(min_p_dim=2).items()}
     kinds = []
     unmatched = 0
     for mask in fam:
-        key = semibundle_at.get(sr.original(mask))
+        key = space.semibundle_at(sr.original(mask))
         if key is None:
             unmatched += 1
             kinds.append(None)

@@ -53,6 +53,7 @@ def test_bundle_of_is_the_class_union(cfg1_B, cfg1_pi):
     for i in range(0, len(cfg1_B), 31):
         direct = bundle_of(cfg1_B[i], cfg1_B, cfg1_pi)
         assert direct in recon.points
+        assert recon.points[recon.point_of_class[recon.class_of[i]]] == direct
 
 
 def _all_pairs_adjacency(family, graph):

@@ -15,7 +15,6 @@ from spinegeo.cliques import (
     delta_n,
     family_K,
     family_from_masks,
-    geometric_families,
     podmianka,
     span_clique,
 )

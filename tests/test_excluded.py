@@ -14,6 +14,7 @@ from spinegeo.excluded import (
     classify_case,
     verify_counterexample,
 )
+from spinegeo.gf import subspace_key
 from spinegeo.spine import STAR_ALPHA
 
 
@@ -36,7 +37,7 @@ def test_neighbourhood_intersection_shape(cex_space):
     # two stars (or two tops) are disjoint; a star and a top share a line
     # whose closure passes through W
     space = cex_space
-    w_gid = space.gid_of[space.params.w.rows]
+    w_gid = space.gid_of[subspace_key(space.params.w)]
     stars = [s for s in space.strongs if s.kind.endswith("star")]
     tops = [s for s in space.strongs if s.kind.endswith("top")]
     for a, b in itertools.combinations(stars, 2):
@@ -65,7 +66,7 @@ def test_homology_map_fixes_lines_through_w(cex_space):
     space = cex_space
     star = next(s for s in space.strongs if s.kind == STAR_ALPHA)
     lmap = build_homology_map(space, star, scale=2)
-    w_gid = space.gid_of[space.params.w.rows]
+    w_gid = space.gid_of[subspace_key(space.params.w)]
     star_lines = set(star.line_ids)
     for ln in space.lines:
         if lmap.perm[ln.id] != ln.id:

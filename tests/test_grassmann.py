@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from spinegeo import build_spine, standard_params
-from spinegeo.gf import FieldSpec, contains, enumerate_subspaces, full_subspace
+from spinegeo.gf import FieldSpec, contains, enumerate_subspaces
 from spinegeo.grassmann import build_grassmann, pencil_through, star_of, top_of
 
 

@@ -1,6 +1,5 @@
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -10,7 +9,6 @@ from spinegeo.excluded import CASE_NONE, classify_case
 from spinegeo.pencils import family_P
 from spinegeo.spine import LINE_AFFINE
 from spinegeo.harness import (
-    CHECK_FAILED,
     CONFIG_ERROR,
     OK,
     RunConfig,

@@ -15,7 +15,7 @@ from spinegeo.pencils import (
     pencil_coplanar,
     verify_pencils,
 )
-from spinegeo.relations import LineRelationGraph, bits_of, compute_pi, compute_rho, strip
+from spinegeo.relations import LineRelationGraph, bits_of, compute_pi, strip
 from spinegeo.spine import PLANE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED
 
 

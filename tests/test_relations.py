@@ -5,8 +5,6 @@ import pytest
 from spinegeo.cliques import family_K
 from spinegeo.relations import (
     bits_of,
-    compute_pi,
-    compute_rho,
     _row_to_rle,
     graph_from_json,
     graph_to_json,

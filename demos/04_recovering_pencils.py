@@ -26,10 +26,10 @@ stripped = strip(pi, seed=11)
 print("\nrunning the abstract pipeline on the stripped coplanarity graph ...")
 geometry = derive_line_geometry(stripped.graph)
 
-masks = geometry.pencils.masks
-recovered = {stripped.original(m) for m in masks}
-surviving = {stripped.original(masks[i]) for i in geometry.proper_pencils}
-removed = {stripped.original(masks[i]) for i in geometry.parallel_pencils}
+members, inv = geometry.pencils.members, stripped.inverse
+recovered = {frozenset(inv[l] for l in mem) for mem in members}
+surviving = {frozenset(inv[l] for l in members[i]) for i in geometry.proper_pencils}
+removed = {frozenset(inv[l] for l in members[i]) for i in geometry.parallel_pencils}
 print(f"recovered {len(recovered)} pencils; flagged {len(removed)} as parallel")
 print("surviving family == geometric proper pencils:", surviving == geo_proper)
 print("flagged family   == geometric parallel pencils (3+ lines):",

@@ -38,12 +38,13 @@ KIND_UNCLASSIFIED = "unclassified"
 
 
 def _mask_is_clique(mask: int, rows: list[int]) -> bool:
+    # top bit down, testing containment by equality: no full-width negation
     m = mask
     while m:
-        low = m & -m
-        v = low.bit_length() - 1
+        v = m.bit_length() - 1
+        low = 1 << v
         m ^= low
-        if mask & ~(rows[v] | low):
+        if (mask & rows[v]) | low != mask:
             return False
     return True
 
@@ -84,39 +85,41 @@ def span_clique(l1: int, l2: int, l3: int, graph: LineRelationGraph) -> frozense
 class LineSetFamily:
     """Line sets (cliques or pencils) of one relation graph, sorted by ids.
 
-    `masks[i]` is the bitmask of set i and `members[i]` its sorted line ids;
-    `by_line[l]` lists the indexes of the sets containing line l, ascending
-    (readers intersect it through a temporary set: a stored set per line
-    takes about four times the memory of the list).  A clique family also
-    has `certificates[i]`, one triple whose span is exactly clique i (None
-    for a maximal clique that no triple spans), and, on a proper-pencil
-    graph, `exchange[i]`, the `podmianka` flag of clique i.
+    `members[i]` holds the sorted line ids of set i; `by_line[l]` lists the
+    indexes of the sets containing line l, ascending (readers intersect it
+    through a temporary set: a stored set per line takes about four times
+    the memory of the list).  A clique family also has `masks[i]`, the
+    bitmask of clique i over the whole line universe; `certificates[i]`,
+    one triple whose span is exactly clique i (None for a maximal clique
+    that no triple spans); and, on a proper-pencil graph, `exchange[i]`, the
+    `podmianka` flag of clique i.  A pencil family carries no masks
+    (`masks` is None): a pencil has q + 1 lines, and a mask as wide as the
+    universe would cost hundreds of bytes for each.
     """
 
-    masks: list[int]
+    masks: list[int] | None
     members: list[tuple[int, ...]]
     by_line: list[list[int]]
     certificates: list[tuple[int, int, int] | None] | None = None
     exchange: list[bool] | None = None
 
 
-def line_set_family(masks, count: int) -> LineSetFamily:
-    """Distinct masks over `count` lines, sorted by member ids and indexed by line."""
-    members, ordered = [], []
-    for mem, m in by_members(masks):
-        members.append(mem)
-        ordered.append(m)
+def line_set_family(members, count: int, masks=None) -> LineSetFamily:
+    """The line sets `members` (sorted tuples, in sorted order) over `count`
+    lines, indexed by line; `masks`, for a clique family, in the same order."""
     by_line: list[list[int]] = [[] for _ in range(count)]
     for idx, mem in enumerate(members):
         for l in mem:
             by_line[l].append(idx)
-    return LineSetFamily(ordered, members, by_line)
+    return LineSetFamily(masks, members, by_line)
 
 
 def _clique_family(graph: LineRelationGraph, masks, certify) -> LineSetFamily:
-    """The family of `masks`, certified by `certify(members, mask)`, with the
-    exchange flags when the graph is a proper-pencil relation."""
-    family = line_set_family(masks, graph.count)
+    """The family of distinct `masks`, certified by `certify(members, mask)`,
+    with the exchange flags when the graph is a proper-pencil relation."""
+    pairs = by_members(masks)
+    family = line_set_family([mem for mem, _ in pairs], graph.count,
+                             [m for _, m in pairs])
     family.certificates = [certify(mem, m) for mem, m in zip(family.members, family.masks)]
     if graph.delta_kind == RHO:
         family.exchange = [podmianka(m, graph) for m in family.masks]
@@ -151,7 +154,8 @@ def family_K(graph: LineRelationGraph) -> LineSetFamily:
                 if m >> j & 1:
                     covered |= m
             common_ij = ri & rows[j]
-            for k in bits_of(common_ij >> (j + 1) << (j + 1) & ~covered):
+            above_j = common_ij >> (j + 1) << (j + 1)
+            for k in bits_of(above_j ^ (above_j & covered)):
                 if covered >> k & 1:
                     continue
                 common = common_ij & rows[k]
@@ -213,21 +217,14 @@ def bron_kerbosch(graph: LineRelationGraph) -> list[int]:
             return
         pux = p_mask | x_mask
         best_u, best_count = -1, -1
-        m = pux
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
+        for u in bits_of(pux):
             c = (p_mask & rows[u]).bit_count()
             if c > best_count:
                 best_count, best_u = c, u
-        m = p_mask & ~rows[best_u]
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
+        for v in bits_of(p_mask ^ (p_mask & rows[best_u])):
+            low = 1 << v
             expand(r_mask | low, p_mask & rows[v], x_mask & rows[v])
-            p_mask &= ~low
+            p_mask ^= low
             x_mask |= low
 
     # degeneracy ordering: repeatedly remove a minimum-degree vertex
@@ -272,18 +269,21 @@ def podmianka(clique_mask: int, graph: LineRelationGraph) -> bool:
     if not _mask_is_clique(clique_mask, rows):
         raise ValueError("input is not a clique")
     k = len(members)
-    prefix = [~0] * (k + 1)
-    suffix = [~0] * (k + 1)
+    # prefix[i] / suffix[i]: lines related to every member before / from i
+    everything = (1 << graph.count) - 1
+    prefix = [everything] * (k + 1)
+    suffix = [everything] * (k + 1)
     for i, v in enumerate(members):
         prefix[i + 1] = prefix[i] & rows[v]
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] & rows[members[i]]
-    if prefix[k] & ~clique_mask:
+    if prefix[k]:  # a common neighbour of a clique is outside it
         raise ValueError("input clique is not maximal")
     for i, l1 in enumerate(members):
         inter_base = prefix[i] & suffix[i + 1]
-        for l2 in bits_of(inter_base & ~clique_mask):
-            if not (inter_base & rows[l2] & ~(clique_mask & ~(1 << l1) | (1 << l2))):
+        for l2 in bits_of(inter_base ^ (inter_base & clique_mask)):
+            # the swap is a maximal clique iff no line relates to all of it
+            if not inter_base & rows[l2]:
                 return True
     return False
 

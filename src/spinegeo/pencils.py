@@ -71,7 +71,8 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
         if len(hits) > 1:  # a spanning triple lies in one maximal clique only
             return True
         (c,) = hits
-        return bool(rows[l1] & rows[l2] & rows[l3] & ~family.masks[c])
+        common = rows[l1] & rows[l2] & rows[l3]
+        return common & family.masks[c] != common
     common = rows[l1] & rows[l2] & rows[l3]
     if _mask_is_clique(common, rows):  # the triple itself spans
         return False
@@ -111,7 +112,8 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
     under "third lines concurrent with both" either has fewer than three
     members (no recoverable pencil through the pair) or is the full pencil.
     Each related pair that no found pencil covers is closed once; coverage
-    is one bitmask per line.  Maximality and consistency of every inner
+    is one bitmask per line, dropped on return, and the family keeps only
+    each pencil's line ids.  Maximality and consistency of every inner
     triple are checked by `verify_pencils` (exercised in the test suite).
 
     `family` is the graph's clique family (`family_K`), with its exchange
@@ -125,7 +127,7 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
       through the pair, or in two of them, does not span with it.  A k in
       exactly one, C, spans iff its common neighbourhood lies in C (C is a
       clique through the triple, so the rest of C is common to all three),
-      so k is kept iff ``rows[k] & cij & ~C`` is non-zero.  For coplanarity
+      so k is kept iff ``rows[k]`` meets ``cij`` outside C.  For coplanarity
       that is the whole test of `p_pi`.
     - For the proper-pencil relation `p_rho` also asks for a certified,
       exchange-free clique holding the triple, so only the k inside such a
@@ -139,10 +141,11 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
                    for cert, ex in zip(family.certificates, family.exchange)]
     n = graph.count
     covered = [0] * n  # bit j of covered[i]: a found pencil holds i and j
-    found: set[int] = set()
+    found: set[tuple[int, ...]] = set()
     for i in range(n):
         at_i = set(at_line[i])
-        for j in bits_of(rows[i] >> (i + 1) << (i + 1) & ~covered[i]):
+        above_i = rows[i] >> (i + 1) << (i + 1)
+        for j in bits_of(above_i ^ (above_i & covered[i])):
             if covered[i] >> j & 1:  # found after the loop's mask was taken
                 continue
             through = at_i.intersection(at_line[j])
@@ -160,23 +163,24 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
             for c in through:
                 twice |= once & clique_masks[c]
                 once |= clique_masks[c]
-            keep = cand & (twice | ~once)
-            single = cand & once & ~twice
+            single = (cand & once) ^ (cand & twice)  # twice lies inside once
+            keep = cand ^ single
             for c in through:
                 inside = single & clique_masks[c]
                 if not inside:
                     continue
-                outside = cij & ~clique_masks[c]
+                outside = cij ^ (cij & clique_masks[c])
                 for k in bits_of(inside):
                     if rows[k] & outside:
                         keep |= 1 << k
             if not keep:
                 continue
             mask = keep | 1 << i | 1 << j
-            found.add(mask)
-            for l in bits_of(mask):
+            members = bits_of(mask)
+            found.add(tuple(members))
+            for l in members:
                 covered[l] |= mask
-    return line_set_family(found, n)
+    return line_set_family(sorted(found), n)
 
 
 def verify_pencils(pencils: LineSetFamily, graph: LineRelationGraph,
@@ -190,7 +194,8 @@ def verify_pencils(pencils: LineSetFamily, graph: LineRelationGraph,
     else:
         test = lambda k, i, j: p_rho(k, i, j, graph, family)
     problems = []
-    for mask, mem in zip(pencils.masks, pencils.members):
+    for mem in pencils.members:
+        mask = graph.mask_of(mem)
         for i, j in itertools.combinations(mem, 2):
             if _pencil_closure(i, j, graph, test) != mask:
                 problems.append(f"pair ({i},{j}) closes to a different set than {mem}")
@@ -198,43 +203,53 @@ def verify_pencils(pencils: LineSetFamily, graph: LineRelationGraph,
     return problems
 
 
-def pencil_coplanar(p1_mask: int, p2_mask: int, graph: LineRelationGraph) -> bool:
-    """All-pairs relatedness across two pencils (vacuously including shared lines)."""
-    for l in bits_of(p1_mask):
-        if p2_mask & ~(graph.rows[l] | (1 << l)):
-            return False
-    return True
+def pencil_coplanar(p1, p2, graph: LineRelationGraph) -> bool:
+    """All-pairs relatedness across two pencils given by their line ids
+    (vacuously including shared lines)."""
+    rows = graph.rows
+    return all(a == b or rows[a] >> b & 1 for a in p1 for b in p2)
 
 
-def clique_dimension(members, pencil_masks_inside) -> int:
+def _local_masks(members, line_sets) -> list[int]:
+    """Each of `line_sets` (ids among `members`) as a mask local to
+    `members`: bit i stands for the i-th smallest member."""
+    position = {l: i for i, l in enumerate(sorted(members))}
+    out = []
+    for lines in line_sets:
+        m = 0
+        for l in lines:
+            m |= 1 << position[l]
+        out.append(m)
+    return out
+
+
+def clique_dimension(members, pencils_inside) -> int:
     """Projective dimension of the point-line structure a clique carries.
 
-    Points are the clique's lines, lines are the recovered pencils inside
-    it.  The dimension is the length of a greedy spanning chain: starting
-    from one point, repeatedly adjoin the smallest point outside the span
-    and close under pencils with two members already in the span.  Planes
-    come out as 2, a semibundle as one less than its host's dimension.
+    Points are the clique's lines `members`, lines are the recovered
+    pencils inside it, given by their line ids.  The dimension is the length
+    of a greedy spanning chain: starting from one point, repeatedly adjoin
+    the smallest point outside the span and close under pencils with two
+    members already in the span.  Planes come out as 2, a semibundle as one
+    less than its host's dimension.  The chain runs on masks local to the
+    clique, whose bit order is the order of the line ids.
     """
-    pts = sorted(members)
-    if not pencil_masks_inside:
+    if not pencils_inside:
         raise ValueError("clique carries no recovered pencil")
-    pencil_list = sorted(pencil_masks_inside)
-    span = 1 << pts[0]
+    pencil_list = _local_masks(members, pencils_inside)
+    full = (1 << len(members)) - 1
+    span = 1
     dim = 0
-    all_mask = 0
-    for p in pts:
-        all_mask |= 1 << p
-    while span != all_mask:
-        nxt = (all_mask & ~span)
-        low = nxt & -nxt
-        span |= low
+    while span != full:
+        rest = full ^ span
+        span |= rest ^ (rest & (rest - 1))  # the smallest point outside the span
         dim += 1
         changed = True
         while changed:
             changed = False
             for pm in pencil_list:
                 inter = pm & span
-                if inter and inter != pm and inter.bit_count() >= 2:
+                if inter != pm and inter.bit_count() >= 2:
                     span |= pm
                     changed = True
     return dim
@@ -264,29 +279,32 @@ def detect_parallel(pencils: LineSetFamily, graph: LineRelationGraph,
     tell them apart; on such configurations some improper-vertex pencils
     survive.  The recovery checks report this instead of asserting.
     """
-    n_pencils = len(pencils.masks)
+    n_pencils = len(pencils.members)
     plane_cliques = [i for i, d in enumerate(clique_dims) if d == 2]
 
-    # two disjoint pencils of a plane are both parallel and make it affine
+    # two disjoint pencils of a plane are both parallel and make it affine;
+    # the plane's pencils are masks local to it
     affine_plane: dict[int, bool] = {}
     parallel: set[int] = set()
     for ci in plane_cliques:
+        inside = pencils_in_clique[ci]
+        plane = cliques.members[ci]
+        local = _local_masks(plane, [pencils.members[p] for p in inside])
         flag = False
-        for a, b in itertools.combinations(pencils_in_clique[ci], 2):
-            if not pencils.masks[a] & pencils.masks[b]:
+        for (a, ma), (b, mb) in itertools.combinations(zip(inside, local), 2):
+            if not ma & mb:
                 parallel.update((a, b))
                 flag = True
         if not flag:
             # a related pair of the plane missed by every pencil of the plane
             # signals parallel lines whose pencil is too small to recover;
-            # covered[x] is the union of the plane's pencils through x
-            covered = dict.fromkeys(cliques.members[ci], 0)
-            for pi_idx in pencils_in_clique[ci]:
-                pmask = pencils.masks[pi_idx]
-                for x in bits_of(pmask):
-                    covered[x] |= pmask
-            mask = cliques.masks[ci]
-            flag = any(mask & ~cov for cov in covered.values())
+            # covered[x] is the union of the plane's pencils through line x
+            covered = [0] * len(plane)
+            for pm in local:
+                for x in bits_of(pm):
+                    covered[x] |= pm
+            full = (1 << len(plane)) - 1
+            flag = any(cov != full for cov in covered)
         affine_plane[ci] = flag
 
     pencil_on_plane = [False] * n_pencils
@@ -300,14 +318,14 @@ def detect_parallel(pencils: LineSetFamily, graph: LineRelationGraph,
     line_on_affine = [False] * graph.count
     for pi_idx in range(n_pencils):
         if pencil_on_affine[pi_idx]:
-            for l in bits_of(pencils.masks[pi_idx]):
+            for l in pencils.members[pi_idx]:
                 line_on_affine[l] = True
 
     for pi_idx in range(n_pencils):
         if pi_idx in parallel:
             continue
         if pencil_on_plane[pi_idx] and not pencil_on_affine[pi_idx]:
-            if all(line_on_affine[l] for l in bits_of(pencils.masks[pi_idx])):
+            if all(line_on_affine[l] for l in pencils.members[pi_idx]):
                 parallel.add(pi_idx)
     return parallel
 
@@ -324,26 +342,23 @@ def derive_line_geometry(graph: LineRelationGraph) -> LineGeometry:
     cliques = family_K(graph)
     pencils = family_P(graph, cliques)
 
-    # a clique holding a pencil is among the cliques through its first two lines
-    pencils_in_clique: list[list[int]] = [[] for _ in cliques.masks]
-    for pi_idx, (pmask, mem) in enumerate(zip(pencils.masks, pencils.members)):
-        for ci in set(cliques.by_line[mem[0]]).intersection(cliques.by_line[mem[1]]):
-            if not pmask & ~cliques.masks[ci]:
-                pencils_in_clique[ci].append(pi_idx)
+    # the cliques holding a pencil are those through each of its lines
+    at_line = cliques.by_line
+    pencils_in_clique: list[list[int]] = [[] for _ in cliques.members]
+    for pi_idx, mem in enumerate(pencils.members):
+        for ci in set(at_line[mem[0]]).intersection(*(at_line[l] for l in mem[1:])):
+            pencils_in_clique[ci].append(pi_idx)
 
     clique_dims: list[int | None] = []
-    for ci, mask in enumerate(cliques.masks):
-        inside = [pencils.masks[p] for p in pencils_in_clique[ci]]
-        if inside:
-            clique_dims.append(clique_dimension(bits_of(mask), inside))
-        else:
-            clique_dims.append(None)
+    for ci, mem in enumerate(cliques.members):
+        inside = [pencils.members[p] for p in pencils_in_clique[ci]]
+        clique_dims.append(clique_dimension(mem, inside) if inside else None)
 
     if graph.delta_kind == PI:
         parallel = detect_parallel(pencils, graph, cliques, pencils_in_clique, clique_dims)
     else:
         parallel = set()
-    proper = [i for i in range(len(pencils.masks)) if i not in parallel]
+    proper = [i for i in range(len(pencils.members)) if i not in parallel]
     bundle_cliques = [
         ci for ci, d in enumerate(clique_dims)
         if d is not None and d >= 3 and any(p not in parallel for p in pencils_in_clique[ci])

@@ -70,12 +70,20 @@ class LineRelationGraph:
                     raise AssertionError(f"relation not symmetric at ({i}, {j})")
 
 
-def bits_of(mask: int):
-    """Indices of the set bits of a mask, ascending."""
+def bits_of(mask: int) -> list[int]:
+    """Indices of the set bits of a non-negative mask, ascending.
+
+    Walks down from the top bit, so each step shortens the int; taking the
+    low bit as ``mask & -mask`` would make CPython convert the negative
+    operand to two's complement over the mask's full width on every bit.
+    """
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        v = mask.bit_length() - 1
+        out.append(v)
+        mask ^= 1 << v
+    out.reverse()
+    return out
 
 
 def by_members(masks) -> list[tuple[tuple[int, ...], int]]:

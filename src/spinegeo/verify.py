@@ -305,7 +305,8 @@ def check_pencil_recovery(ws: Workspace) -> dict:
         target = geo_proper - outside if name == RHO else geo_proper
         # the recovered sets live only in the call, so one relation's are
         # freed before the next relation's are built
-        entry = _pencil_comparison({sr.original(geometry.pencils.masks[idx])
+        inv, members = sr.inverse, geometry.pencils.members
+        entry = _pencil_comparison({frozenset(inv[l] for l in members[idx])
                                     for idx in geometry.proper_pencils}, target)
         cause_holds = True
         if name == RHO and outside:

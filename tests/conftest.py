@@ -34,13 +34,6 @@ def workspace(params, out_dir) -> Workspace:
     return Workspace(RunConfig(*params, seed=SEED, out_dir=out_dir))
 
 
-def release(ws: Workspace, *stages: str) -> None:
-    """Drop what a workspace computed for the named stages, for any argument,
-    so the memory serves the tests that follow; a later reader recomputes it."""
-    for key in [key for key in ws._stages if key[0] in stages]:
-        del ws._stages[key]
-
-
 def count_calls(monkeypatch, names):
     """Count calls of the named spinegeo functions, through every module that imports them."""
     counts = dict.fromkeys(names, 0)

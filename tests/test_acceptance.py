@@ -36,7 +36,7 @@ from spinegeo.cliques import KIND_AFFINE_SEMIFLAT, delta_n
 from spinegeo.harness import RunConfig, cmd_verify_all
 from spinegeo.spine import LINE_OMEGA, PLANE_AFFINE, validate_params
 
-from conftest import CFG1, count_calls, release, workspace
+from conftest import CFG1, count_calls, workspace
 
 SEED = 11
 EXCHANGE_TWIN = (3, 5, 2, 1, 3)  # cfg1's shape over GF(3)
@@ -115,22 +115,14 @@ def test_criteria_1_and_2_in_constructive_mode(cfg1_ws, tmp_path, monkeypatch):
     assert verify.check_exchange_criterion(ws) == oracle_exchange
 
 
-# Criterion 3 computes cfg3's stripped and geometry stages (about 1.1 GB),
-# and criterion 4 reads them.  Kept, they would stay resident through the
-# roomy reconstruction of criterion 5, so criterion 4's workspace drops them
-# when the test ends.
+# Criterion 3 computes cfg3's stripped and geometry stages, and criterion 4
+# reads them.
 
 @pytest.fixture(scope="module")
 def cfg3_calls():
     """Calls of `family_K` and `strip` from the first cfg3 criterion on."""
     with pytest.MonkeyPatch.context() as mp:
         yield count_calls(mp, ["family_K", "strip"])
-
-
-@pytest.fixture
-def cfg3_recovery_ws(cfg3_ws):
-    yield cfg3_ws
-    release(cfg3_ws, "stripped", "geometry")
 
 
 def test_criterion_3_ternary_pencils(cfg3_ws, cfg3_space, cfg3_rho, cfg3_calls):
@@ -156,9 +148,8 @@ def test_criterion_3_ternary_pencils(cfg3_ws, cfg3_space, cfg3_rho, cfg3_calls):
     assert ok
 
 
-def test_criterion_4_pencil_space_definability(cfg3_recovery_ws, cfg3_space, cfg3_rho,
-                                               cfg3_calls):
-    report = verify.check_pencil_recovery(cfg3_recovery_ws)
+def test_criterion_4_pencil_space_definability(cfg3_ws, cfg3_space, cfg3_rho, cfg3_calls):
+    report = verify.check_pencil_recovery(cfg3_ws)
     # one spanned family per relation: criterion 3 computed the geometry
     # that criterion 4 reads
     assert cfg3_calls == {"family_K": 2, "strip": 2}

@@ -98,7 +98,7 @@ def test_reconstruct_rho_exits_2_over_gf2_when_every_line_is_affine(tmp_path):
     ws = Workspace(c)
     assert {ln.kind for ln in ws.space().lines} == {LINE_AFFINE}
     rho = ws.graph("rho")
-    assert family_P(rho, family_K(rho)).masks == []
+    assert family_P(rho, family_K(rho)).members == []
 
 
 def test_reconstruction_claim_needs_a_big_host_for_every_line(cfg1_space, roomy_space):

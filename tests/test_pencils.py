@@ -15,7 +15,7 @@ from spinegeo.pencils import (
     pencil_coplanar,
     verify_pencils,
 )
-from spinegeo.relations import LineRelationGraph, bits_of, compute_pi, strip
+from spinegeo.relations import LineRelationGraph, bits_of, compute_pi, compute_rho, strip
 from spinegeo.spine import PLANE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED
 
 
@@ -34,6 +34,14 @@ def hosted_pencils(space, kind=None, proper=True):
             host = space.top_id_by_b.get(plane.high.rows)
         if host is not None and space.strongs[host].p_dim >= 3:
             yield p, plane
+
+
+def mask_of(ids):
+    """The bitmask of a set of line ids."""
+    m = 0
+    for l in ids:
+        m |= 1 << l
+    return m
 
 
 def pencils_of(graph):
@@ -150,7 +158,7 @@ def test_p_rho_index_needs_a_certified_clique():
     for tri in itertools.combinations(range(4), 3):
         assert parent_p_rho(*tri, rho, family) is False
         assert p_rho(*tri, rho, family) is False
-    assert family_P(rho, family).masks == []
+    assert family_P(rho, family).members == []
 
 
 # ---------- the pencil family -------------------------------------------------------
@@ -200,9 +208,9 @@ def test_family_P_clique_lookup_matches_literal_p_pi(cfg1_pi, cex_pi):
                 if mask.bit_count() >= 3:
                     literal.add(mask)
         fast = family_P(pi, family_K(pi))
-        assert set(fast.masks) == literal
-        assert len(fast.masks) == len(literal)
-    assert len(pencils_of(cfg1_pi).masks) == 7448
+        assert set(fast.members) == {tuple(bits_of(m)) for m in literal}
+        assert len(fast.members) == len(literal)
+    assert len(pencils_of(cfg1_pi).members) == 7448
 
 
 def test_family_P_rho_matches_pairwise_p_rho_closure(cfg1_rho, cex_rho):
@@ -211,19 +219,20 @@ def test_family_P_rho_matches_pairwise_p_rho_closure(cfg1_rho, cex_rho):
         reference = pairwise_closure(
             rho, lambda k, i, j: parent_p_rho(k, i, j, rho, fam))
         assert reference
-        assert family_P(rho, fam).masks == reference
+        reference = [tuple(bits_of(m)) for m in reference]
+        assert family_P(rho, fam).members == reference
         # the same pencils from every maximal clique, certified or not
         every = family_from_masks(rho, bron_kerbosch(rho))
-        assert family_P(rho, every).masks == reference
+        assert family_P(rho, every).members == reference
 
 
 def test_family_P_partial_linear(cfg1_pi):
     fp = pencils_of(cfg1_pi)
     by_line = fp.by_line
-    for idx, mask in enumerate(fp.masks):
-        for other in {j for l in bits_of(mask) for j in by_line[l]}:
+    for idx, mem in enumerate(fp.members):
+        for other in {j for l in mem for j in by_line[l]}:
             if other > idx:
-                assert (fp.masks[other] & mask).bit_count() <= 1
+                assert len(set(fp.members[other]) & set(mem)) <= 1
 
 
 def test_rho_pencils_are_pi_pencils(cfg1_pi, cfg1_rho):
@@ -251,9 +260,9 @@ def test_pencil_coplanarity(cfg1_space, cfg1_pi):
     fp = pencils_of(cfg1_pi)
     geo = {p.line_ids: p for p in cfg1_space.pencils()}
     by_plane = {}
-    for mem, mask in zip(fp.members, fp.masks):
+    for mem in fp.members:
         p = geo[frozenset(mem)]
-        by_plane.setdefault(p.plane_id, []).append((mask, p))
+        by_plane.setdefault(p.plane_id, []).append((mem, p))
     plane_id, group = next((k, v) for k, v in by_plane.items() if len(v) >= 2)
     (m1, p1), (m2, p2) = group[:2]
     assert p1.vertex_gid != p2.vertex_gid
@@ -261,12 +270,12 @@ def test_pencil_coplanarity(cfg1_space, cfg1_pi):
     assert pencil_coplanar(m1, m1, cfg1_pi)   # reflexive
     # two pencils on different planes through a common line need not be
     other = None
-    shared = set(bits_of(m1))
-    for mem, mask in zip(fp.members, fp.masks):
+    shared = set(m1)
+    for mem in fp.members:
         p = geo[frozenset(mem)]
         if p.plane_id != plane_id and shared & set(mem) \
-                and not pencil_coplanar(m1, mask, cfg1_pi):
-            other = mask
+                and not pencil_coplanar(m1, mem, cfg1_pi):
+            other = mem
             break
     assert other is not None
 
@@ -293,12 +302,12 @@ def test_clique_dimension_is_permutation_invariant(cfg1_pi):
     geometry = derive_line_geometry(cfg1_pi)
     ci = geometry.bundle_cliques[0]
     members = list(bits_of(geometry.cliques.masks[ci]))
-    inside = [geometry.pencils.masks[p] for p in geometry.pencils_in_clique[ci]]
+    inside = [geometry.pencils.members[p] for p in geometry.pencils_in_clique[ci]]
     base = clique_dimension(members, inside)
     # relabel the lines arbitrarily: shift every id by a constant
     shift = 7
     members2 = [l + shift for l in members]
-    inside2 = [m << shift for m in inside]
+    inside2 = [tuple(l + shift for l in m) for m in inside]
     assert clique_dimension(members2, inside2) == base
 
 
@@ -328,12 +337,13 @@ def test_parallel_detection_removes_improper_vertices_only(cfg1_space, cfg1_pi):
 
 def parent_pencils_in_clique(cliques, pencils):
     """Reference: scan every pencil through every line of every clique."""
+    pencil_masks = [mask_of(mem) for mem in pencils.members]
     out = []
     for mask in cliques.masks:
         seen = set()
         for l in bits_of(mask):
             for pi_idx in pencils.by_line[l]:
-                if not pencils.masks[pi_idx] & ~mask:
+                if not pencil_masks[pi_idx] & ~mask:
                     seen.add(pi_idx)
         out.append(sorted(seen))
     return out
@@ -349,18 +359,19 @@ def test_pencils_in_clique_matches_per_clique_scan(cfg1_pi, cfg1_rho, cex_rho):
 
 def parent_affine_planes(pencils, cliques, pencils_in_clique, clique_dims):
     """Reference: the planes `detect_parallel` calls affine, with pair sets."""
+    pencil_masks = [mask_of(mem) for mem in pencils.members]
     out = set()
     for ci, d in enumerate(clique_dims):
         if d != 2:
             continue
         inside = pencils_in_clique[ci]
-        if any(not pencils.masks[a] & pencils.masks[b]
+        if any(not pencil_masks[a] & pencil_masks[b]
                for a, b in itertools.combinations(inside, 2)):
             out.add(ci)
             continue
         seen = set()
         for pi_idx in inside:
-            seen.update(itertools.combinations(bits_of(pencils.masks[pi_idx]), 2))
+            seen.update(itertools.combinations(bits_of(pencil_masks[pi_idx]), 2))
         if any(pair not in seen for pair in itertools.combinations(cliques.members[ci], 2)):
             out.add(ci)
     return out
@@ -369,6 +380,7 @@ def parent_affine_planes(pencils, cliques, pencils_in_clique, clique_dims):
 def parent_detect_parallel(pencils, cliques, pencils_in_clique, clique_dims):
     """Reference: the parent's `detect_parallel`, built on the pair-set planes."""
     affine = parent_affine_planes(pencils, cliques, pencils_in_clique, clique_dims)
+    pencil_masks = [mask_of(mem) for mem in pencils.members]
     planes_of = {}
     for ci, d in enumerate(clique_dims):
         if d == 2:
@@ -377,16 +389,16 @@ def parent_detect_parallel(pencils, cliques, pencils_in_clique, clique_dims):
     line_on_affine = set()
     for pi_idx, planes in planes_of.items():
         if any(ci in affine for ci in planes):
-            line_on_affine.update(bits_of(pencils.masks[pi_idx]))
+            line_on_affine.update(bits_of(pencil_masks[pi_idx]))
     parallel = set()
     for ci, d in enumerate(clique_dims):
         if d == 2:
             for a, b in itertools.combinations(pencils_in_clique[ci], 2):
-                if not pencils.masks[a] & pencils.masks[b]:
+                if not pencil_masks[a] & pencil_masks[b]:
                     parallel.update((a, b))
     for pi_idx, planes in planes_of.items():
         if pi_idx not in parallel and not any(ci in affine for ci in planes) and \
-                all(l in line_on_affine for l in bits_of(pencils.masks[pi_idx])):
+                all(l in line_on_affine for l in bits_of(pencil_masks[pi_idx])):
             parallel.add(pi_idx)
     return parallel
 
@@ -403,6 +415,29 @@ def test_detect_parallel_matches_pair_set_version(cfg1_pi):
         want = parent_detect_parallel(*args)
         assert len(want) == count
         assert detect_parallel(g.pencils, pi, *args[1:]) == want
+
+
+def test_rho_pencil_recovery_over_gf3_by_plane_kind():
+    # the twin (3,5,2,1,3): 4-line pencils, recovered on the stripped
+    # proper-pencil relation.  With q >= 3 every proper pencil of an affine
+    # plane is recovered (over GF(2) none is); the projective planes and
+    # part of the punctured ones do not extend into a 3-dimensional strong
+    # subspace, so their pencils stay out of reach
+    space = build_spine(standard_params(3, 5, 2, 1, 3))
+    sr = strip(compute_rho(space), seed=11)
+    geometry = derive_line_geometry(sr.graph)
+    assert geometry.pencils.masks is None
+    inv, members = sr.inverse, geometry.pencils.members
+    recovered = {frozenset(inv[l] for l in members[i]) for i in geometry.proper_pencils}
+    planes = space.planes()
+    counts = {}
+    for p in space.pencils():
+        if p.proper:
+            got, total = counts.get(planes[p.plane_id].kind, (0, 0))
+            counts[planes[p.plane_id].kind] = (got + (p.line_ids in recovered), total + 1)
+    assert counts == {PLANE_AFFINE: (468, 468), PLANE_PROJECTIVE: (0, 1404),
+                      PLANE_PUNCTURED: (5616, 7488)}
+    assert len(recovered) == 468 + 5616
 
 
 def test_pipeline_is_strip_invariant(cfg1_pi):

@@ -11,6 +11,7 @@ This configuration satisfies the pencil gate (every plane extends into a
 """
 
 from spinegeo import build_spine, compute_pi, standard_params, strip
+from spinegeo.cliques import family_K
 from spinegeo.pencils import derive_line_geometry
 
 space = build_spine(standard_params(q=2, n=6, k=3, m=0, w=1))
@@ -24,7 +25,7 @@ print(f"geometric pencils: {len(geo_proper)} proper, "
 pi = compute_pi(space)
 stripped = strip(pi, seed=11)
 print("\nrunning the abstract pipeline on the stripped coplanarity graph ...")
-geometry = derive_line_geometry(stripped.graph)
+geometry = derive_line_geometry(stripped.graph, family_K(stripped.graph))
 
 members, inv = geometry.pencils.members, stripped.inverse
 recovered = {frozenset(inv[l] for l in mem) for mem in members}

@@ -20,6 +20,7 @@ takes about 20 s).
 
 from spinegeo import build_spine, compute_pi, standard_params, strip
 from spinegeo.bundles import reconstruct, verify_equivalence
+from spinegeo.cliques import family_K
 from spinegeo.pencils import derive_line_geometry, family_B
 
 ROOMY = dict(q=2, n=6, k=2, m=0, w=2)   # reconstruction succeeds, both relations
@@ -29,7 +30,7 @@ space = build_spine(standard_params(**PINCHED))
 pi = compute_pi(space)
 stripped = strip(pi, seed=11)
 
-geometry = derive_line_geometry(stripped.graph)
+geometry = derive_line_geometry(stripped.graph, family_K(stripped.graph))
 family = family_B(geometry)
 print(f"semibundle family from the stripped graph: {len(family)} cliques")
 recon = reconstruct(family, stripped.graph)

@@ -10,7 +10,9 @@ universes.  `podmianka` is the single-line exchange criterion that singles
 out the semiaffine semiflats among maximal cliques of the proper-pencil
 relation when q >= 3.
 
-Cliques are handled as integer bitmasks over line ids throughout.
+A clique family keeps each clique as its sorted line ids.  The kernels
+build integer bitmasks over line ids while they work, and the relation rows
+stay bitmasks, but no family stores a mask as wide as the line universe.
 """
 
 from __future__ import annotations
@@ -88,41 +90,39 @@ class LineSetFamily:
     `members[i]` holds the sorted line ids of set i; `by_line[l]` lists the
     indexes of the sets containing line l, ascending (readers intersect it
     through a temporary set: a stored set per line takes about four times
-    the memory of the list).  A clique family also has `masks[i]`, the
-    bitmask of clique i over the whole line universe; `certificates[i]`,
+    the memory of the list).  A clique family also has `certificates[i]`,
     one triple whose span is exactly clique i (None for a maximal clique
     that no triple spans); and, on a proper-pencil graph, `exchange[i]`, the
-    `podmianka` flag of clique i.  A pencil family carries no masks
-    (`masks` is None): a pencil has q + 1 lines, and a mask as wide as the
-    universe would cost hundreds of bytes for each.
+    `podmianka` flag of clique i.  No family keeps masks: a clique has a
+    few lines, a pencil q + 1, and a mask as wide as the universe would cost
+    hundreds of bytes for each; readers build `graph.mask_of(members[i])`
+    when they need one.
     """
 
-    masks: list[int] | None
     members: list[tuple[int, ...]]
     by_line: list[list[int]]
     certificates: list[tuple[int, int, int] | None] | None = None
     exchange: list[bool] | None = None
 
 
-def line_set_family(members, count: int, masks=None) -> LineSetFamily:
+def line_set_family(members, count: int) -> LineSetFamily:
     """The line sets `members` (sorted tuples, in sorted order) over `count`
-    lines, indexed by line; `masks`, for a clique family, in the same order."""
+    lines, indexed by line."""
     by_line: list[list[int]] = [[] for _ in range(count)]
     for idx, mem in enumerate(members):
         for l in mem:
             by_line[l].append(idx)
-    return LineSetFamily(masks, members, by_line)
+    return LineSetFamily(members, by_line)
 
 
-def _clique_family(graph: LineRelationGraph, masks, certify) -> LineSetFamily:
-    """The family of distinct `masks`, certified by `certify(members, mask)`,
-    with the exchange flags when the graph is a proper-pencil relation."""
-    pairs = by_members(masks)
-    family = line_set_family([mem for mem, _ in pairs], graph.count,
-                             [m for _, m in pairs])
-    family.certificates = [certify(mem, m) for mem, m in zip(family.members, family.masks)]
+def _clique_family(graph: LineRelationGraph, members, certify) -> LineSetFamily:
+    """The family of the distinct sorted tuples `members`, certified by
+    `certify(members)`, with the exchange flags when the graph is a
+    proper-pencil relation."""
+    family = line_set_family(sorted(members), graph.count)
+    family.certificates = [certify(mem) for mem in family.members]
     if graph.delta_kind == RHO:
-        family.exchange = [podmianka(m, graph) for m in family.masks]
+        family.exchange = [podmianka(graph.mask_of(mem), graph) for mem in family.members]
     return family
 
 
@@ -140,19 +140,25 @@ def family_K(graph: LineRelationGraph) -> LineSetFamily:
     clique already found.  The first triple found for each clique is
     therefore the same as without the skip, and so are the certificates.
     On a proper-pencil graph each clique also gets its exchange flag.
+
+    Found cliques are kept as member tuples.  At line i one dict maps each
+    later line j of the found cliques through i to the union, as a mask, of
+    those holding j too; it lives while the scan is at line i.
     """
     rows = graph.rows
     n = graph.count
-    found: dict[int, tuple[int, int, int]] = {}
-    at_line: list[list[int]] = [[] for _ in range(n)]  # found cliques per line
+    found: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    at_line: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # found cliques per line
     for i in range(n):
         ri = rows[i]
-        through_i = at_line[i]
+        covers: dict[int, int] = {}  # j -> the found cliques holding i and j, united
+        for mem in at_line[i]:
+            mask = graph.mask_of(mem)
+            for j in mem:
+                if j > i:
+                    covers[j] = covers.get(j, 0) | mask
         for j in bits_of(ri >> (i + 1) << (i + 1)):
-            covered = 0
-            for m in through_i:
-                if m >> j & 1:
-                    covered |= m
+            covered = covers.get(j, 0)
             common_ij = ri & rows[j]
             above_j = common_ij >> (j + 1) << (j + 1)
             for k in bits_of(above_j ^ (above_j & covered)):
@@ -162,11 +168,15 @@ def family_K(graph: LineRelationGraph) -> LineSetFamily:
                 if not _mask_is_clique(common, rows):
                     continue
                 mask = common | (1 << i) | (1 << j) | (1 << k)
-                found[mask] = (i, j, k)
+                mem = tuple(bits_of(mask))
+                found[mem] = (i, j, k)
                 covered |= mask
-                for l in bits_of(mask >> i << i):
-                    at_line[l].append(mask)
-    return _clique_family(graph, found, lambda mem, mask: found[mask])
+                for l in mem:
+                    if l > i:
+                        at_line[l].append(mem)
+                    if l > j:
+                        covers[l] = covers.get(l, 0) | mask
+    return _clique_family(graph, found, found.__getitem__)
 
 
 def family_from_masks(graph: LineRelationGraph, masks) -> LineSetFamily:
@@ -176,11 +186,13 @@ def family_from_masks(graph: LineRelationGraph, masks) -> LineSetFamily:
     spanning triple is searched inside each clique; cliques without one get
     certificate None (they are maximal but not spanned, like the affine
     semiflats for the proper-pencil relation).  On a proper-pencil graph
-    each clique also gets its exchange flag.
+    each clique also gets its exchange flag.  The family keeps each clique's
+    line ids, not the mask.
     """
     rows = graph.rows
 
-    def certify(mem, mask):
+    def certify(mem):
+        mask = graph.mask_of(mem)
         if not _mask_is_clique(mask, rows):
             raise ValueError(f"not a clique: {mem}")
         inter = ~0
@@ -193,7 +205,7 @@ def family_from_masks(graph: LineRelationGraph, masks) -> LineSetFamily:
                 return tri
         return None
 
-    return _clique_family(graph, set(masks), certify)
+    return _clique_family(graph, {tuple(bits_of(m)) for m in masks}, certify)
 
 
 BK_MAX_LINES = 5000  # the largest line universe handed to the Bron-Kerbosch oracle

@@ -5,11 +5,11 @@ separate metadata file carrying the only nondeterministic content, the
 timestamp), and returns the payload with an exit code: 0 all checks pass,
 1 a verification failed, 2 the configuration or a gate rejected the run.
 A `Workspace` computes each stage of the pipeline at most once per command,
-and each relation's spanned cliques once, in `geometry(kind)`.
+and each relation's spanned cliques once, in `spanned(kind)`.
 The relation graphs are also cached on disk under a digest of the space
-parameters and reused when the digest matches; a cache that does not decode
-is recomputed, rewritten and noted in the sidecar.  The space itself is
-built again by every command.
+parameters and reused when the digest matches; a cache that does not decode,
+or holds the other relation, is recomputed, rewritten and noted in the
+sidecar.  The space itself is built again by every command.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from pathlib import Path
 
 from . import cliques, verify
 from .bundles import ReconstructedSpace, reconstruct
-from .cliques import GeometricFamilies, bron_kerbosch, family_to_json, geometric_families
+from .cliques import (GeometricFamilies, LineSetFamily, bron_kerbosch, family_K,
+                      family_to_json, geometric_families)
 from .excluded import CASE_NONE, ExcludedCase, classify_case
 from .pencils import LineGeometry, derive_line_geometry, family_B, geometry_to_json
 from .relations import (LineRelationGraph, StripResult, compute_pi, compute_rho,
@@ -111,12 +112,13 @@ def _stage(method):
 class Workspace:
     """The pipeline of one `RunConfig`, each stage computed at most once.
 
-    space -> graph(kind) -> stripped(kind) -> geometry(kind) ->
-    reconstruction(kind), and below the oracle cap graph(kind) -> the
-    Bron-Kerbosch cliques(kind).  geometry(kind) holds the relation's one
-    spanned clique family, on the stripped graph; stripped(kind) maps it
-    back to the original line ids.  families() are the geometric clique
-    families the checks compare against.  `kind` is "pi" or "rho".
+    space -> graph(kind) -> stripped(kind) -> spanned(kind) ->
+    geometry(kind) -> reconstruction(kind), and below the oracle cap
+    graph(kind) -> the Bron-Kerbosch cliques(kind).  spanned(kind) is the
+    relation's one spanned clique family, on the stripped graph;
+    stripped(kind) maps it back to the original line ids.  families() are
+    the geometric clique families the checks compare against.  `kind` is
+    "pi" or "rho".
     """
 
     def __init__(self, cfg: RunConfig):
@@ -138,15 +140,21 @@ class Workspace:
 
     @_stage
     def graph(self, kind: str) -> LineRelationGraph:
-        """The relation, read from its cache when that decodes, else computed
-        and written there; a cache that does not decode is noted and replaced."""
+        """The relation, read from its cache when that decodes to it, else
+        computed and written there; a cache that does not decode, or decodes
+        to the other relation, is noted and replaced."""
         path = self.cfg.out_dir / "cache" / f"relation-{kind}-{self.cfg.space_digest()}.json"
         if path.exists():
             try:
-                return graph_from_json(json.loads(path.read_text()))
+                cached = graph_from_json(json.loads(path.read_text()))
             except (AssertionError, LookupError, TypeError, ValueError) as exc:
                 self.notes.append(f"recomputed {path.name}: the cache did not decode"
                                   f" ({type(exc).__name__}: {exc})")
+            else:
+                if cached.delta_kind == kind:
+                    return cached
+                self.notes.append(f"recomputed {path.name}: the cache holds the"
+                                  f" {cached.delta_kind!r} relation, not {kind!r}")
         g = (compute_pi if kind == "pi" else compute_rho)(self.space())
         _write_atomic(path, canonical_json(graph_to_json(g)))
         return g
@@ -168,8 +176,14 @@ class Workspace:
         return strip(self.graph(kind), self.cfg.seed)
 
     @_stage
+    def spanned(self, kind: str) -> LineSetFamily:
+        """The spanned cliques of the stripped relation, with the exchange
+        flags on rho."""
+        return family_K(self.stripped(kind).graph)
+
+    @_stage
     def geometry(self, kind: str) -> LineGeometry:
-        return derive_line_geometry(self.stripped(kind).graph)
+        return derive_line_geometry(self.stripped(kind).graph, self.spanned(kind))
 
     @_stage
     def reconstruction(self, kind: str) -> ReconstructedSpace:
@@ -283,9 +297,9 @@ def cmd_cliques(ws: Workspace, payload: dict) -> int:
     if len(ws.space().lines) <= cliques.BK_MAX_LINES:
         artifact = {}
         for kind in cfg.deltas():
-            sr, family = ws.stripped(kind), ws.geometry(kind).cliques
+            inv, family = ws.stripped(kind).inverse, ws.spanned(kind)
             artifact[kind] = family_to_json(
-                ws.space(), [sr.original(m) for m in family.masks],
+                ws.space(), [[inv[l] for l in mem] for mem in family.members],
                 ws.families(), family.exchange)
         payload["families_artifact"] = _write_artifact(cfg, "clique-families", artifact)
     return OK if classification["ok"] and exchange["ok"] else CHECK_FAILED

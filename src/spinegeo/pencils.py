@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cliques import LineSetFamily, _mask_is_clique, family_K, line_set_family, podmianka
+from .cliques import LineSetFamily, _mask_is_clique, line_set_family, podmianka
 from .relations import PI, RHO, LineRelationGraph, bits_of
 
 
@@ -46,9 +46,11 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
     exchange-free clique contains all three lines.  Given the graph's clique
     family with its exchange flags, both halves are lookups: the triple must
     lie in a certified, exchange-free clique, and it spans iff it lies in
-    exactly one clique of the family and its common neighbourhood lies
-    inside that clique (see `family_P`; exact when the family holds every
-    spanned clique and only maximal cliques, as `family_K` does).  With
+    exactly one clique C of the family and its common neighbourhood lies
+    inside C (see `family_P`; exact when the family holds every spanned
+    clique and only maximal cliques, as `family_K` does).  The rest of C is
+    common to the three lines and the relation is irreflexive, so that holds
+    iff the common neighbourhood has exactly len(C) - 3 lines.  With
     `family` None the witness triple is searched literally among the lines
     related to all three (any containing clique lives there), so the two
     paths agree.
@@ -72,7 +74,7 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
             return True
         (c,) = hits
         common = rows[l1] & rows[l2] & rows[l3]
-        return common & family.masks[c] != common
+        return common.bit_count() != len(family.members[c]) - 3
     common = rows[l1] & rows[l2] & rows[l3]
     if _mask_is_clique(common, rows):  # the triple itself spans
         return False
@@ -111,17 +113,19 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
     Two related lines determine at most one pencil, so the closure of a pair
     under "third lines concurrent with both" either has fewer than three
     members (no recoverable pencil through the pair) or is the full pencil.
-    Each related pair that no found pencil covers is closed once; coverage
-    is one bitmask per line, dropped on return, and the family keeps only
-    each pencil's line ids.  Maximality and consistency of every inner
+    Each related pair that no found pencil covers is closed once.  Each
+    later line keeps the list of found pencils through it, and at line i
+    their union is the mask of lines already paired with i; the family keeps
+    only each pencil's line ids.  Maximality and consistency of every inner
     triple are checked by `verify_pencils` (exercised in the test suite).
 
     `family` is the graph's clique family (`family_K`), with its exchange
     flags on the proper-pencil relation.  A pair (i, j) is closed from its
-    common neighbourhood ``cij`` and the family cliques through it.  The
-    tests below are exact whenever the family's masks are maximal cliques
-    that include every spanned clique, as `family_K`'s are: the span of a
-    spanning triple is then the only family clique containing it.
+    common neighbourhood ``cij`` and the family cliques through it, as
+    masks built when a pair at line i first needs them and dropped after
+    line i.  The tests below are exact whenever the family's cliques are
+    maximal and include every spanned clique, as `family_K`'s do: the span
+    of a spanning triple is then the only family clique containing it.
 
     - Spanning, for a third line k in ``cij``: a k in no family clique
       through the pair, or in two of them, does not span with it.  A k in
@@ -134,52 +138,64 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
       clique through the pair are candidates.
     """
     rows = graph.rows
-    clique_masks, at_line = family.masks, family.by_line
+    clique_members, at_line = family.members, family.by_line
     witness = None  # certified, exchange-free cliques, on the proper-pencil relation
     if graph.delta_kind == RHO:
         witness = [cert is not None and not ex
                    for cert, ex in zip(family.certificates, family.exchange)]
     n = graph.count
-    covered = [0] * n  # bit j of covered[i]: a found pencil holds i and j
+    pencils_at: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # found, per later line
     found: set[tuple[int, ...]] = set()
     for i in range(n):
+        covered = 0  # the lines a found pencil pairs with i
+        for mem in pencils_at[i]:
+            covered |= graph.mask_of(mem)
+        pencils_at[i] = []
+        clique_masks: dict[int, int] = {}  # line i's cliques, built on first use
         at_i = set(at_line[i])
         above_i = rows[i] >> (i + 1) << (i + 1)
-        for j in bits_of(above_i ^ (above_i & covered[i])):
-            if covered[i] >> j & 1:  # found after the loop's mask was taken
+        for j in bits_of(above_i ^ (above_i & covered)):
+            if covered >> j & 1:  # found after the loop's mask was taken
                 continue
-            through = at_i.intersection(at_line[j])
+            through = []
+            for c in at_i.intersection(at_line[j]):
+                m = clique_masks.get(c)
+                if m is None:
+                    m = clique_masks[c] = graph.mask_of(clique_members[c])
+                through.append((c, m))
             cij = rows[i] & rows[j]
             cand = cij
             if witness is not None:
                 reach = 0
-                for c in through:
+                for c, m in through:
                     if witness[c]:
-                        reach |= clique_masks[c]
+                        reach |= m
                 cand &= reach
                 if not cand:
                     continue
             once = twice = 0  # lines in at least one / two cliques through i, j
-            for c in through:
-                twice |= once & clique_masks[c]
-                once |= clique_masks[c]
+            for _, m in through:
+                twice |= once & m
+                once |= m
             single = (cand & once) ^ (cand & twice)  # twice lies inside once
             keep = cand ^ single
-            for c in through:
-                inside = single & clique_masks[c]
+            for _, m in through:
+                inside = single & m
                 if not inside:
                     continue
-                outside = cij ^ (cij & clique_masks[c])
+                outside = cij ^ (cij & m)
                 for k in bits_of(inside):
                     if rows[k] & outside:
                         keep |= 1 << k
             if not keep:
                 continue
             mask = keep | 1 << i | 1 << j
-            members = bits_of(mask)
-            found.add(tuple(members))
+            members = tuple(bits_of(mask))
+            found.add(members)
+            covered |= mask
             for l in members:
-                covered[l] |= mask
+                if l > i:
+                    pencils_at[l].append(members)
     return line_set_family(sorted(found), n)
 
 
@@ -330,16 +346,16 @@ def detect_parallel(pencils: LineSetFamily, graph: LineRelationGraph,
     return parallel
 
 
-def derive_line_geometry(graph: LineRelationGraph) -> LineGeometry:
-    """Run the whole abstract pipeline on a relation graph.
+def derive_line_geometry(graph: LineRelationGraph, cliques: LineSetFamily) -> LineGeometry:
+    """Run the abstract pipeline on a relation graph and its clique family.
 
+    `cliques` is the graph's spanned clique family, `family_K(graph)`.
     Cliques and pencils are recovered from adjacency alone; pencils with an
     improper vertex are discarded (directly for a proper-pencil graph, via
     `detect_parallel` for a coplanarity graph); cliques carrying a surviving
     pencil get an abstract dimension; those of dimension at least three form
     the semibundle family handed to bundle reconstruction.
     """
-    cliques = family_K(graph)
     pencils = family_P(graph, cliques)
 
     # the cliques holding a pencil are those through each of its lines
@@ -369,7 +385,8 @@ def derive_line_geometry(graph: LineRelationGraph) -> LineGeometry:
 
 def family_B(geometry: LineGeometry) -> list[int]:
     """Clique masks of the abstract semibundle family (dimension >= 3)."""
-    return [geometry.cliques.masks[ci] for ci in geometry.bundle_cliques]
+    members, mask_of = geometry.cliques.members, geometry.graph.mask_of
+    return [mask_of(members[ci]) for ci in geometry.bundle_cliques]
 
 
 def geometry_to_json(geometry: LineGeometry) -> dict:

@@ -11,6 +11,7 @@ from spinegeo.bundles import (
     upsilon_empty,
     verify_equivalence,
 )
+from spinegeo.cliques import family_K
 from spinegeo.pencils import derive_line_geometry, family_B
 from spinegeo.relations import LineRelationGraph, bits_of, strip
 from spinegeo.spine import LINE_OMEGA
@@ -18,7 +19,7 @@ from spinegeo.spine import LINE_OMEGA
 
 @pytest.fixture(scope="module")
 def cfg1_geometry(cfg1_pi):
-    return derive_line_geometry(cfg1_pi)
+    return derive_line_geometry(cfg1_pi, family_K(cfg1_pi))
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +131,7 @@ def test_line_membership_counts(cfg1_space, cfg1_B, cfg1_pi):
 
 def test_verify_equivalence_report_on_cfg1(cfg1_space, cfg1_pi):
     sr = strip(cfg1_pi, seed=11)
-    geometry = derive_line_geometry(sr.graph)
+    geometry = derive_line_geometry(sr.graph, family_K(sr.graph))
     fam = family_B(geometry)
     recon = reconstruct(fam, sr.graph)
     report = verify_equivalence(cfg1_space, recon, sr, fam)

@@ -138,7 +138,7 @@ def test_span_requires_a_spanning_triple(cfg1_space, cfg1_pi):
 
 def test_span_is_generator_independent(cfg1_pi):
     fam = family_K(cfg1_pi)
-    for mem, mask in list(zip(fam.members, fam.masks))[::200]:
+    for mem in fam.members[::200]:
         spans = set()
         hits = 0
         for tri in itertools.combinations(mem, 3):
@@ -184,7 +184,7 @@ def test_family_from_masks_verifies_and_certifies(cfg1_rho, cfg1_fams):
             m |= 1 << l
         masks.append(m)
     fam = family_from_masks(cfg1_rho, masks)
-    assert len(fam.masks) == len(masks)
+    assert len(fam.members) == len(masks)
     assert all(c is not None for c in fam.certificates)
     with pytest.raises(ValueError):
         family_from_masks(cfg1_rho, [masks[0] & (masks[0] - 1)])  # strict subset

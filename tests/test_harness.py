@@ -249,3 +249,24 @@ def test_truncated_relation_cache_is_recomputed(tmp_path, capsys):
     # the rewritten cache is read again without a note
     assert cli.main(argv + [str(dir_)]) == OK
     assert "notes" not in json.loads(report.with_suffix(".meta.json").read_text())
+
+
+def test_relation_cache_holding_the_other_relation_is_recomputed(tmp_path):
+    fresh_dir, dir_ = tmp_path / "fresh", tmp_path / "swapped"
+    argv = ["relations", "--q=2", "--n=5", "--k=2", "--m=1", "--w=3", "--out"]
+    assert cli.main(argv + [str(fresh_dir)]) == OK
+    assert cli.main(argv + [str(dir_)]) == OK
+    pi_cache = next((dir_ / "cache").glob("relation-pi-*.json"))
+    rho_cache = next((dir_ / "cache").glob("relation-rho-*.json"))
+    pi_cache.write_bytes(rho_cache.read_bytes())
+    assert cli.main(argv + [str(dir_)]) == OK
+    assert pi_cache.read_bytes() == (fresh_dir / "cache" / pi_cache.name).read_bytes()
+    report = next(p for p in dir_.glob("relations-*.json") if ".meta" not in p.name)
+    sanity = json.loads(report.read_text())["sanity"]
+    assert sanity["pi_edges"] != sanity["rho_edges"]
+    assert report.read_bytes() == (fresh_dir / report.name).read_bytes()
+    notes = json.loads(report.with_suffix(".meta.json").read_text())["notes"]
+    assert len(notes) == 1 and pi_cache.name in notes[0] and "'rho' relation" in notes[0]
+    # the rewritten cache is read again without a note
+    assert cli.main(argv + [str(dir_)]) == OK
+    assert "notes" not in json.loads(report.with_suffix(".meta.json").read_text())

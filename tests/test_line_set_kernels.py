@@ -6,6 +6,11 @@ are the earlier bodies: upward walks with ``m & -m`` over masks as wide as
 the line universe.  Each pair is compared on random ints (including 0,
 bit 0 and the top bit of a 5 760-line universe) and on cfg1's real rows,
 cliques and pencils.
+
+Clique families keep member tuples, not masks.  `family_K`, `family_P` and
+the indexed `p_rho` are compared with the earlier bodies, which stored one
+universe-wide mask per clique, on random graphs and on the relations of
+cfg1, cex and the GF(3) twin (3,4,2,1,3).
 """
 
 import itertools
@@ -13,9 +18,10 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinegeo.cliques import _mask_is_clique, family_K
-from spinegeo.pencils import clique_dimension, derive_line_geometry
-from spinegeo.relations import bits_of
+from spinegeo.cliques import _mask_is_clique, family_K, podmianka
+from spinegeo.pencils import clique_dimension, derive_line_geometry, family_P, p_rho
+from spinegeo.relations import PI, RHO, LineRelationGraph, bits_of, compute_pi, compute_rho
+from spinegeo.spine import build_spine, standard_params
 
 WIDTH = 5760  # lines of (2,6,2,0,4), the widest benchmark universe
 
@@ -64,6 +70,109 @@ def reference_clique_dimension(members, pencil_masks_inside):
                     span |= pm
                     changed = True
     return dim
+
+
+def reference_family_K(graph):
+    """The clique scan with found cliques as wide masks: clique mask ->
+    certificate, coverage read by testing bit j of every clique through i."""
+    rows = graph.rows
+    n = graph.count
+    found = {}
+    at_line = [[] for _ in range(n)]
+    for i in range(n):
+        ri = rows[i]
+        through_i = at_line[i]
+        for j in bits_of(ri >> (i + 1) << (i + 1)):
+            covered = 0
+            for m in through_i:
+                if m >> j & 1:
+                    covered |= m
+            common_ij = ri & rows[j]
+            above_j = common_ij >> (j + 1) << (j + 1)
+            for k in bits_of(above_j ^ (above_j & covered)):
+                if covered >> k & 1:
+                    continue
+                common = common_ij & rows[k]
+                if not _mask_is_clique(common, rows):
+                    continue
+                mask = common | (1 << i) | (1 << j) | (1 << k)
+                found[mask] = (i, j, k)
+                covered |= mask
+                for l in bits_of(mask >> i << i):
+                    at_line[l].append(mask)
+    return found
+
+
+def reference_family_P(graph, family, clique_masks):
+    """The pencil closure on stored clique masks and a wide `covered` mask
+    per line; the sorted pencil member tuples."""
+    rows = graph.rows
+    at_line = family.by_line
+    witness = None
+    if graph.delta_kind == RHO:
+        witness = [cert is not None and not ex
+                   for cert, ex in zip(family.certificates, family.exchange)]
+    n = graph.count
+    covered = [0] * n
+    found = set()
+    for i in range(n):
+        at_i = set(at_line[i])
+        above_i = rows[i] >> (i + 1) << (i + 1)
+        for j in bits_of(above_i ^ (above_i & covered[i])):
+            if covered[i] >> j & 1:
+                continue
+            through = at_i.intersection(at_line[j])
+            cij = rows[i] & rows[j]
+            cand = cij
+            if witness is not None:
+                reach = 0
+                for c in through:
+                    if witness[c]:
+                        reach |= clique_masks[c]
+                cand &= reach
+                if not cand:
+                    continue
+            once = twice = 0
+            for c in through:
+                twice |= once & clique_masks[c]
+                once |= clique_masks[c]
+            single = (cand & once) ^ (cand & twice)
+            keep = cand ^ single
+            for c in through:
+                inside = single & clique_masks[c]
+                if not inside:
+                    continue
+                outside = cij ^ (cij & clique_masks[c])
+                for k in bits_of(inside):
+                    if rows[k] & outside:
+                        keep |= 1 << k
+            if not keep:
+                continue
+            mask = keep | 1 << i | 1 << j
+            members = bits_of(mask)
+            found.add(tuple(members))
+            for l in members:
+                covered[l] |= mask
+    return sorted(found)
+
+
+def reference_p_rho(l1, l2, l3, graph, family, clique_masks):
+    """The indexed `p_rho`, testing the common neighbourhood against the one
+    clique's stored mask."""
+    rows = graph.rows
+    if len({l1, l2, l3}) != 3:
+        return False
+    if not (rows[l1] >> l2 & 1 and rows[l1] >> l3 & 1 and rows[l2] >> l3 & 1):
+        return False
+    by_line, certificates, exchange = family.by_line, family.certificates, family.exchange
+    hits = set(by_line[l1]).intersection(by_line[l2], by_line[l3])
+    if not any(certificates[c] is not None and not exchange[c] for c in hits):
+        return False
+    if len(hits) > 1:
+        return True
+    (c,) = hits
+    common = rows[l1] & rows[l2] & rows[l3]
+    return common & clique_masks[c] != common
 
 
 def mask_of(ids):
@@ -138,8 +247,9 @@ def test_kernels_on_cfg1_rows_and_cliques(cfg1_pi, cfg1_rho):
         for row in rows:
             assert bits_of(row) == list(reference_bits_of(row))
         cliques = family_K(graph)
-        assert cliques.masks
-        for mem, mask in zip(cliques.members, cliques.masks):
+        assert cliques.members
+        for mem in cliques.members:
+            mask = mask_of(mem)
             assert bits_of(mask) == list(mem)
             outside = bits_of(rows[mem[0]] ^ (rows[mem[0]] & mask))[:2]
             # the clique, one line short of it, and one line more
@@ -149,7 +259,7 @@ def test_kernels_on_cfg1_rows_and_cliques(cfg1_pi, cfg1_rho):
 
 def test_clique_dimension_on_cfg1_cliques(cfg1_pi, cfg1_rho):
     for graph in (cfg1_pi, cfg1_rho):
-        geometry = derive_line_geometry(graph)
+        geometry = derive_line_geometry(graph, family_K(graph))
         pencils = geometry.pencils.members
         compared = 0
         for ci, mem in enumerate(geometry.cliques.members):
@@ -161,3 +271,62 @@ def test_clique_dimension_on_cfg1_cliques(cfg1_pi, cfg1_rho):
             assert got == reference_clique_dimension(mem, [mask_of(p) for p in inside])
             compared += 1
         assert compared
+
+
+# ---------- clique families without masks, against the mask-based bodies ----------------
+
+def compare_families(graph):
+    """family_K, family_P and the indexed p_rho on `graph` against the
+    references; the number of triples compared."""
+    fam = family_K(graph)
+    ref = reference_family_K(graph)
+    pairs = sorted((tuple(bits_of(m)), m) for m in ref)
+    assert fam.members == [mem for mem, _ in pairs]
+    assert fam.certificates == [ref[m] for _, m in pairs]
+    masks = [m for _, m in pairs]
+    if graph.delta_kind == RHO:
+        assert fam.exchange == [podmianka(m, graph) for m in masks]
+    else:
+        assert fam.exchange is None
+    assert family_P(graph, fam).members == reference_family_P(graph, fam, masks)
+    triples = 0
+    if graph.delta_kind == RHO:
+        for mem in fam.members:
+            for tri in itertools.combinations(mem, 3):
+                assert p_rho(*tri, graph, fam) == reference_p_rho(*tri, graph, fam, masks)
+                triples += 1
+    return triples
+
+
+@st.composite
+def small_graphs(draw):
+    """A random relation graph of either kind on up to 14 lines."""
+    n = draw(st.integers(3, 14))
+    density = draw(st.sampled_from([0.3, 0.6, 0.8, 0.95]))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        if rnd.random() < density:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return LineRelationGraph(draw(st.sampled_from([PI, RHO])), rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_clique_families_match_mask_references_on_random_graphs(graph):
+    compare_families(graph)
+
+
+def test_clique_families_match_mask_references_on_cfg1(cfg1_pi, cfg1_rho):
+    compare_families(cfg1_pi)
+    assert compare_families(cfg1_rho) > 0
+
+
+def test_clique_families_match_mask_references_on_cex_and_twin(cex_pi, cex_rho):
+    twin_space = build_spine(standard_params(3, 4, 2, 1, 3))
+    compare_families(cex_pi)
+    compare_families(compute_pi(twin_space))
+    # every triple inside every rho clique, where the count test decides
+    assert compare_families(cex_rho) == 106704
+    assert compare_families(compute_rho(twin_space)) == 26442

@@ -153,8 +153,8 @@ def test_p_rho_index_needs_a_certified_clique():
             rows[c] |= 1 << (4 + t)
     rho = LineRelationGraph("rho", rows)
     family = family_from_masks(rho, bron_kerbosch(rho))
-    assert family.certificates[family.masks.index(0b1111)] is None
-    family.exchange = [m != 0b1111 for m in family.masks]
+    assert family.certificates[family.members.index((0, 1, 2, 3))] is None
+    family.exchange = [mem != (0, 1, 2, 3) for mem in family.members]
     for tri in itertools.combinations(range(4), 3):
         assert parent_p_rho(*tri, rho, family) is False
         assert p_rho(*tri, rho, family) is False
@@ -283,25 +283,25 @@ def test_pencil_coplanarity(cfg1_space, cfg1_pi):
 # ---------- dimension and the semibundle filter ------------------------------------------
 
 def test_clique_dimensions(cfg1_space, cfg1_pi):
-    geometry = derive_line_geometry(cfg1_pi)
+    geometry = derive_line_geometry(cfg1_pi, family_K(cfg1_pi))
     fams = {}
     from spinegeo.cliques import classify_clique, geometric_families
 
     gf = geometric_families(cfg1_space)
-    for ci, mask in enumerate(geometry.cliques.masks):
+    for ci, mem in enumerate(geometry.cliques.members):
         d = geometry.clique_dims[ci]
         if d is None:
             continue
-        kind, _ = classify_clique(frozenset(bits_of(mask)), cfg1_space, gf)
+        kind, _ = classify_clique(frozenset(mem), cfg1_space, gf)
         fams.setdefault(kind, set()).add(d)
     assert fams["flat"] == {2} or fams.get("projective-flat") == {2}
     assert fams["semibundle-proper"] == {3}  # hosts are 4-dimensional stars
 
 
 def test_clique_dimension_is_permutation_invariant(cfg1_pi):
-    geometry = derive_line_geometry(cfg1_pi)
+    geometry = derive_line_geometry(cfg1_pi, family_K(cfg1_pi))
     ci = geometry.bundle_cliques[0]
-    members = list(bits_of(geometry.cliques.masks[ci]))
+    members = list(geometry.cliques.members[ci])
     inside = [geometry.pencils.members[p] for p in geometry.pencils_in_clique[ci]]
     base = clique_dimension(members, inside)
     # relabel the lines arbitrarily: shift every id by a constant
@@ -322,13 +322,13 @@ def test_family_B_is_the_proper_semibundles(cfg1_space, cfg1_pi, cfg1_rho):
         if gid in cfg1_space.pid_of_gid
     }
     for graph in (cfg1_pi, cfg1_rho):
-        geometry = derive_line_geometry(graph)
+        geometry = derive_line_geometry(graph, family_K(graph))
         got = {frozenset(bits_of(m)) for m in family_B(geometry)}
         assert got == expected
 
 
 def test_parallel_detection_removes_improper_vertices_only(cfg1_space, cfg1_pi):
-    geometry = derive_line_geometry(cfg1_pi)
+    geometry = derive_line_geometry(cfg1_pi, family_K(cfg1_pi))
     geo = {p.line_ids: p for p in cfg1_space.pencils()}
     for idx, mem in enumerate(geometry.pencils.members):
         pencil = geo[frozenset(mem)]
@@ -339,7 +339,8 @@ def parent_pencils_in_clique(cliques, pencils):
     """Reference: scan every pencil through every line of every clique."""
     pencil_masks = [mask_of(mem) for mem in pencils.members]
     out = []
-    for mask in cliques.masks:
+    for mem in cliques.members:
+        mask = mask_of(mem)
         seen = set()
         for l in bits_of(mask):
             for pi_idx in pencils.by_line[l]:
@@ -351,7 +352,7 @@ def parent_pencils_in_clique(cliques, pencils):
 
 def test_pencils_in_clique_matches_per_clique_scan(cfg1_pi, cfg1_rho, cex_rho):
     for graph in (cfg1_pi, cfg1_rho, cex_rho):
-        geometry = derive_line_geometry(graph)
+        geometry = derive_line_geometry(graph, family_K(graph))
         assert any(geometry.pencils_in_clique)
         assert geometry.pencils_in_clique == parent_pencils_in_clique(
             geometry.cliques, geometry.pencils)
@@ -409,7 +410,7 @@ def test_detect_parallel_matches_pair_set_version(cfg1_pi):
     # pencils have three lines, and the disjoint pairs find them all
     twin_pi = compute_pi(build_spine(standard_params(3, 5, 2, 1, 3)))
     for pi, count in ((cfg1_pi, 588), (twin_pi, 208)):
-        g = derive_line_geometry(pi)
+        g = derive_line_geometry(pi, family_K(pi))
         args = (g.pencils, g.cliques, g.pencils_in_clique, g.clique_dims)
         assert parent_affine_planes(*args)
         want = parent_detect_parallel(*args)
@@ -425,8 +426,8 @@ def test_rho_pencil_recovery_over_gf3_by_plane_kind():
     # subspace, so their pencils stay out of reach
     space = build_spine(standard_params(3, 5, 2, 1, 3))
     sr = strip(compute_rho(space), seed=11)
-    geometry = derive_line_geometry(sr.graph)
-    assert geometry.pencils.masks is None
+    geometry = derive_line_geometry(sr.graph, family_K(sr.graph))
+    assert not hasattr(geometry.pencils, "masks")
     inv, members = sr.inverse, geometry.pencils.members
     recovered = {frozenset(inv[l] for l in members[i]) for i in geometry.proper_pencils}
     planes = space.planes()
@@ -441,11 +442,12 @@ def test_rho_pencil_recovery_over_gf3_by_plane_kind():
 
 
 def test_pipeline_is_strip_invariant(cfg1_pi):
-    plain = derive_line_geometry(cfg1_pi)
+    plain = derive_line_geometry(cfg1_pi, family_K(cfg1_pi))
     sr = strip(cfg1_pi, seed=21)
-    stripped = derive_line_geometry(sr.graph)
-    back = {sr.original(stripped.cliques.masks[ci]) for ci in stripped.bundle_cliques}
+    stripped = derive_line_geometry(sr.graph, family_K(sr.graph))
+    back = {frozenset(sr.inverse[l] for l in stripped.cliques.members[ci])
+            for ci in stripped.bundle_cliques}
     plain_sets = {
-        frozenset(bits_of(plain.cliques.masks[ci])) for ci in plain.bundle_cliques
+        frozenset(plain.cliques.members[ci]) for ci in plain.bundle_cliques
     }
     assert back == plain_sets

@@ -18,7 +18,6 @@ from spinegeo.cliques import (
     geometric_families,
     podmianka,
 )
-from spinegeo.relations import bits_of
 
 space = build_spine(standard_params(q=2, n=6, k=2, m=1, w=3))
 pi = compute_pi(space)
@@ -28,7 +27,7 @@ fams = geometric_families(space)
 for name, graph, family in (("coplanarity", pi, fams.pi_family),
                             ("common-pencil", rho, fams.rho_family)):
     spanned = {frozenset(m) for m in family_K(graph).members}
-    oracle = {frozenset(bits_of(m)) for m in bron_kerbosch(graph)}
+    oracle = {frozenset(m) for m in bron_kerbosch(graph)}
     print(f"{name}: spanned {len(spanned)}, oracle {len(oracle)}, "
           f"geometric {len(family)}; all equal: {spanned == oracle == family}")
 
@@ -36,9 +35,9 @@ print()
 print("classification of the common-pencil cliques, with the exchange test")
 print("(swap one line for an outside line and stay a maximal clique):")
 census: Counter = Counter()
-for mask in bron_kerbosch(rho):
-    kind, _ = classify_clique(frozenset(bits_of(mask)), space, fams)
-    census[(kind, podmianka(mask, rho))] += 1
+for mem in bron_kerbosch(rho):
+    kind, _ = classify_clique(mem, space, fams)
+    census[(kind, podmianka(mem, rho))] += 1
 for (kind, flag), count in sorted(census.items()):
     print(f"  {kind:20s} exchange={str(flag):5s} : {count}")
 print()

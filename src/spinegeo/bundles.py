@@ -14,20 +14,25 @@ the point set, with collinearity read off bundle intersections.
 `verify_equivalence` compares such a reconstruction (built from a stripped
 graph) with the source geometry through the stripping permutation and
 reports every discrepancy instead of asserting.
+
+Every function here takes cliques as sorted line-id tuples (`family_B`'s)
+and builds the masks it needs inside the call; only the reconstruction's
+output, its points, are masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .relations import LineRelationGraph, StripResult, bits_of, by_members
+from .relations import LineRelationGraph, StripResult, bits_of
 from .spine import SpineSpace
 
 
-def upsilon(k1_mask: int, k2_mask: int, graph: LineRelationGraph) -> bool:
+def upsilon(k1, k2, graph: LineRelationGraph) -> bool:
     """At least two distinct lines of the first clique relate into the second."""
+    k2_mask = graph.mask_of(k2)
     hits = 0
-    for l in bits_of(k1_mask):
+    for l in k1:
         if graph.rows[l] & k2_mask:
             hits += 1
             if hits == 2:
@@ -35,19 +40,19 @@ def upsilon(k1_mask: int, k2_mask: int, graph: LineRelationGraph) -> bool:
     return False
 
 
-def upsilon_empty(k1_mask: int, k2_mask: int, graph: LineRelationGraph) -> bool:
+def upsilon_empty(k1, k2, graph: LineRelationGraph) -> bool:
     """Symmetric gluing relation: mutual relatedness plus disjoint-or-equal."""
-    if k1_mask != k2_mask and k1_mask & k2_mask:
+    if k1 != k2 and not set(k1).isdisjoint(k2):
         return False
-    return upsilon(k1_mask, k2_mask, graph) and upsilon(k2_mask, k1_mask, graph)
+    return upsilon(k1, k2, graph) and upsilon(k2, k1, graph)
 
 
-def bundle_of(k_mask: int, bundle_family: list[int], graph: LineRelationGraph) -> int:
-    """Union of the gluing class of one clique, as a line mask."""
+def bundle_of(k, bundle_family, graph: LineRelationGraph) -> int:
+    """Union of the gluing class of one clique, as a line mask (a point)."""
     out = 0
     for other in bundle_family:
-        if upsilon_empty(k_mask, other, graph):
-            out |= other
+        if upsilon_empty(k, other, graph):
+            out |= graph.mask_of(other)
     return out
 
 
@@ -59,39 +64,42 @@ class ReconstructedSpace:
     iff its bit is set in the bundle; points are collinear iff their
     bundles intersect.  `class_of` gives each input clique's gluing class,
     and `point_of_class` each class's point: the index into `points` of the
-    class's union.
+    class's union.  `adjacency[i]` holds the input cliques glued to clique
+    i, as `gluing_adjacency` found them.
     """
 
     line_count: int
     points: list[int]
     class_of: list[int]
     point_of_class: list[int]
+    adjacency: list[set[int]]
     transitive: bool
     transitivity_witnesses: list[tuple[int, int, int]] = field(default_factory=list)
 
 
-def gluing_adjacency(bundle_family: list[int], graph: LineRelationGraph) -> list[set[int]]:
+def gluing_adjacency(bundle_family, graph: LineRelationGraph) -> list[set[int]]:
     """The pairs of family members that `upsilon_empty` glues, as neighbour sets.
 
-    Each clique's reach, the union of its lines' rows, is computed once.
-    The relation is symmetric, so a line relates into a clique iff it lies
+    Each clique's mask and reach, the union of its lines' rows, are computed
+    once.  The relation is symmetric, so a line relates into a clique iff it lies
     in that clique's reach, and `upsilon(k1, k2)` holds iff `k1 & reach(k2)`
     has at least two bits: the same pairs glue as under `upsilon_empty`,
     with a few integer operations per pair instead of a walk over lines.
     """
     rows = graph.rows
+    masks = [graph.mask_of(k) for k in bundle_family]
     reach = []
     for k in bundle_family:
         r = 0
-        for l in bits_of(k):
+        for l in k:
             r |= rows[l]
         reach.append(r)
     n = len(bundle_family)
     adj: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
-        ki, reach_i = bundle_family[i], reach[i]
+        ki, reach_i = masks[i], reach[i]
         for j in range(i + 1, n):
-            kj = bundle_family[j]
+            kj = masks[j]
             if ki != kj and ki & kj:
                 continue
             if (ki & reach[j]).bit_count() >= 2 and (kj & reach_i).bit_count() >= 2:
@@ -100,7 +108,7 @@ def gluing_adjacency(bundle_family: list[int], graph: LineRelationGraph) -> list
     return adj
 
 
-def reconstruct(bundle_family: list[int], graph: LineRelationGraph) -> ReconstructedSpace:
+def reconstruct(bundle_family, graph: LineRelationGraph) -> ReconstructedSpace:
     """Points as bundles over the gluing classes of the semibundle family.
 
     The gluing relation is reflexive and symmetric by construction; its
@@ -140,26 +148,21 @@ def reconstruct(bundle_family: list[int], graph: LineRelationGraph) -> Reconstru
                     witnesses.append((comp[a], mid, comp[b]))
         if witnesses:
             break
-    unions = []
-    for comp in classes:
-        mask = 0
-        for i in comp:
-            mask |= bundle_family[i]
-        unions.append(mask)
-    points = [m for _, m in by_members(set(unions))]
-    index = {m: i for i, m in enumerate(points)}
-    return ReconstructedSpace(graph.count, points, class_of, [index[m] for m in unions],
-                              not witnesses, witnesses)
+    unions = [tuple(sorted({l for i in comp for l in bundle_family[i]})) for comp in classes]
+    points = sorted(set(unions))
+    index = {u: i for i, u in enumerate(points)}
+    return ReconstructedSpace(graph.count, [graph.mask_of(u) for u in points], class_of,
+                              [index[u] for u in unions], adj, not witnesses, witnesses)
 
 
 def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
-                       strip_result: StripResult, bundle_family: list[int]) -> dict:
+                       strip_result: StripResult, bundle_family) -> dict:
     """Compare a reconstruction against the source spine space.
 
     The stripping permutation carries original line ids to the
-    reconstruction's universe.  The natural map sends a proper
-    point to the bundle of its semibundles in the input family; each check
-    is reported separately:
+    reconstruction's universe, where `bundle_family` is given.  The natural
+    map sends a proper point to the bundle of its semibundles in the input
+    family; each check is reported separately:
 
     * naturality -- every family member is geometrically a semibundle at a
       proper point, and all members at one point yield the same bundle;
@@ -178,8 +181,8 @@ def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
 
     anomalies = []
     nat: dict[int, int] = {}  # pid -> reconstructed point index
-    for ci, k_mask in enumerate(bundle_family):
-        key = space.semibundle_at(strip_result.original(k_mask))
+    for ci, k in enumerate(bundle_family):
+        key = space.semibundle_at(frozenset(inv[l] for l in k))
         if key is None or key[1] not in space.pid_of_gid:
             anomalies.append({"clique": ci, "reason": "not a proper semibundle"})
             continue

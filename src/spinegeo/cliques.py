@@ -10,9 +10,10 @@ universes.  `podmianka` is the single-line exchange criterion that singles
 out the semiaffine semiflats among maximal cliques of the proper-pencil
 relation when q >= 3.
 
-A clique family keeps each clique as its sorted line ids.  The kernels
-build integer bitmasks over line ids while they work, and the relation rows
-stay bitmasks, but no family stores a mask as wide as the line universe.
+Cliques cross function boundaries as sorted member tuples: families keep
+them, `bron_kerbosch` returns them, `podmianka` and `family_from_members`
+take them.  Kernels build bitmasks over line ids (`graph.mask_of`, the
+relation rows) inside a call and drop them on return.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .relations import RHO, LineRelationGraph, bits_of, by_members
+from .relations import RHO, LineRelationGraph, bits_of
 from .spine import (
     PLANE_AFFINE,
     PLANE_PROJECTIVE,
@@ -49,6 +50,13 @@ def _mask_is_clique(mask: int, rows: list[int]) -> bool:
         if (mask & rows[v]) | low != mask:
             return False
     return True
+
+
+def is_maximal_clique(members, graph: LineRelationGraph) -> bool:
+    """The line ids `members` are pairwise related and no line relates to
+    all of them (the relation is irreflexive, so no member does)."""
+    return (_mask_is_clique(graph.mask_of(members), graph.rows)
+            and not graph.common_neighbors(members))
 
 
 def delta_n(ids, graph: LineRelationGraph) -> bool:
@@ -122,7 +130,7 @@ def _clique_family(graph: LineRelationGraph, members, certify) -> LineSetFamily:
     family = line_set_family(sorted(members), graph.count)
     family.certificates = [certify(mem) for mem in family.members]
     if graph.delta_kind == RHO:
-        family.exchange = [podmianka(graph.mask_of(mem), graph) for mem in family.members]
+        family.exchange = [podmianka(mem, graph) for mem in family.members]
     return family
 
 
@@ -179,40 +187,35 @@ def family_K(graph: LineRelationGraph) -> LineSetFamily:
     return _clique_family(graph, found, found.__getitem__)
 
 
-def family_from_masks(graph: LineRelationGraph, masks) -> LineSetFamily:
-    """Package an externally produced clique list (e.g. geometric families).
+def family_from_members(graph: LineRelationGraph, members) -> LineSetFamily:
+    """Package an externally produced clique list (e.g. the oracle's).
 
-    Each mask is verified to be a maximal clique of the graph, and a
-    spanning triple is searched inside each clique; cliques without one get
-    certificate None (they are maximal but not spanned, like the affine
-    semiflats for the proper-pencil relation).  On a proper-pencil graph
-    each clique also gets its exchange flag.  The family keeps each clique's
-    line ids, not the mask.
+    `members` are sorted tuples of line ids.  Each is verified to be a
+    maximal clique of the graph, and a spanning triple is searched inside
+    each clique; cliques without one get certificate None (they are maximal
+    but not spanned, like the affine semiflats for the proper-pencil
+    relation).  On a proper-pencil graph each clique also gets its exchange
+    flag.
     """
     rows = graph.rows
 
     def certify(mem):
-        mask = graph.mask_of(mem)
-        if not _mask_is_clique(mask, rows):
-            raise ValueError(f"not a clique: {mem}")
-        inter = ~0
-        for v in mem:
-            inter &= rows[v]
-        if inter & ~mask:
-            raise ValueError(f"clique not maximal: {mem}")
+        if not is_maximal_clique(mem, graph):
+            raise ValueError(f"not a maximal clique: {mem}")
         for tri in itertools.combinations(mem, 3):
             if _mask_is_clique(rows[tri[0]] & rows[tri[1]] & rows[tri[2]], rows):
                 return tri
         return None
 
-    return _clique_family(graph, {tuple(bits_of(m)) for m in masks}, certify)
+    return _clique_family(graph, set(members), certify)
 
 
 BK_MAX_LINES = 5000  # the largest line universe handed to the Bron-Kerbosch oracle
 
 
-def bron_kerbosch(graph: LineRelationGraph) -> list[int]:
-    """All maximal cliques as bitmasks, by pivoting Bron-Kerbosch.
+def bron_kerbosch(graph: LineRelationGraph) -> list[tuple[int, ...]]:
+    """All maximal cliques as sorted tuples of line ids, in sorted order, by
+    pivoting Bron-Kerbosch.
 
     Runs over a degeneracy ordering at the outer level.  Raises above
     `BK_MAX_LINES` lines, against accidental use on large universes.
@@ -260,10 +263,10 @@ def bron_kerbosch(graph: LineRelationGraph) -> list[int]:
             else:
                 earlier |= 1 << u
         expand(1 << v, later, earlier)
-    return [m for _, m in by_members(out)]
+    return sorted(tuple(bits_of(m)) for m in out)
 
 
-def podmianka(clique_mask: int, graph: LineRelationGraph) -> bool:
+def podmianka(members: tuple[int, ...], graph: LineRelationGraph) -> bool:
     """Single-line exchange test on a maximal clique.
 
     True iff removing one member and inserting some outside line yields a
@@ -273,11 +276,11 @@ def podmianka(clique_mask: int, graph: LineRelationGraph) -> bool:
     a three-line direction selector of AG(2,2); swapping one of its lines
     for that line's parallel makes the three lines concurrent, and the
     concurrent triple extends into the ambient semibundle, so no swap gives
-    a maximal clique and the test is False there.  Raises when the input is
-    not a maximal clique.
+    a maximal clique and the test is False there.  `members` are the
+    clique's line ids.  Raises when they are not a maximal clique.
     """
     rows = graph.rows
-    members = tuple(bits_of(clique_mask))
+    clique_mask = graph.mask_of(members)
     if not _mask_is_clique(clique_mask, rows):
         raise ValueError("input is not a clique")
     k = len(members)

@@ -164,8 +164,9 @@ class Workspace:
         return geometric_families(self.space())
 
     @_stage
-    def cliques(self, kind: str) -> list[int] | None:
-        """Every maximal clique (Bron-Kerbosch), or None above the oracle cap."""
+    def cliques(self, kind: str) -> list[tuple[int, ...]] | None:
+        """Every maximal clique (Bron-Kerbosch) as its sorted line ids, or
+        None above the oracle cap."""
         g = self.graph(kind)
         if g.count > cliques.BK_MAX_LINES:
             return None

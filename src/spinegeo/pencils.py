@@ -82,7 +82,7 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
     # each of l1, l2, l3
     triple_mask = (1 << l1) | (1 << l2) | (1 << l3)
     cand_mask = ((rows[l1] | 1 << l1) & (rows[l2] | 1 << l2) & (rows[l3] | 1 << l3))
-    cands = list(bits_of(cand_mask | triple_mask))
+    cands = bits_of(cand_mask | triple_mask)
     seen_spans = set()
     for m1, m2, m3 in itertools.combinations(cands, 3):
         gen_common = rows[m1] & rows[m2] & rows[m3]
@@ -94,17 +94,15 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
         if span & triple_mask != triple_mask or span in seen_spans:
             continue
         seen_spans.add(span)
-        if not podmianka(span, graph):
+        if not podmianka(tuple(bits_of(span)), graph):
             return True
     return False
 
 
-def _pencil_closure(i: int, j: int, graph, test) -> int:
-    mask = (1 << i) | (1 << j)
-    for k in bits_of(graph.rows[i] & graph.rows[j]):
-        if test(k, i, j):
-            mask |= 1 << k
-    return mask
+def _pencil_closure(i: int, j: int, graph, test) -> tuple[int, ...]:
+    """The pair with every third line `test` finds concurrent with it, sorted."""
+    third = [k for k in bits_of(graph.rows[i] & graph.rows[j]) if test(k, i, j)]
+    return tuple(sorted([i, j, *third]))
 
 
 def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
@@ -211,9 +209,8 @@ def verify_pencils(pencils: LineSetFamily, graph: LineRelationGraph,
         test = lambda k, i, j: p_rho(k, i, j, graph, family)
     problems = []
     for mem in pencils.members:
-        mask = graph.mask_of(mem)
         for i, j in itertools.combinations(mem, 2):
-            if _pencil_closure(i, j, graph, test) != mask:
+            if _pencil_closure(i, j, graph, test) != mem:
                 problems.append(f"pair ({i},{j}) closes to a different set than {mem}")
                 break
     return problems
@@ -383,10 +380,11 @@ def derive_line_geometry(graph: LineRelationGraph, cliques: LineSetFamily) -> Li
                         clique_dims, parallel, proper, bundle_cliques)
 
 
-def family_B(geometry: LineGeometry) -> list[int]:
-    """Clique masks of the abstract semibundle family (dimension >= 3)."""
-    members, mask_of = geometry.cliques.members, geometry.graph.mask_of
-    return [mask_of(members[ci]) for ci in geometry.bundle_cliques]
+def family_B(geometry: LineGeometry) -> list[tuple[int, ...]]:
+    """The abstract semibundle family (cliques of dimension >= 3), as the
+    cliques' sorted line ids."""
+    members = geometry.cliques.members
+    return [members[ci] for ci in geometry.bundle_cliques]
 
 
 def geometry_to_json(geometry: LineGeometry) -> dict:

@@ -86,10 +86,15 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
-def by_members(masks) -> list[tuple[tuple[int, ...], int]]:
-    """(member ids, mask) of each mask, sorted by the member ids; the ids of
-    a mask are read once, for the key and for the caller."""
-    return sorted((tuple(bits_of(m)), m) for m in masks)
+def permute_rows(rows: list[int], perm) -> list[int]:
+    """The adjacency `rows` with every line id l renamed to ``perm[l]``."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        r = 0
+        for j in bits_of(row):
+            r |= 1 << perm[j]
+        out[perm[i]] = r
+    return out
 
 
 def _relation_rows(space: SpineSpace, proper_only: bool) -> list[int]:
@@ -144,11 +149,6 @@ class StripResult:
             inv[stripped] = orig
         return tuple(inv)
 
-    def original(self, mask: int) -> frozenset[int]:
-        """Original ids of the stripped lines set in `mask`."""
-        inv = self.inverse
-        return frozenset(inv[l] for l in bits_of(mask))
-
 
 def strip(graph: LineRelationGraph, seed: int) -> StripResult:
     n = graph.count
@@ -159,12 +159,7 @@ def strip(graph: LineRelationGraph, seed: int) -> StripResult:
     for i in range(n - 1, 0, -1):
         j = rng.randrange(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
-    rows = [0] * n
-    for i in range(n):
-        r = 0
-        for j in bits_of(graph.rows[i]):
-            r |= 1 << perm[j]
-        rows[perm[i]] = r
+    rows = permute_rows(graph.rows, perm)
     return StripResult(LineRelationGraph(graph.delta_kind, rows), tuple(perm))
 
 

@@ -14,18 +14,19 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING
 
-from .bundles import upsilon_empty, verify_equivalence
+from .bundles import verify_equivalence
 from .cliques import (
     KIND_AFFINE_SEMIFLAT,
     KIND_PUNCTURED_SEMIFLAT,
     classify_clique,
     delta_n,
+    is_maximal_clique,
     podmianka,
 )
 from .excluded import CASE_NEIGHBOURHOOD, build_homology_map, classify_case, verify_counterexample
 from .gf import FieldSpec, enumerate_subspaces, q_binomial
 from .pencils import family_B, p_pi, p_rho
-from .relations import PI, RHO, LineRelationGraph, bits_of
+from .relations import PI, RHO, LineRelationGraph
 from .spine import LINE_AFFINE, PLANE_AFFINE, STAR_ALPHA, GeoPencil, SpineSpace
 
 if TYPE_CHECKING:
@@ -81,8 +82,8 @@ def check_clique_classification(ws: Workspace) -> dict:
     out: dict = {"pi_family_size": len(fams.pi_family),
                  "rho_family_size": len(fams.rho_family)}
     if ws.cliques(PI) is not None:
-        bk_pi = {frozenset(bits_of(m)) for m in ws.cliques(PI)}
-        bk_rho = {frozenset(bits_of(m)) for m in ws.cliques(RHO)}
+        bk_pi = {frozenset(m) for m in ws.cliques(PI)}
+        bk_rho = {frozenset(m) for m in ws.cliques(RHO)}
         out["mode"] = "bron-kerbosch"
         out["pi_equal"] = bk_pi == fams.pi_family
         out["rho_equal"] = bk_rho == fams.rho_family
@@ -95,18 +96,9 @@ def check_clique_classification(ws: Workspace) -> dict:
         problems = []
         for kind, family in ((PI, fams.pi_family), (RHO, fams.rho_family)):
             graph = ws.graph(kind)
-            rows = graph.rows
-            for lines in family:
-                mask = graph.mask_of(lines)
-                inter = ~0
-                ok_clique = True
-                for l in lines:
-                    if mask & ~(rows[l] | (1 << l)):
-                        ok_clique = False
-                        break
-                    inter &= rows[l]
-                if not ok_clique or (inter & ~mask):
-                    problems.append((graph.delta_kind, sorted(lines)[:4]))
+            for mem in map(sorted, family):
+                if not is_maximal_clique(mem, graph):
+                    problems.append((graph.delta_kind, mem[:4]))
         out["pi_equal"] = out["rho_equal"] = not problems
         out["problems"] = problems[:5]
     out["ok"] = out["pi_equal"] and out["rho_equal"]
@@ -127,26 +119,26 @@ def check_exchange_criterion(ws: Workspace) -> dict:
     cliques are the geometric rho family.
     """
     space, rho, fams = ws.space(), ws.graph(RHO), ws.families()
-    masks = ws.cliques(RHO)
-    if masks is None:
-        masks = [rho.mask_of(lines) for lines in fams.rho_family]
+    members = ws.cliques(RHO)
+    if members is None:
+        members = [tuple(sorted(lines)) for lines in fams.rho_family]
     gf2 = space.params.space.q == 2
     mismatches = []
     excluded_sizes: dict[str, int] = {}
     per_kind: dict[str, dict[bool, int]] = {}
-    for mask in masks:
-        kind, _ = classify_clique(frozenset(bits_of(mask)), space, fams)
-        flag = podmianka(mask, rho)
+    for mem in members:
+        kind, _ = classify_clique(mem, space, fams)
+        flag = podmianka(mem, rho)
         per_kind.setdefault(kind, {True: 0, False: 0})[flag] += 1
         if gf2 and kind == KIND_AFFINE_SEMIFLAT:
-            size = str(mask.bit_count())
+            size = str(len(mem))
             excluded_sizes[size] = excluded_sizes.get(size, 0) + 1
             continue
         expected = kind in (KIND_PUNCTURED_SEMIFLAT, KIND_AFFINE_SEMIFLAT)
         if flag != expected:
             mismatches.append({"kind": kind, "exchange": flag,
-                               "clique": tuple(bits_of(mask))[:8]})
-    report = {"ok": not mismatches, "cliques": len(masks),
+                               "clique": mem[:8]})
+    report = {"ok": not mismatches, "cliques": len(members),
               "per_kind": {k: {str(b): c for b, c in v.items()} for k, v in per_kind.items()},
               "mismatch_count": len(mismatches), "mismatches": mismatches[:5]}
     if excluded_sizes:
@@ -329,17 +321,19 @@ def check_upsilon_structure(ws: Workspace, kind: str) -> dict:
     its geometric semibundle, and verifies the gluing relation holds for a
     pair iff the hosts have the same shape (both stars or both tops) and
     the same vertex; transitivity is established by checking every gluing
-    class is relation-complete.
+    class is relation-complete.  The glued pairs are those the
+    reconstruction found (`gluing_adjacency`, which agrees with
+    `upsilon_empty` pair for pair).
     """
-    sr = ws.stripped(kind)
+    inv = ws.stripped(kind).inverse
     fam = family_B(ws.geometry(kind))
     if not fam:
         return {"applicable": False, "ok": True, "note": "empty semibundle family"}
     space = ws.space()
     kinds = []
     unmatched = 0
-    for mask in fam:
-        key = space.semibundle_at(sr.original(mask))
+    for mem in fam:
+        key = space.semibundle_at(frozenset(inv[l] for l in mem))
         if key is None:
             unmatched += 1
             kinds.append(None)
@@ -347,18 +341,16 @@ def check_upsilon_structure(ws: Workspace, kind: str) -> dict:
             sid, gid = key
             shape = "star" if "star" in space.strongs[sid].kind else "top"
             kinds.append((shape, gid))
+    recon = ws.reconstruction(kind)
     mismatches = []
     for i in range(len(fam)):
+        glued_to = recon.adjacency[i]
         for j in range(i + 1, len(fam)):
-            glued = upsilon_empty(fam[i], fam[j], sr.graph)
-            expected = (
-                kinds[i] is not None and kinds[j] is not None
-                and kinds[i][0] == kinds[j][0] and kinds[i][1] == kinds[j][1]
-            )
+            glued = j in glued_to
+            expected = kinds[i] is not None and kinds[i] == kinds[j]  # shape and vertex
             if glued != expected:
                 mismatches.append({"pair": (i, j), "glued": glued,
                                    "hosts": (kinds[i], kinds[j])})
-    recon = ws.reconstruction(kind)
     return {
         "applicable": True,
         "family_size": len(fam),

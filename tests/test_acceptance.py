@@ -26,6 +26,7 @@ stated cause where it does not:
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -113,6 +114,31 @@ def test_criteria_1_and_2_in_constructive_mode(cfg1_ws, tmp_path, monkeypatch):
     # there the exchange check runs over the geometric rho family, which on
     # cfg1 equals the Bron-Kerbosch cliques (criterion 1): the same report
     assert verify.check_exchange_criterion(ws) == oracle_exchange
+
+
+def test_constructive_mode_reports_a_non_clique_and_a_non_maximal_clique(
+        cfg1_ws, tmp_path, monkeypatch):
+    monkeypatch.setattr(spinegeo.cliques, "BK_MAX_LINES", 1000)
+    ws = workspace(CFG1, tmp_path)
+    fams, pi = cfg1_ws.families(), cfg1_ws.graph("pi")
+    # a maximal pi clique with a line unrelated to one of its members (no
+    # line relates to all of it, so only the clique test can catch it), and
+    # a rho clique without its smallest line
+    clique = min(fams.pi_family, key=sorted)
+    unrelated = next(j for j in range(pi.count)
+                     if j not in clique and not pi.adjacent(min(clique), j))
+    non_clique = sorted(clique | {unrelated})
+    non_maximal = sorted(min(fams.rho_family, key=sorted))[1:]
+    broken = dataclasses.replace(
+        fams, pi_family=fams.pi_family | {frozenset(non_clique)},
+        rho_family=fams.rho_family | {frozenset(non_maximal)})
+    monkeypatch.setattr(ws, "families", lambda: broken)
+    report = verify.check_clique_classification(ws)
+    assert report["mode"] == "constructive"
+    assert sorted((kind, lines) for kind, lines in report["problems"]) == [
+        ("pi", non_clique[:4]), ("rho", non_maximal[:4])]
+    assert not report["pi_equal"] and not report["rho_equal"]
+    assert not report["ok"]
 
 
 # Criterion 3 computes cfg3's stripped and geometry stages, and criterion 4

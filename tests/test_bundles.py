@@ -28,9 +28,9 @@ def cfg1_B(cfg1_geometry):
 
 
 def test_upsilon_is_reflexive_on_cliques(cfg1_B, cfg1_pi):
-    for mask in cfg1_B[:20]:
-        assert upsilon(mask, mask, cfg1_pi)
-        assert upsilon_empty(mask, mask, cfg1_pi)
+    for mem in cfg1_B[:20]:
+        assert upsilon(mem, mem, cfg1_pi)
+        assert upsilon_empty(mem, mem, cfg1_pi)
 
 
 def test_upsilon_fails_across_vertices(cfg1_space, cfg1_B, cfg1_pi):
@@ -38,7 +38,7 @@ def test_upsilon_fails_across_vertices(cfg1_space, cfg1_B, cfg1_pi):
     semib = {
         lines: key for key, lines in cfg1_space.semibundles(min_p_dim=3).items()
     }
-    vertices = [semib[frozenset(bits_of(m))][1] for m in cfg1_B]
+    vertices = [semib[frozenset(m)][1] for m in cfg1_B]
     pairs = 0
     for i, j in itertools.combinations(range(len(cfg1_B)), 2):
         if vertices[i] != vertices[j]:
@@ -80,7 +80,7 @@ def test_reconstruct_matches_all_pairs_upsilon_empty(cfg1_B, cfg1_pi):
             stack, union = [i], 0
             while stack:
                 v = stack.pop()
-                union |= cfg1_B[v]
+                union |= cfg1_pi.mask_of(cfg1_B[v])
                 for u in adj[v]:
                     if class_of[u] < 0:
                         class_of[u] = len(unions)
@@ -103,7 +103,7 @@ def test_gluing_adjacency_matches_upsilon_empty_on_random_graphs():
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
         graph = LineRelationGraph("pi", rows)
-        family = [rng.getrandbits(n) or 1 for _ in range(6)]
+        family = [tuple(bits_of(rng.getrandbits(n) or 1)) for _ in range(6)]
         assert gluing_adjacency(family, graph) == _all_pairs_adjacency(family, graph)
 
 

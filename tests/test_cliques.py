@@ -14,7 +14,7 @@ from spinegeo.cliques import (
     classify_clique,
     delta_n,
     family_K,
-    family_from_masks,
+    family_from_members,
     podmianka,
     span_clique,
 )
@@ -154,7 +154,7 @@ def test_span_is_generator_independent(cfg1_pi):
 
 def test_family_K_equals_bron_kerbosch_pi(cfg1_pi, cfg1_fams):
     spanned = {frozenset(m) for m in family_K(cfg1_pi).members}
-    oracle = {frozenset(bits_of(m)) for m in bron_kerbosch(cfg1_pi)}
+    oracle = {frozenset(m) for m in bron_kerbosch(cfg1_pi)}
     assert spanned == oracle == cfg1_fams.pi_family
 
 
@@ -162,7 +162,7 @@ def test_family_K_equals_bron_kerbosch_rho(cfg1_rho, cfg1_fams):
     # over GF(2) even the affine semiflats are spanned: their single triple
     # has an empty common neighbourhood, which is vacuously a clique
     spanned = {frozenset(m) for m in family_K(cfg1_rho).members}
-    oracle = {frozenset(bits_of(m)) for m in bron_kerbosch(cfg1_rho)}
+    oracle = {frozenset(m) for m in bron_kerbosch(cfg1_rho)}
     assert spanned == oracle == cfg1_fams.rho_family
 
 
@@ -176,18 +176,13 @@ def test_family_K_certificates_are_the_first_spanning_triples(kind, cfg1_pi, cfg
         assert cert == first
 
 
-def test_family_from_masks_verifies_and_certifies(cfg1_rho, cfg1_fams):
-    masks = []
-    for lines in sorted(cfg1_fams.rho_family, key=sorted):
-        m = 0
-        for l in lines:
-            m |= 1 << l
-        masks.append(m)
-    fam = family_from_masks(cfg1_rho, masks)
-    assert len(fam.members) == len(masks)
+def test_family_from_members_verifies_and_certifies(cfg1_rho, cfg1_fams):
+    members = sorted(tuple(sorted(lines)) for lines in cfg1_fams.rho_family)
+    fam = family_from_members(cfg1_rho, members)
+    assert len(fam.members) == len(members)
     assert all(c is not None for c in fam.certificates)
     with pytest.raises(ValueError):
-        family_from_masks(cfg1_rho, [masks[0] & (masks[0] - 1)])  # strict subset
+        family_from_members(cfg1_rho, [members[0][1:]])  # strict subset
 
 
 def test_bron_kerbosch_cap(monkeypatch):
@@ -204,9 +199,9 @@ def test_bron_kerbosch_cap(monkeypatch):
 
 def test_exchange_flags_by_kind(cfg1_space, cfg1_rho, cfg1_fams):
     flags = {}
-    for mask in bron_kerbosch(cfg1_rho):
-        kind, _ = classify_clique(frozenset(bits_of(mask)), cfg1_space, cfg1_fams)
-        flags.setdefault(kind, set()).add(podmianka(mask, cfg1_rho))
+    for mem in bron_kerbosch(cfg1_rho):
+        kind, _ = classify_clique(mem, cfg1_space, cfg1_fams)
+        flags.setdefault(kind, set()).add(podmianka(mem, cfg1_rho))
     assert flags[KIND_PROJECTIVE_FLAT] == {False}
     assert flags[KIND_SEMIBUNDLE_PROPER] == {False}
     assert flags[KIND_PUNCTURED_SEMIFLAT] == {True}
@@ -217,10 +212,9 @@ def test_exchange_flags_by_kind(cfg1_space, cfg1_rho, cfg1_fams):
 
 
 def test_podmianka_rejects_non_maximal_input(cfg1_rho):
-    mask = bron_kerbosch(cfg1_rho)[0]
-    low = mask & -mask
+    mem = bron_kerbosch(cfg1_rho)[0]
     with pytest.raises(ValueError):
-        podmianka(mask ^ low, cfg1_rho)
+        podmianka(mem[1:], cfg1_rho)  # without its smallest line
 
 
 def test_every_maximal_clique_classifies(cfg1_space, cfg1_pi, cfg1_rho, cfg1_fams):
@@ -229,8 +223,8 @@ def test_every_maximal_clique_classifies(cfg1_space, cfg1_pi, cfg1_rho, cfg1_fam
                           (cfg1_rho, {KIND_PROJECTIVE_FLAT, KIND_PUNCTURED_SEMIFLAT,
                                       KIND_AFFINE_SEMIFLAT, KIND_SEMIBUNDLE_PROPER})):
         kinds = set()
-        for mask in bron_kerbosch(graph):
-            kind, witness = classify_clique(frozenset(bits_of(mask)), cfg1_space, cfg1_fams)
+        for mem in bron_kerbosch(graph):
+            kind, witness = classify_clique(mem, cfg1_space, cfg1_fams)
             assert kind != KIND_UNCLASSIFIED
             kinds.add(kind)
         assert kinds == expect

@@ -208,6 +208,29 @@ def test_clique_families_artifact_bytes(tmp_path, params, sha256):
     assert hashlib.sha256(artifact.read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    # the oracle checks and criterion 6
+    (["verify-all", "--q=2", "--n=6", "--k=2", "--m=1", "--w=3"],
+     {"verify-all": "8dc717e23debf0f6a1ff41f890ef17fb960425d96ef8c03d2c58a38d5c9b2888"}),
+    # the GF(3) exchange check and the counterexample
+    (["verify-all", "--q=3", "--n=5", "--k=2", "--m=1", "--w=2"],
+     {"verify-all": "e22b2b039efc8684ff794af8663fb83b667dedc79b7cf1d27f0f71746d921100"}),
+    (["pencils", "--q=2", "--n=5", "--k=2", "--m=1", "--w=3"],
+     {"pencils": "1f9b79ccab19cd348bad81beaea32530f81acf01a270e15380c0dfb18e4c002e",
+      "pencil-families": "114ea8a7c0ac3e66fc7ca1855a9367cafe8887b6bc06a5deb789dcc6c3cf57f9"}),
+    # the verify_equivalence digests
+    (["reconstruct", "--delta=pi", "--q=2", "--n=6", "--k=2", "--m=0", "--w=4"],
+     {"reconstruct": "390cf9be5dc7b8000335f7d3fc368714eb7b9676909e936b91ef8f446d98429a"}),
+])
+def test_report_bytes(tmp_path, argv, sha256):
+    # every report and artifact the command writes, byte for byte (not the
+    # .meta.json sidecar, which holds the timestamp)
+    assert cli.main([*argv, "--seed=11", "--out", str(tmp_path)]) == OK
+    got = {p.name.rsplit("-", 1)[0]: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.glob("*.json") if not p.name.endswith(".meta.json")}
+    assert got == sha256
+
+
 def test_build_writes_no_space_cache(tmp_path):
     payload, code = cmd_build(cfg(tmp_path))
     assert code == OK

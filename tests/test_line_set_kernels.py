@@ -285,7 +285,7 @@ def compare_families(graph):
     assert fam.certificates == [ref[m] for _, m in pairs]
     masks = [m for _, m in pairs]
     if graph.delta_kind == RHO:
-        assert fam.exchange == [podmianka(m, graph) for m in masks]
+        assert fam.exchange == [podmianka(mem, graph) for mem, _ in pairs]
     else:
         assert fam.exchange is None
     assert family_P(graph, fam).members == reference_family_P(graph, fam, masks)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from spinegeo import build_spine, standard_params
-from spinegeo.cliques import _mask_is_clique, bron_kerbosch, family_K, family_from_masks
+from spinegeo.cliques import _mask_is_clique, bron_kerbosch, family_K, family_from_members
 from spinegeo.pencils import (
     clique_dimension,
     derive_line_geometry,
@@ -152,7 +152,7 @@ def test_p_rho_index_needs_a_certified_clique():
             rows[4 + t] |= 1 << c
             rows[c] |= 1 << (4 + t)
     rho = LineRelationGraph("rho", rows)
-    family = family_from_masks(rho, bron_kerbosch(rho))
+    family = family_from_members(rho, bron_kerbosch(rho))
     assert family.certificates[family.members.index((0, 1, 2, 3))] is None
     family.exchange = [mem != (0, 1, 2, 3) for mem in family.members]
     for tri in itertools.combinations(range(4), 3):
@@ -222,7 +222,7 @@ def test_family_P_rho_matches_pairwise_p_rho_closure(cfg1_rho, cex_rho):
         reference = [tuple(bits_of(m)) for m in reference]
         assert family_P(rho, fam).members == reference
         # the same pencils from every maximal clique, certified or not
-        every = family_from_masks(rho, bron_kerbosch(rho))
+        every = family_from_members(rho, bron_kerbosch(rho))
         assert family_P(rho, every).members == reference
 
 
@@ -323,7 +323,7 @@ def test_family_B_is_the_proper_semibundles(cfg1_space, cfg1_pi, cfg1_rho):
     }
     for graph in (cfg1_pi, cfg1_rho):
         geometry = derive_line_geometry(graph, family_K(graph))
-        got = {frozenset(bits_of(m)) for m in family_B(geometry)}
+        got = {frozenset(m) for m in family_B(geometry)}
         assert got == expected
 
 

@@ -80,29 +80,33 @@ class ReconstructedSpace:
 def gluing_adjacency(bundle_family, graph: LineRelationGraph) -> list[set[int]]:
     """The pairs of family members that `upsilon_empty` glues, as neighbour sets.
 
-    Each clique's mask and reach, the union of its lines' rows, are computed
-    once.  The relation is symmetric, so a line relates into a clique iff it lies
-    in that clique's reach, and `upsilon(k1, k2)` holds iff `k1 & reach(k2)`
-    has at least two bits: the same pairs glue as under `upsilon_empty`,
-    with a few integer operations per pair instead of a walk over lines.
+    The relation is symmetric, so a line relates into clique i iff it lies
+    in i's reach, the union of its lines' rows; `upsilon(kj, ki)` thus
+    counts the lines of clique j in that reach.  An index from each line to
+    the family members holding it, built inside the call, gives those counts
+    for every later j in one walk over the reach, and only the j with two
+    or more get the other two tests: disjoint or equal, and `upsilon(ki,
+    kj)`.  Each neighbour set gets its members in ascending order, as an
+    all-pairs scan adds them.
     """
     rows = graph.rows
-    masks = [graph.mask_of(k) for k in bundle_family]
-    reach = []
-    for k in bundle_family:
-        r = 0
+    holding: dict[int, list[int]] = {}  # line -> the family members holding it
+    for idx, k in enumerate(bundle_family):
         for l in k:
-            r |= rows[l]
-        reach.append(r)
-    n = len(bundle_family)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        ki, reach_i = masks[i], reach[i]
-        for j in range(i + 1, n):
-            kj = masks[j]
-            if ki != kj and ki & kj:
-                continue
-            if (ki & reach[j]).bit_count() >= 2 and (kj & reach_i).bit_count() >= 2:
+            holding.setdefault(l, []).append(idx)
+    adj: list[set[int]] = [set() for _ in bundle_family]
+    for i, ki in enumerate(bundle_family):
+        reach = 0
+        for l in ki:
+            reach |= rows[l]
+        hits: dict[int, int] = {}  # later member j -> its lines in i's reach
+        for l in bits_of(reach):
+            for j in holding.get(l, ()):
+                if j > i:
+                    hits[j] = hits.get(j, 0) + 1
+        for j in sorted(j for j, c in hits.items() if c >= 2):
+            kj = bundle_family[j]
+            if (ki == kj or set(ki).isdisjoint(kj)) and upsilon(ki, kj, graph):
                 adj[i].add(j)
                 adj[j].add(i)
     return adj
@@ -114,9 +118,9 @@ def reconstruct(bundle_family, graph: LineRelationGraph) -> ReconstructedSpace:
     The gluing relation is reflexive and symmetric by construction; its
     transitivity on the family is verified, not assumed.  Classes are taken
     as connected components of `gluing_adjacency` (the pairs `upsilon_empty`
-    glues, read off reach masks), each checked to be relation-complete; any
-    failing triple is reported as a witness while the bundles are still
-    produced from the component unions.
+    glues), each checked to be relation-complete; any failing triple is
+    reported as a witness while the bundles are still produced from the
+    component unions.
     """
     n = len(bundle_family)
     adj = gluing_adjacency(bundle_family, graph)

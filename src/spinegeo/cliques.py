@@ -13,11 +13,14 @@ relation when q >= 3.
 Cliques cross function boundaries as sorted member tuples: families keep
 them, `bron_kerbosch` returns them, `podmianka` and `family_from_members`
 take them.  Kernels build bitmasks over line ids (`graph.mask_of`, the
-relation rows) inside a call and drop them on return.
+relation rows) inside a call and drop them on return; a tuple a family
+keeps comes from `graph.members_of`, so it holds the graph's shared id
+objects.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -153,7 +156,7 @@ def family_K(graph: LineRelationGraph) -> LineSetFamily:
     later line j of the found cliques through i to the union, as a mask, of
     those holding j too; it lives while the scan is at line i.
     """
-    rows = graph.rows
+    rows, ids = graph.rows, graph.ids
     n = graph.count
     found: dict[tuple[int, ...], tuple[int, int, int]] = {}
     at_line: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # found cliques per line
@@ -176,8 +179,8 @@ def family_K(graph: LineRelationGraph) -> LineSetFamily:
                 if not _mask_is_clique(common, rows):
                     continue
                 mask = common | (1 << i) | (1 << j) | (1 << k)
-                mem = tuple(bits_of(mask))
-                found[mem] = (i, j, k)
+                mem = graph.members_of(mask)
+                found[mem] = (ids[i], ids[j], ids[k])
                 covered |= mask
                 for l in mem:
                     if l > i:
@@ -242,17 +245,7 @@ def bron_kerbosch(graph: LineRelationGraph) -> list[tuple[int, ...]]:
             p_mask ^= low
             x_mask |= low
 
-    # degeneracy ordering: repeatedly remove a minimum-degree vertex
-    remaining = set(range(n))
-    degs = {v: graph.degree(v) for v in remaining}
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda u: (degs[u], u))
-        order.append(v)
-        remaining.remove(v)
-        for u in bits_of(rows[v]):
-            if u in remaining:
-                degs[u] -= 1
+    order = _degeneracy_order(graph)
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
         later = 0
@@ -263,7 +256,35 @@ def bron_kerbosch(graph: LineRelationGraph) -> list[tuple[int, ...]]:
             else:
                 earlier |= 1 << u
         expand(1 << v, later, earlier)
-    return sorted(tuple(bits_of(m)) for m in out)
+    return sorted(graph.members_of(m) for m in out)
+
+
+def _degeneracy_order(graph: LineRelationGraph) -> list[int]:
+    """The lines in the order of repeatedly removing one of least remaining
+    degree, the smallest id among ties.
+
+    A heap of (degree, id) entries with lazy deletion: each decrement pushes
+    the line's new entry, and a popped entry is stale when its line is gone
+    or its degree is no longer current (degrees only fall, so a stale entry
+    sorts after the current one).
+    """
+    rows = graph.rows
+    degs = [graph.degree(v) for v in range(graph.count)]
+    heap = [(d, v) for v, d in enumerate(degs)]
+    heapq.heapify(heap)
+    removed = [False] * graph.count
+    order = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != degs[v]:
+            continue
+        removed[v] = True
+        order.append(v)
+        for u in bits_of(rows[v]):
+            if not removed[u]:
+                degs[u] -= 1
+                heapq.heappush(heap, (degs[u], u))
+    return order
 
 
 def podmianka(members: tuple[int, ...], graph: LineRelationGraph) -> bool:

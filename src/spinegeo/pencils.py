@@ -94,7 +94,7 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
         if span & triple_mask != triple_mask or span in seen_spans:
             continue
         seen_spans.add(span)
-        if not podmianka(tuple(bits_of(span)), graph):
+        if not podmianka(graph.members_of(span), graph):
             return True
     return False
 
@@ -188,7 +188,7 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
             if not keep:
                 continue
             mask = keep | 1 << i | 1 << j
-            members = tuple(bits_of(mask))
+            members = graph.members_of(mask)
             found.add(members)
             covered |= mask
             for l in members:

@@ -30,12 +30,18 @@ class LineRelationGraph:
     Rows are arbitrary-size integer bitmasks: bit j of ``rows[i]`` is set iff
     line i relates to line j.  Bitmasks make neighbourhood intersections and
     clique tests single integer operations.
+
+    `ids[l]` is the one int object for line id l, built once per graph.
+    `members_of(mask)`, the inverse of `mask_of`, draws a line set's member
+    tuple from it, so a line held by many kept tuples is stored once: every
+    int above 256 is otherwise a separate 32-byte object per tuple.
     """
 
     def __init__(self, delta_kind: str, rows: list[int]):
         self.delta_kind = delta_kind
         self.rows = rows
         self.count = len(rows)
+        self.ids = tuple(range(self.count))
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -51,6 +57,11 @@ class LineRelationGraph:
         for i in ids:
             m |= 1 << i
         return m
+
+    def members_of(self, mask: int) -> tuple[int, ...]:
+        """The sorted line ids of a mask, as the shared `ids` objects."""
+        ids = self.ids
+        return tuple([ids[v] for v in bits_of(mask)])
 
     def common_neighbors(self, ids) -> int:
         m = (1 << self.count) - 1
@@ -169,29 +180,26 @@ def strip(graph: LineRelationGraph, seed: int) -> StripResult:
 def _row_to_rle(row: int, n: int) -> str:
     """Run-length encoding of a bit row: alternating run lengths, zeros first.
 
-    Walks runs, not bits: a run of zeros at `pos` is the trailing-zero count
-    of ``row >> pos`` (or reaches n when nothing is left), and the run of ones
-    after it is the trailing-zero count of the complement, read off
-    ``rest ^ (rest + 1)``.  The runs, hence the text, are those of the
-    bit-by-bit scan; bits at n and above are ignored, as that scan ignores
-    them.
+    The runs of ones are the stretches of consecutive set bits, read off
+    the row's bit list; each is preceded by the zeros since the last one
+    (0 before a run that starts at bit 0), and a row not ending in a one
+    closes with its trailing zeros (an empty row is the single run n).
+    Bits at n and above are ignored.
     """
-    row &= (1 << n) - 1
     runs = []
-    pos = 0
-    while True:
-        rest = row >> pos
-        zeros = (rest & -rest).bit_length() - 1 if rest else n - pos
-        runs.append(zeros)
-        pos += zeros
-        if pos == n:
-            break
-        rest >>= zeros
-        ones = (rest ^ (rest + 1)).bit_length() - 1
-        runs.append(ones)
-        pos += ones
-        if pos == n:
-            break
+    pos = start = end = 0  # pos: first bit not yet encoded; [start, end): the open run
+    for v in bits_of(row & ((1 << n) - 1)):
+        if v != end:
+            if end:
+                runs += (start - pos, end - start)
+                pos = end
+            start = v
+        end = v + 1
+    if end:
+        runs += (start - pos, end - start)
+        pos = end
+    if pos < n or not runs:
+        runs.append(n - pos)
     return ",".join(map(str, runs))
 
 

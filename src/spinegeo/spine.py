@@ -266,7 +266,6 @@ class SpineSpace:
         self._planes: list[PlaneInfo] | None = None
         self._pencils: list[GeoPencil] | None = None
         self._semibundles: dict[tuple[int, int], frozenset[int]] | None = None
-        self._semibundle_at: dict[frozenset[int], tuple[int, int]] | None = None
 
     def _by_closure_point(self, line_ids) -> dict[int, list[int]]:
         """The given lines grouped by the closure points they pass through,
@@ -428,8 +427,8 @@ class SpineSpace:
     def semibundles(self, min_p_dim: int = 3) -> dict[tuple[int, int], frozenset[int]]:
         """Line sets L_U(X) keyed by (strong id, vertex gid), X at least min_p_dim.
 
-        The sets of every X of dimension at least 2 are built once, with the
-        `semibundle_at` lookup, and filtered per call.
+        The sets of every X of dimension at least 2 are built once and
+        filtered per call.
         """
         if self._semibundles is None:
             table = {}
@@ -439,19 +438,44 @@ class SpineSpace:
                 for g, lids in self._by_closure_point(st.line_ids).items():
                     if len(lids) >= 2:
                         table[(st.id, g)] = frozenset(lids)
-            self._semibundles = table
-            self._semibundle_at = {lines: key for key, lines in table.items()}
             # two lines fix their strong subspace and their common point
-            assert len(self._semibundle_at) == len(table)
+            assert len(set(table.values())) == len(table)
+            self._semibundles = table
         return {key: lines for key, lines in self._semibundles.items()
                 if self.strongs[key[0]].p_dim >= min_p_dim}
 
-    def semibundle_at(self, lines: frozenset[int]) -> tuple[int, int] | None:
+    def semibundle_at(self, lines) -> tuple[int, int] | None:
         """The (strong id, vertex gid) of the L_U(X) equal to `lines`, X at
-        least 2-dimensional, or None."""
-        if self._semibundle_at is None:
-            self.semibundles(min_p_dim=2)
-        return self._semibundle_at.get(lines)
+        least 2-dimensional, or None.  `lines` is a set of line ids (or a
+        sequence without repeats, in any order).
+
+        Any two of the lines fix the only candidate key.  Distinct pencils
+        share at most one member, so the lines' closures meet in at most one
+        point g, which must be the vertex.  Distinct lines share at most one
+        of their pencil base H and span B, so they lie in at most one common
+        star (same H) or top (same B), which must be U.  Then `lines` is
+        L_U(g) iff it equals the lines through g that lie in U.
+        """
+        if len(lines) < 2:
+            return None
+        it = iter(lines)
+        a, b = next(it), next(it)
+        common = set(self.lines[a].closure_gids).intersection(self.lines[b].closure_gids)
+        if len(common) != 1:
+            return None
+        (g,) = common
+        host_of = self.star_of_line
+        if host_of[a] is None or host_of[a] != host_of[b]:
+            host_of = self.top_of_line
+            if host_of[a] is None or host_of[a] != host_of[b]:
+                return None
+        sid = host_of[a]
+        if self.strongs[sid].p_dim < 2:
+            return None
+        through = [l for l in self.lines_through[g] if host_of[l] == sid]
+        if len(through) != len(lines) or not all(l in lines for l in through):
+            return None
+        return (sid, g)
 
     # -- foundational checks ------------------------------------------------
 

@@ -342,15 +342,20 @@ def check_upsilon_structure(ws: Workspace, kind: str) -> dict:
             shape = "star" if "star" in space.strongs[sid].kind else "top"
             kinds.append((shape, gid))
     recon = ws.reconstruction(kind)
+    # the pairs i < j expected to glue are those within a group of equal
+    # (shape, vertex); at each i the mismatches are the symmetric difference
+    # of its later group members and its later glued partners, ascending
+    groups: dict[tuple, list[int]] = {}
+    for i, host in enumerate(kinds):
+        if host is not None:
+            groups.setdefault(host, []).append(i)
     mismatches = []
-    for i in range(len(fam)):
-        glued_to = recon.adjacency[i]
-        for j in range(i + 1, len(fam)):
-            glued = j in glued_to
-            expected = kinds[i] is not None and kinds[i] == kinds[j]  # shape and vertex
-            if glued != expected:
-                mismatches.append({"pair": (i, j), "glued": glued,
-                                   "hosts": (kinds[i], kinds[j])})
+    for i, host in enumerate(kinds):
+        expected = {j for j in groups.get(host, ()) if j > i}
+        glued_to = {j for j in recon.adjacency[i] if j > i}
+        for j in sorted(expected ^ glued_to):
+            mismatches.append({"pair": (i, j), "glued": j in glued_to,
+                               "hosts": (host, kinds[j])})
     return {
         "applicable": True,
         "family_size": len(fam),

@@ -8,6 +8,8 @@ cex   -- the neighbourhood-of-a-point case over GF(3), where a central
          collineation of one star breaks bundle preservation.
 roomy -- a config whose lines all sit in 4-dimensional stars, where the
          full reconstruction genuinely succeeds for both relations.
+twin  -- the GF(3) space of the benchmark's check suite, small enough to
+         build per session for the kernel comparisons.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ import spinegeo.pencils
 import spinegeo.relations
 from spinegeo import verify
 from spinegeo.harness import RunConfig, Workspace
+from spinegeo.spine import build_spine, standard_params
 
 CFG1 = (2, 6, 2, 1, 3)
 CFG3 = (2, 6, 3, 0, 1)
 CEX = (3, 5, 2, 1, 2)
 ROOMY = (2, 6, 2, 0, 2)
+TWIN = (3, 4, 2, 1, 3)
 SEED = 11
 
 
@@ -115,6 +119,13 @@ def cex_pi(cex_ws):
 @pytest.fixture(scope="session")
 def cex_rho(cex_ws):
     return cex_ws.graph("rho")
+
+
+@pytest.fixture(scope="session")
+def twin_space():
+    """The GF(3) twin (3,4,2,1,3) of the benchmark: 507 lines, built in well
+    under a second."""
+    return build_spine(standard_params(*TWIN))
 
 
 @pytest.fixture(scope="session")

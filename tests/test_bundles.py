@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
+
+from spinegeo import verify
 
 from spinegeo.bundles import (
     bundle_of,
@@ -105,6 +108,48 @@ def test_gluing_adjacency_matches_upsilon_empty_on_random_graphs():
         graph = LineRelationGraph("pi", rows)
         family = [tuple(bits_of(rng.getrandbits(n) or 1)) for _ in range(6)]
         assert gluing_adjacency(family, graph) == _all_pairs_adjacency(family, graph)
+
+
+def reference_upsilon_mismatches(kinds, adjacency):
+    """The earlier F^2 walk of the gluing check over every pair i < j."""
+    mismatches = []
+    for i in range(len(kinds)):
+        for j in range(i + 1, len(kinds)):
+            glued = j in adjacency[i]
+            expected = kinds[i] is not None and kinds[i] == kinds[j]
+            if glued != expected:
+                mismatches.append({"pair": (i, j), "glued": glued,
+                                   "hosts": (kinds[i], kinds[j])})
+    return mismatches
+
+
+def test_upsilon_structure_reports_the_pairs_of_the_all_pairs_walk(roomy_ws, monkeypatch):
+    # roomy: three semibundles per point, so some pairs glue (on cfg1 none do)
+    space, inv = roomy_ws.space(), roomy_ws.stripped("pi").inverse
+    fam = family_B(roomy_ws.geometry("pi"))
+    kinds = []
+    for mem in fam:
+        sid, gid = space.semibundle_at(frozenset(inv[l] for l in mem))
+        kinds.append(("star" if "star" in space.strongs[sid].kind else "top", gid))
+    recon = roomy_ws.reconstruction("pi")
+    adjacency = [set(nbrs) for nbrs in recon.adjacency]
+    # drop one glued pair, and glue a later pair whose hosts differ
+    i, j = next((i, j) for i in range(len(fam)) for j in sorted(adjacency[i]) if j > i)
+    a, b = next((a, b) for a in range(i + 1, len(fam)) for b in range(a + 1, len(fam))
+                if kinds[a] != kinds[b])
+    for x, y in ((i, j), (j, i)):
+        adjacency[x].discard(y)
+    for x, y in ((a, b), (b, a)):
+        adjacency[x].add(y)
+    damaged = dataclasses.replace(recon, adjacency=adjacency)
+    monkeypatch.setattr(roomy_ws, "reconstruction", lambda kind: damaged)
+
+    report = verify.check_upsilon_structure(roomy_ws, "pi")
+    reference = reference_upsilon_mismatches(kinds, adjacency)
+    assert [w["pair"] for w in reference] == [(i, j), (a, b)]
+    assert report["mismatch_count"] == len(reference)
+    assert report["witnesses"] == reference[:5]
+    assert not report["ok"]
 
 
 def test_reconstruction_point_count_and_transitivity(cfg1_B, cfg1_pi):

@@ -10,7 +10,11 @@ cliques and pencils.
 Clique families keep member tuples, not masks.  `family_K`, `family_P` and
 the indexed `p_rho` are compared with the earlier bodies, which stored one
 universe-wide mask per clique, on random graphs and on the relations of
-cfg1, cex and the GF(3) twin (3,4,2,1,3).
+cfg1, cex and the GF(3) twin (3,4,2,1,3).  Their kept member tuples hold
+the graph's shared `ids` objects.
+
+Bron-Kerbosch's degeneracy order, now taken from a heap, is compared with
+the earlier minimum-per-step loop on the same graphs.
 """
 
 import itertools
@@ -18,10 +22,9 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinegeo.cliques import _mask_is_clique, family_K, podmianka
+from spinegeo.cliques import _degeneracy_order, _mask_is_clique, family_K, podmianka
 from spinegeo.pencils import clique_dimension, derive_line_geometry, family_P, p_rho
 from spinegeo.relations import PI, RHO, LineRelationGraph, bits_of, compute_pi, compute_rho
-from spinegeo.spine import build_spine, standard_params
 
 WIDTH = 5760  # lines of (2,6,2,0,4), the widest benchmark universe
 
@@ -323,10 +326,65 @@ def test_clique_families_match_mask_references_on_cfg1(cfg1_pi, cfg1_rho):
     assert compare_families(cfg1_rho) > 0
 
 
-def test_clique_families_match_mask_references_on_cex_and_twin(cex_pi, cex_rho):
-    twin_space = build_spine(standard_params(3, 4, 2, 1, 3))
+def test_clique_families_match_mask_references_on_cex_and_twin(cex_pi, cex_rho, twin_space):
     compare_families(cex_pi)
     compare_families(compute_pi(twin_space))
     # every triple inside every rho clique, where the count test decides
     assert compare_families(cex_rho) == 106704
     assert compare_families(compute_rho(twin_space)) == 26442
+
+
+# ---------- the degeneracy order ---------------------------------------------
+
+
+def reference_degeneracy_order(graph):
+    """The earlier loop: a minimum over the remaining lines at every step."""
+    remaining = set(range(graph.count))
+    degs = {v: graph.degree(v) for v in remaining}
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (degs[u], u))
+        order.append(v)
+        remaining.remove(v)
+        for u in bits_of(graph.rows[v]):
+            if u in remaining:
+                degs[u] -= 1
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_degeneracy_order_matches_the_minimum_loop_on_random_graphs(graph):
+    assert _degeneracy_order(graph) == reference_degeneracy_order(graph)
+
+
+def test_degeneracy_order_matches_the_minimum_loop_on_pinned_configs(
+        cfg1_pi, cfg1_rho, cex_pi, cex_rho, twin_space):
+    for graph in (cfg1_pi, cfg1_rho, cex_pi, cex_rho,
+                  compute_pi(twin_space), compute_rho(twin_space)):
+        assert _degeneracy_order(graph) == reference_degeneracy_order(graph)
+
+
+# ---------- shared line ids --------------------------------------------------
+
+
+def test_members_of_inverts_mask_of(cfg1_pi):
+    for mem in [(), (0,), (3, 257, 1469), tuple(range(0, 1470, 7))]:
+        assert cfg1_pi.members_of(cfg1_pi.mask_of(mem)) == mem
+
+
+def test_kept_member_tuples_hold_the_graph_ids(cfg1_ws):
+    """Every line of a kept clique, certificate or pencil tuple is the
+    graph's own int object for that id, not a copy per tuple."""
+    stripped = cfg1_ws.stripped(PI).graph
+    plain = cfg1_ws.graph(PI)
+    spanned = cfg1_ws.spanned(PI)
+    families = [
+        (stripped, spanned.members),
+        (stripped, [tri for tri in spanned.certificates if tri is not None]),
+        (stripped, cfg1_ws.geometry(PI).pencils.members),
+        (plain, cfg1_ws.cliques(PI)),
+    ]
+    for graph, members in families:
+        assert any(l > 256 for mem in members for l in mem)
+        assert all(l is graph.ids[l] for mem in members for l in mem)

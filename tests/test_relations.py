@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinegeo.cliques import family_K
 from spinegeo.relations import (
@@ -147,6 +149,44 @@ def test_row_to_rle_matches_bit_by_bit_on_every_row(cfg1_pi):
     n = cfg1_pi.count
     for row in cfg1_pi.rows:
         assert _row_to_rle(row, n) == _rle_bit_by_bit(row, n)
+        assert _row_to_rle(row, n) == reference_row_to_rle(row, n)
+
+
+def reference_row_to_rle(row, n):
+    """The earlier encoder: a run walk by trailing-zero counts of the
+    shifted row and of its complement."""
+    row &= (1 << n) - 1
+    runs = []
+    pos = 0
+    while True:
+        rest = row >> pos
+        zeros = (rest & -rest).bit_length() - 1 if rest else n - pos
+        runs.append(zeros)
+        pos += zeros
+        if pos == n:
+            break
+        rest >>= zeros
+        ones = (rest ^ (rest + 1)).bit_length() - 1
+        runs.append(ones)
+        pos += ones
+        if pos == n:
+            break
+    return ",".join(map(str, runs))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 300).flatmap(
+    lambda n: st.tuples(st.integers(0, (1 << (n + 8)) - 1), st.just(n))))
+@example((0, 0))
+@example((0, 9))
+@example((1, 9))  # bit 0: a leading zero run of length 0
+@example((1 << 8, 9))  # bit n - 1
+@example(((1 << 9) - 1, 9))  # all n bits
+@example((0b1011 << 9 | 0b10, 9))  # bits above n are ignored
+@example((0b111 << 9, 9))  # only bits above n: an empty row
+def test_row_to_rle_matches_the_run_walk(case):
+    row, n = case
+    assert _row_to_rle(row, n) == reference_row_to_rle(row, n)
 
 
 def test_graph_json_rejects_bad_runs():

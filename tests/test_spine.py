@@ -213,6 +213,55 @@ def test_foundational_checks_neighbourhood(cex_space):
     assert cex_space.check_tripod_span()["ok"]
 
 
+# ---------- semibundle lookup ----------------------------------------------------
+
+@pytest.fixture(params=["cfg1_space", "cex_space", "twin_space"])
+def space_and_semibundles(request):
+    space = request.getfixturevalue(request.param)
+    return space, space.semibundles(min_p_dim=2)
+
+
+def test_semibundle_at_inverts_the_table(space_and_semibundles):
+    space, table = space_and_semibundles
+    reverse = {lines: key for key, lines in table.items()}
+    assert len(reverse) == len(table) > 0
+    for key, lines in table.items():
+        assert space.semibundle_at(lines) == reverse[lines] == key
+        # which two lines come first does not matter
+        ordered = sorted(lines)
+        assert space.semibundle_at(tuple(ordered)) == key
+        assert space.semibundle_at(tuple(reversed(ordered))) == key
+        assert space.semibundle_at(tuple(ordered[1:] + ordered[:1])) == key
+    # a plane's pencil is an L_U(X) exactly where the plane is a strong subspace
+    for pencil in space.pencils():
+        assert space.semibundle_at(pencil.line_ids) == reverse.get(pencil.line_ids)
+
+
+def test_semibundle_at_rejects_other_line_sets(space_and_semibundles):
+    space, table = space_and_semibundles
+    keys = sorted(table)
+    extended = 0
+    for sid, g in keys:
+        lines = table[(sid, g)]
+        for l in lines:
+            assert space.semibundle_at(lines - {l}) is None
+            assert space.semibundle_at(frozenset({l})) is None
+        # a line of the same strong subspace, off the vertex
+        other = next((l for l in space.strongs[sid].line_ids
+                      if g not in space.lines[l].closure_gids), None)
+        if other is not None:
+            extended += 1
+            ordered = sorted(lines)
+            assert space.semibundle_at(lines | {other}) is None
+            assert space.semibundle_at((other, *ordered)) is None
+            assert space.semibundle_at((*ordered, other)) is None
+    assert extended > 0
+    for a, b in zip(keys, keys[1:]):
+        union = table[a] | table[b]
+        assert space.semibundle_at(union) is None
+        assert space.semibundle_at(tuple(sorted(union, reverse=True))) is None
+
+
 # ---------- export ------------------------------------------------------------------
 
 def test_space_export_is_canonical_and_deterministic(cfg1_space):

@@ -418,6 +418,14 @@ class Interval:
         rows.sort(reverse=True)
         return tuple(rows)
 
+    def unit(self, lift) -> int:
+        """For k = dim h + 1: the lift's vector, reduced modulo h, scaled to lead
+        entry 1; one vector per U, the same in every interval above h."""
+        (v,) = lift
+        q, width = self.lanes.q, self.lanes.width
+        f = v >> (v.bit_length() - 1) // width * width
+        return v if f == 1 else self.lanes.multiples(v)[pow(f, q - 2, q)]
+
     def subspace(self, lift) -> Subspace:
         """The canonical U spanned by h and a lift."""
         return Subspace(self.space, tuple(map(self.lanes.unpack, self.key(lift))))

@@ -134,6 +134,8 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
     - For the proper-pencil relation `p_rho` also asks for a certified,
       exchange-free clique holding the triple, so only the k inside such a
       clique through the pair are candidates.
+    - Hence no k of C is kept when ``cij`` lies inside C: those tests are
+      skipped, and the whole pair when C is its only clique.
     """
     rows = graph.rows
     clique_members, at_line = family.members, family.by_line
@@ -162,6 +164,8 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
                     m = clique_masks[c] = graph.mask_of(clique_members[c])
                 through.append((c, m))
             cij = rows[i] & rows[j]
+            if len(through) == 1 and cij & through[0][1] == cij:
+                continue  # every third line is in the one clique, spanning nothing with it
             cand = cij
             if witness is not None:
                 reach = 0
@@ -182,6 +186,8 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
                 if not inside:
                     continue
                 outside = cij ^ (cij & m)
+                if not outside:
+                    continue
                 for k in bits_of(inside):
                     if rows[k] & outside:
                         keep |= 1 << k

@@ -75,10 +75,19 @@ class LineRelationGraph:
                 raise AssertionError(f"relation is reflexive at line {i}")
             if r >> self.count:
                 raise AssertionError(f"row {i} has bits beyond the line universe")
-        for i in range(self.count):
-            for j in bits_of(self.rows[i]):
-                if not self.rows[j] >> i & 1:
-                    raise AssertionError(f"relation not symmetric at ({i}, {j})")
+        # symmetric iff every row's bit list equals its column's: transpose the
+        # lists once, then report the first (i, j) in row order without (j, i)
+        bits = [bits_of(r) for r in self.rows]
+        cols: list[list[int]] = [[] for _ in bits]
+        for i, row_bits in enumerate(bits):
+            for j in row_bits:
+                cols[j].append(i)
+        for i, row_bits in enumerate(bits):
+            if row_bits != cols[i]:
+                col = set(cols[i])
+                for j in row_bits:
+                    if j not in col:
+                        raise AssertionError(f"relation not symmetric at ({i}, {j})")
 
 
 def bits_of(mask: int) -> list[int]:

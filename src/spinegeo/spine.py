@@ -217,26 +217,34 @@ class SpineSpace:
         # line ids by pencil base H and by pencil span B, keyed by their rows
         self.lines_by_h: dict[tuple, list[int]] = {}
         self.lines_by_b: dict[tuple, list[int]] = {}
+        # in one build each span B is canonicalised and met with W once, and each
+        # closure point once per pencil base H, for its lines and its stars
+        spans: dict[tuple, tuple[Subspace, Subspace]] = {}
+        points_above: dict[tuple, dict[int, int]] = {}
         for h, dh in lows:
             if dh not in (m - 1, m):
                 continue
+            points = points_above[h.rows] = {}
             candidates = Interval(h, full, k + 1)
             for lift in candidates.lifts():
                 # reject the b that are no line before canonicalising them
                 # (on (3,5,2,1,2), 96 % of them); dim(b /\ W) holds on any basis
                 db = candidates.meet_dim(lift, w)
-                if classify_line(dh, db, m) is None:
-                    continue
-                b = candidates.subspace(lift)
-                assert meet_w_dim(b) == db
                 kind = classify_line(dh, db, m)
-                closure = self._gids_between(h, b, k)
+                if kind is None:
+                    continue
+                key = candidates.key(lift)
+                if key not in spans:
+                    b = Subspace(space, tuple(map(candidates.lanes.unpack, key)))
+                    spans[key] = (b, intersect(b, w))
+                b, b_meet_w = spans[key]
+                assert b_meet_w.dim == db
+                closure = self._gids_between(h, b, k, points)
                 proper = tuple(self.pid_of_gid[g] for g in closure if g in self.pid_of_gid)
                 improper = tuple(g for g in closure if g not in self.pid_of_gid)
                 if kind == LINE_AFFINE:
                     assert len(improper) == 1
-                    expected = subspace_sum(h, intersect(b, w))
-                    assert self.grass[improper[0]] == expected
+                    assert self.grass[improper[0]] == subspace_sum(h, b_meet_w)
                     improper_gid = improper[0]
                 else:
                     assert not improper
@@ -258,7 +266,7 @@ class SpineSpace:
         self.void_classes: dict[str, str] = {}
         self.star_id_by_h: dict[tuple, int] = {}
         self.top_id_by_b: dict[tuple, int] = {}
-        self._build_strong(lows, highs)
+        self._build_strong(lows, highs, points_above)
 
         self.star_of_line = [self.star_id_by_h.get(ln.h.rows) for ln in self.lines]
         self.top_of_line = [self.top_id_by_b.get(ln.b.rows) for ln in self.lines]
@@ -278,7 +286,7 @@ class SpineSpace:
 
     # -- strong subspaces --------------------------------------------------
 
-    def _build_strong(self, lows, highs):
+    def _build_strong(self, lows, highs, points_above):
         params = self.params
         space, k, m, w = params.space, params.k, params.m, params.w
         n, wd = space.n, w.dim
@@ -302,18 +310,28 @@ class SpineSpace:
                 continue
             found = 0
             for gen, meet_dim in generators:
-                if meet_dim == meet:
-                    closure = self._gids_between(*bounds(gen), k)
+                if meet_dim == meet:  # no points map for a top: its generator is no base
+                    closure = self._gids_between(*bounds(gen), k, points_above.get(gen.rows))
                     found += self._add_strong(kind, gen, closure, p_dim, d_dim,
                                               lines_by.get(gen.rows, ()))
             if not found:
                 self.void_classes[kind] = "no generator subspace exists for these parameters"
 
-    def _gids_between(self, low: Subspace, high: Subspace, k: int) -> tuple[int, ...]:
+    def _gids_between(self, low: Subspace, high: Subspace, k: int,
+                      points: dict[int, int] | None = None) -> tuple[int, ...]:
         """Grassmann ids of the k-subspaces between low and high, in the order
-        of `enumerate_between`."""
+        of `enumerate_between`.  For a low of dimension k-1, `points` maps the
+        `Interval.unit` vectors above it to ids, filled on first use."""
         interval = Interval(low, high, k)
-        return tuple(self.gid_of[interval.key(lift)] for lift in interval.lifts())
+        if points is None:
+            return tuple(self.gid_of[interval.key(lift)] for lift in interval.lifts())
+        out = []
+        for lift in interval.lifts():
+            v = interval.unit(lift)
+            if v not in points:
+                points[v] = self.gid_of[interval.key(lift)]
+            out.append(points[v])
+        return tuple(out)
 
     def _add_strong(self, kind, generator, closure, p_dim, d_dim, line_ids) -> int:
         closure_gids = frozenset(closure)

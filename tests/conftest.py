@@ -19,6 +19,7 @@ import sys
 import pytest
 
 import spinegeo.cliques
+import spinegeo.gf
 import spinegeo.pencils
 import spinegeo.relations
 from spinegeo import verify
@@ -42,8 +43,8 @@ def count_calls(monkeypatch, names):
     """Count calls of the named spinegeo functions, through every module that imports them."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        home = next(m for m in (spinegeo.cliques, spinegeo.pencils, spinegeo.relations)
-                    if hasattr(m, name))
+        home = next(m for m in (spinegeo.cliques, spinegeo.pencils, spinegeo.relations,
+                                spinegeo.gf) if hasattr(m, name))
         original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):

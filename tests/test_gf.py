@@ -337,3 +337,21 @@ def test_interval_meet_dim_is_exact_on_the_lift(q, n):
                     u = interval.subspace(lift)
                     assert interval.meet_dim(lift, w) == dim_intersect(u, w)
                     assert interval.key(lift) == subspace_key(u)
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3)])
+def test_interval_unit_is_one_vector_per_subspace_above_h(q, n):
+    # every interval above one h, of every top, names each U >= h (dim h + 1)
+    # by the same `unit` vector, and distinct U by distinct vectors
+    spec = FieldSpec(q, n)
+    full = full_subspace(spec)
+    for d in range(n):
+        for h in enumerate_subspaces(spec, d):
+            unit_of: dict = {}
+            for b in [full] + [s for e in range(d + 1, n) for s in enumerate_subspaces(spec, e)
+                               if contains(s, h)]:
+                interval = Interval(h, b, d + 1)
+                for lift in interval.lifts():
+                    assert unit_of.setdefault(interval.key(lift), interval.unit(lift)) == (
+                        interval.unit(lift))
+            assert len(set(unit_of.values())) == len(unit_of) == q_binomial(n - d, 1, q)

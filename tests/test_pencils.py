@@ -16,7 +16,7 @@ from spinegeo.pencils import (
     verify_pencils,
 )
 from spinegeo.relations import LineRelationGraph, bits_of, compute_pi, compute_rho, strip
-from spinegeo.spine import PLANE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED
+from spinegeo.spine import PLANE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED, STAR_ALPHA
 
 
 def hosted_pencils(space, kind=None, proper=True):
@@ -439,6 +439,43 @@ def test_rho_pencil_recovery_over_gf3_by_plane_kind():
     assert counts == {PLANE_AFFINE: (468, 468), PLANE_PROJECTIVE: (0, 1404),
                       PLANE_PUNCTURED: (5616, 7488)}
     assert len(recovered) == 468 + 5616
+
+
+def test_rho_pencil_recovery_on_the_gf3_twin_by_plane_kind(twin_space):
+    """On the twin (3,4,2,1,3) the stripped proper-pencil relation gives back
+    no proper pencil at all, of any plane kind, though q = 3.
+
+    The cause is n - k = 2.  `p_rho` needs a spanned, exchange-free clique
+    holding the triple.  On (3,5,2,1,3) an affine-plane pencil finds it in
+    the lines through its vertex in its 3-dimensional alpha-star.  Here the
+    alpha-stars have point dimension n - k = 2: each is one affine plane, and
+    no strong subspace of dimension 3 or more exists.  So no clique of the
+    family holds the lines of an affine-plane pencil, and no triple of them
+    has a witness.
+    """
+    space = twin_space
+    sr = strip(compute_rho(space), seed=11)
+    family = family_K(sr.graph)
+    geometry = derive_line_geometry(sr.graph, family)
+    inv, members = sr.inverse, geometry.pencils.members
+    recovered = {frozenset(inv[l] for l in members[i]) for i in geometry.proper_pencils}
+    planes = space.planes()
+    counts = {}
+    for p in space.pencils():
+        if p.proper:
+            got, total = counts.get(planes[p.plane_id].kind, (0, 0))
+            counts[planes[p.plane_id].kind] = (got + (p.line_ids in recovered), total + 1)
+    assert counts == {PLANE_AFFINE: (0, 117), PLANE_PROJECTIVE: (0, 351),
+                      PLANE_PUNCTURED: (0, 468)}
+    assert not recovered
+    # the cause: every alpha-star is a plane, nothing hosts a plane in 3 dimensions,
+    # and the lines of an affine-plane pencil share no clique of the family
+    assert {st.p_dim for st in space.strongs if st.kind == STAR_ALPHA} == {2}
+    assert not list(hosted_pencils(space))
+    perm, by_line = sr.perm, family.by_line
+    for p in space.pencils():
+        if p.proper and planes[p.plane_id].kind == PLANE_AFFINE:
+            assert not set.intersection(*(set(by_line[perm[l]]) for l in p.line_ids))
 
 
 def test_pipeline_is_strip_invariant(cfg1_pi):

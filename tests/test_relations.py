@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from spinegeo.cliques import family_K
 from spinegeo.relations import (
+    LineRelationGraph,
     bits_of,
     _row_to_rle,
     graph_from_json,
@@ -187,6 +188,69 @@ def reference_row_to_rle(row, n):
 def test_row_to_rle_matches_the_run_walk(case):
     row, n = case
     assert _row_to_rle(row, n) == reference_row_to_rle(row, n)
+
+
+def reference_check_invariants(graph):
+    """The earlier check: symmetry tested edge by edge with a shift of the
+    partner's row."""
+    for i, r in enumerate(graph.rows):
+        if r >> i & 1:
+            raise AssertionError(f"relation is reflexive at line {i}")
+        if r >> graph.count:
+            raise AssertionError(f"row {i} has bits beyond the line universe")
+    for i in range(graph.count):
+        for j in bits_of(graph.rows[i]):
+            if not graph.rows[j] >> i & 1:
+                raise AssertionError(f"relation not symmetric at ({i}, {j})")
+
+
+def _invariant_error(check, rows):
+    try:
+        check(LineRelationGraph("pi", rows))
+    except AssertionError as err:
+        return str(err)
+    return None
+
+
+def _symmetric_rows(n, pairs):
+    rows = [0] * n
+    for i, j in pairs:
+        if i != j:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n + 3)), max_size=3))))
+@example((3, [(0, 1), (1, 2)], []))  # symmetric
+@example((3, [(0, 2)], [(1, 0)]))  # one asymmetric pair, found at its row
+@example((4, [(2, 3)], [(3, 1), (1, 0)]))  # the first asymmetric pair in row order
+@example((3, [(0, 1)], [(2, 2), (0, 2)]))  # a reflexive bit wins over asymmetry
+@example((3, [(0, 1)], [(1, 4)]))  # a bit beyond the universe
+def test_check_invariants_matches_the_edge_by_edge_check(case):
+    # a symmetric relation, then single bits flipped (asymmetric pairs, the
+    # diagonal, bits at n and above): the same error, on the same pair
+    n, pairs, flips = case
+    rows = _symmetric_rows(n, pairs)
+    for i, j in flips:
+        rows[i] ^= 1 << j
+    assert (_invariant_error(LineRelationGraph.check_invariants, rows)
+            == _invariant_error(reference_check_invariants, rows))
+
+
+def test_check_invariants_matches_the_edge_by_edge_check_on_real_rows(cfg1_pi):
+    rows = list(cfg1_pi.rows)
+    assert _invariant_error(LineRelationGraph.check_invariants, rows) is None
+    j = bits_of(rows[700])[0]
+    rows[j] ^= 1 << 700  # (700, j) loses its mirror
+    rows[900] ^= 1 << 901  # and (900, 901) or (901, 900) does
+    want = f"relation not symmetric at (700, {j})"
+    assert _invariant_error(reference_check_invariants, rows) == want
+    assert _invariant_error(LineRelationGraph.check_invariants, rows) == want
 
 
 def test_graph_json_rejects_bad_runs():

@@ -5,8 +5,10 @@ from collections import Counter
 
 import pytest
 
-from spinegeo.gf import (FieldSpec, dim_intersect, enumerate_subspaces, rref,
-                         standard_tail_subspace)
+from conftest import count_calls
+from spinegeo.gf import (FieldSpec, dim_intersect, enumerate_between, enumerate_subspaces,
+                         full_subspace, intersect, rref, standard_tail_subspace, subspace_key,
+                         subspace_sum, zero_subspace)
 from spinegeo.spine import (
     LINE_AFFINE,
     LINE_ALPHA,
@@ -14,6 +16,10 @@ from spinegeo.spine import (
     PLANE_AFFINE,
     PLANE_PROJECTIVE,
     PLANE_PUNCTURED,
+    STAR_ALPHA,
+    STAR_OMEGA,
+    TOP_ALPHA,
+    TOP_OMEGA,
     SpineParams,
     build_spine,
     classify_line,
@@ -321,3 +327,58 @@ def test_a_head_w_gives_the_census_of_the_tail_w(params):
             == Counter(st.kind for st in tail_space.strongs))
     assert (Counter(pl.kind for pl in head_space.planes())
             == Counter(pl.kind for pl in tail_space.planes()))
+
+
+# ---------- the build against its per-line canonicalisation ---------------------
+
+def _params(params, w_side):
+    """`params` with W on the last w coordinates (tail) or the first w (head)."""
+    q, n, k, m, w = params
+    if w_side == "tail":
+        return standard_params(*params)
+    spec = FieldSpec(q, n)
+    return SpineParams(spec, k, m, rref(spec, [tuple(int(i == j) for j in range(n))
+                                               for i in range(w)]))
+
+
+@pytest.mark.parametrize("w_side", ["tail", "head"])
+@pytest.mark.parametrize("params", [
+    (2, 5, 2, 1, 3), (2, 5, 2, 0, 3), (3, 4, 2, 1, 3), (3, 4, 2, 0, 2),
+    (2, 5, 3, 1, 2), (2, 6, 4, 2, 3), (3, 5, 3, 1, 2),
+])
+def test_shared_spans_and_closure_points_match_the_per_line_path(params, w_side):
+    # the build canonicalises each span B and each closure point once; here
+    # every closure is listed again by `enumerate_between` and every subspace
+    # looked up by its own key, as the build did per line before
+    space = build_spine(_params(params, w_side))
+    k, w = space.params.k, space.params.w
+    full, zero = full_subspace(space.params.space), zero_subspace(space.params.space)
+
+    def gids(low, high):
+        return tuple(space.gid_of[subspace_key(u)] for u in enumerate_between(low, high, k))
+
+    assert space.lines
+    for ln in space.lines:
+        assert ln.closure_gids == gids(ln.h, ln.b)
+        if ln.kind == LINE_AFFINE:
+            assert space.grass[ln.improper_gid] == subspace_sum(ln.h, intersect(ln.b, w))
+    bounds = {
+        STAR_OMEGA: lambda h: (h, subspace_sum(h, w)),
+        STAR_ALPHA: lambda h: (h, full),
+        TOP_ALPHA: lambda b: (intersect(b, w), b),
+        TOP_OMEGA: lambda b: (zero, b),
+    }
+    assert space.strongs
+    for st in space.strongs:
+        assert st.closure_gids == frozenset(gids(*bounds[st.kind](st.generator)))
+
+
+@pytest.mark.parametrize("params", [(2, 6, 2, 1, 3), (3, 4, 2, 1, 3)])
+def test_the_build_meets_each_span_with_w_once(monkeypatch, params):
+    # k - m = 1 leaves no alpha top, whose bounds take a meet with W per
+    # generator, so every meet of the build is a line span's
+    counts = count_calls(monkeypatch, ["intersect"])
+    space = build_spine(standard_params(*params))
+    assert TOP_ALPHA in space.void_classes
+    spans = {ln.b.rows for ln in space.lines}
+    assert counts["intersect"] == len(spans) < len(space.lines)

@@ -17,7 +17,6 @@ from .gf import (
     standard_tail_subspace,
     subspace_sum,
 )
-from .grassmann import GrassmannSpace, build_grassmann, star_of, top_of
 from .spine import SpineParams, SpineSpace, build_spine, standard_params, validate_params
 from .relations import LineRelationGraph, compute_pi, compute_rho, strip
 
@@ -32,10 +31,6 @@ __all__ = [
     "enumerate_between",
     "q_binomial",
     "standard_tail_subspace",
-    "GrassmannSpace",
-    "build_grassmann",
-    "star_of",
-    "top_of",
     "SpineParams",
     "SpineSpace",
     "standard_params",

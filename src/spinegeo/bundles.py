@@ -22,7 +22,8 @@ output, its points, are masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 from .relations import LineRelationGraph, StripResult, bits_of
 from .spine import SpineSpace
@@ -47,15 +48,6 @@ def upsilon_empty(k1, k2, graph: LineRelationGraph) -> bool:
     return upsilon(k1, k2, graph) and upsilon(k2, k1, graph)
 
 
-def bundle_of(k, bundle_family, graph: LineRelationGraph) -> int:
-    """Union of the gluing class of one clique, as a line mask (a point)."""
-    out = 0
-    for other in bundle_family:
-        if upsilon_empty(k, other, graph):
-            out |= graph.mask_of(other)
-    return out
-
-
 @dataclass
 class ReconstructedSpace:
     """Points recovered as bundles over a line universe.
@@ -65,7 +57,9 @@ class ReconstructedSpace:
     bundles intersect.  `class_of` gives each input clique's gluing class,
     and `point_of_class` each class's point: the index into `points` of the
     class's union.  `adjacency[i]` holds the input cliques glued to clique
-    i, as `gluing_adjacency` found them.
+    i, as `gluing_adjacency` found them.  `transitivity_witnesses` holds
+    the triples (a, middle, b) where middle is glued to a and to b and a is
+    not glued to b; there are none iff `transitive`.
     """
 
     line_count: int
@@ -74,7 +68,7 @@ class ReconstructedSpace:
     point_of_class: list[int]
     adjacency: list[set[int]]
     transitive: bool
-    transitivity_witnesses: list[tuple[int, int, int]] = field(default_factory=list)
+    transitivity_witnesses: list[tuple[int, int, int]]
 
 
 def gluing_adjacency(bundle_family, graph: LineRelationGraph) -> list[set[int]]:
@@ -140,18 +134,13 @@ def reconstruct(bundle_family, graph: LineRelationGraph) -> ReconstructedSpace:
                     comp.append(u)
                     stack.append(u)
         classes.append(sorted(comp))
+    # an unglued pair of one class with a member glued to both; a class that
+    # is not relation-complete has one, as a shortest path of length 2 shows
     witnesses = []
     for comp in classes:
-        if len(comp) < 3:
-            continue
-        for a in range(len(comp)):
-            for b in range(a + 1, len(comp)):
-                if comp[b] not in adj[comp[a]]:
-                    # find the connecting middle vertex for the report
-                    mid = next(iter(adj[comp[a]] & adj[comp[b]]), comp[0])
-                    witnesses.append((comp[a], mid, comp[b]))
-        if witnesses:
-            break
+        for a, b in itertools.combinations(comp, 2):
+            if b not in adj[a] and (middles := adj[a] & adj[b]):
+                witnesses.append((a, min(middles), b))
     unions = [tuple(sorted({l for i in comp for l in bundle_family[i]})) for comp in classes]
     points = sorted(set(unions))
     index = {u: i for i, u in enumerate(points)}

@@ -72,11 +72,7 @@ class LineMap:
 
     perm: tuple[int, ...]
     star_id: int
-    scale: int
     moved: tuple[int, ...]
-
-    def apply(self, line_id: int) -> int:
-        return self.perm[line_id]
 
 
 def build_homology_map(space: SpineSpace, star: StrongSubspace, scale: int) -> LineMap:
@@ -146,7 +142,7 @@ def build_homology_map(space: SpineSpace, star: StrongSubspace, scale: int) -> L
         if w_gid in ln.closure_gids:
             assert target == lid
     assert sorted(perm) == list(range(len(space.lines))), "line map must be a bijection"
-    return LineMap(tuple(perm), star.id, scale, tuple(sorted(moved)))
+    return LineMap(tuple(perm), star.id, tuple(sorted(moved)))
 
 
 def _mat_mul(a, b, q):

@@ -216,15 +216,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def __add__(self, other: "Subspace") -> "Subspace":
-        return subspace_sum(self, other)
-
-    def __and__(self, other: "Subspace") -> "Subspace":
-        return intersect(self, other)
-
-    def __le__(self, other: "Subspace") -> bool:
-        return contains(other, self)
-
     def __repr__(self):
         body = ",".join("".join(str(x) for x in row) for row in self.rows)
         return f"<{body or '0'}>"

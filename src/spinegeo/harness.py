@@ -79,12 +79,16 @@ _ACCEPTED = {"int": (int,), "str": (str,), "Path": (str, Path)}
 def config_from_sources(flags: dict, config_file: Path | None = None) -> RunConfig:
     """Merge a JSON config file with command-line flags; flags win.
 
-    Raises TypeError for an unknown key or a value of the wrong type (a
-    bool is not an int), ValueError for a file that is not JSON.
+    Raises TypeError for a file that does not hold a JSON object, an unknown
+    key or a value of the wrong type (a bool is not an int), ValueError for a
+    file that is not JSON.
     """
     merged: dict = {}
     if config_file is not None:
-        merged.update(json.loads(Path(config_file).read_text()))
+        doc = json.loads(Path(config_file).read_text())
+        if not isinstance(doc, dict):
+            raise TypeError(f"the config file must hold a JSON object, not {json.dumps(doc)}")
+        merged.update(doc)
     merged.update({k: v for k, v in flags.items() if v is not None})
     for f in fields(RunConfig):  # unknown keys: RunConfig raises
         if f.name not in merged:
@@ -156,7 +160,7 @@ class Workspace:
                 self.notes.append(f"recomputed {path.name}: the cache holds the"
                                   f" {cached.delta_kind!r} relation, not {kind!r}")
         g = (compute_pi if kind == "pi" else compute_rho)(self.space())
-        _write_atomic(path, canonical_json(graph_to_json(g)))
+        _write_atomic(path, graph_to_json(g))
         return g
 
     @_stage
@@ -191,37 +195,33 @@ class Workspace:
         return reconstruct(family_B(self.geometry(kind)), self.stripped(kind).graph)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temporary file in the same directory, so a reader
-    sees the old content or the new, never a part."""
+def _write_atomic(path: Path, doc) -> Path:
+    """Write `doc` as canonical JSON through a temporary file in the same
+    directory, so a reader sees the old content or the new, never a part."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.write(canonical_json(doc))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    return path
+
+
+def _output_path(cfg: RunConfig, name: str) -> Path:
+    return cfg.out_dir / f"{name}-{cfg.digest()}.json"
 
 
 def write_report(cfg: RunConfig, name: str, payload: dict, notes=()) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / f"{name}-{cfg.digest()}.json"
-    path.write_text(canonical_json(payload))
+    path = _write_atomic(_output_path(cfg, name), payload)
     meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "report": path.name}
     if notes:
         meta["notes"] = list(notes)
-    (cfg.out_dir / f"{name}-{cfg.digest()}.meta.json").write_text(canonical_json(meta))
+    _write_atomic(path.with_suffix(".meta.json"), meta)
     return path
-
-
-def _write_artifact(cfg: RunConfig, name: str, doc) -> str:
-    path = cfg.out_dir / f"{name}-{cfg.digest()}.json"
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(doc))
-    return path.name
 
 
 def _gates_payload(gates: GateReport) -> dict:
@@ -302,7 +302,8 @@ def cmd_cliques(ws: Workspace, payload: dict) -> int:
             artifact[kind] = family_to_json(
                 ws.space(), [[inv[l] for l in mem] for mem in family.members],
                 ws.families(), family.exchange)
-        payload["families_artifact"] = _write_artifact(cfg, "clique-families", artifact)
+        payload["families_artifact"] = _write_atomic(
+            _output_path(cfg, "clique-families"), artifact).name
     return OK if classification["ok"] and exchange["ok"] else CHECK_FAILED
 
 
@@ -311,7 +312,8 @@ def cmd_pencils(ws: Workspace, payload: dict) -> int:
     """Recover the pencils from stripped relations and compare with the geometry."""
     payload["recovery"] = report = verify.check_pencil_recovery(ws)
     artifact = {kind: geometry_to_json(ws.geometry(kind)) for kind in ws.cfg.deltas()}
-    payload["families_artifact"] = _write_artifact(ws.cfg, "pencil-families", artifact)
+    payload["families_artifact"] = _write_atomic(
+        _output_path(ws.cfg, "pencil-families"), artifact).name
     return OK if report["ok"] else CHECK_FAILED
 
 

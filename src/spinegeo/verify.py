@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 HOMOLOGY_SCALE = 2
 
 
-def check_subspace_counts(max_n: int = 6, qs=(2, 3)) -> dict:
+def check_subspace_counts(max_n: int, qs) -> dict:
     """Exhaustive subspace enumeration agrees with the Gaussian binomials."""
     mismatches = []
     checked = 0
@@ -321,7 +321,9 @@ def check_upsilon_structure(ws: Workspace, kind: str) -> dict:
     its geometric semibundle, and verifies the gluing relation holds for a
     pair iff the hosts have the same shape (both stars or both tops) and
     the same vertex; transitivity is established by checking every gluing
-    class is relation-complete.  The glued pairs are those the
+    class is relation-complete, and when some class is not, the first five
+    (a, middle, b) triples with a and b unglued are reported under
+    `transitivity_witnesses`.  The glued pairs are those the
     reconstruction found (`gluing_adjacency`, which agrees with
     `upsilon_empty` pair for pair).
     """
@@ -356,7 +358,7 @@ def check_upsilon_structure(ws: Workspace, kind: str) -> dict:
         for j in sorted(expected ^ glued_to):
             mismatches.append({"pair": (i, j), "glued": j in glued_to,
                                "hosts": (host, kinds[j])})
-    return {
+    report = {
         "applicable": True,
         "family_size": len(fam),
         "unmatched_cliques": unmatched,
@@ -365,6 +367,9 @@ def check_upsilon_structure(ws: Workspace, kind: str) -> dict:
         "transitive": recon.transitive,
         "ok": not mismatches and not unmatched and recon.transitive,
     }
+    if not recon.transitive:
+        report["transitivity_witnesses"] = recon.transitivity_witnesses[:5]
+    return report
 
 
 def _lines_without_host(space: SpineSpace) -> dict[str, int]:

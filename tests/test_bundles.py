@@ -7,7 +7,6 @@ import pytest
 from spinegeo import verify
 
 from spinegeo.bundles import (
-    bundle_of,
     gluing_adjacency,
     reconstruct,
     upsilon,
@@ -50,14 +49,6 @@ def test_upsilon_fails_across_vertices(cfg1_space, cfg1_B, cfg1_pi):
         if pairs > 400:
             break
     assert pairs
-
-
-def test_bundle_of_is_the_class_union(cfg1_B, cfg1_pi):
-    recon = reconstruct(cfg1_B, cfg1_pi)
-    for i in range(0, len(cfg1_B), 31):
-        direct = bundle_of(cfg1_B[i], cfg1_B, cfg1_pi)
-        assert direct in recon.points
-        assert recon.points[recon.point_of_class[recon.class_of[i]]] == direct
 
 
 def _all_pairs_adjacency(family, graph):
@@ -150,6 +141,27 @@ def test_upsilon_structure_reports_the_pairs_of_the_all_pairs_walk(roomy_ws, mon
     assert report["mismatch_count"] == len(reference)
     assert report["witnesses"] == reference[:5]
     assert not report["ok"]
+
+
+def test_upsilon_structure_names_the_transitivity_witnesses(cfg1_ws, monkeypatch):
+    # a chain of eight disjoint cliques, each glued to the next only: one
+    # gluing class that is not relation-complete
+    rows = [0] * 16
+    for a in range(14):
+        rows[a] |= 1 << (a + 2)
+        rows[a + 2] |= 1 << a
+    chain = reconstruct([(2 * i, 2 * i + 1) for i in range(8)], LineRelationGraph("pi", rows))
+    # the unglued pairs at distance 2, each with the clique between them
+    assert chain.transitivity_witnesses == [(i, i + 1, i + 2) for i in range(6)]
+    assert not chain.transitive
+    assert "transitivity_witnesses" not in verify.check_upsilon_structure(cfg1_ws, "pi")
+
+    broken = dataclasses.replace(cfg1_ws.reconstruction("pi"), transitive=False,
+                                 transitivity_witnesses=chain.transitivity_witnesses)
+    monkeypatch.setattr(cfg1_ws, "reconstruction", lambda kind: broken)
+    report = verify.check_upsilon_structure(cfg1_ws, "pi")
+    assert report["transitivity_witnesses"] == chain.transitivity_witnesses[:5]
+    assert not report["transitive"] and not report["ok"]
 
 
 def test_reconstruction_point_count_and_transitivity(cfg1_B, cfg1_pi):

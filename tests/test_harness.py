@@ -70,7 +70,7 @@ def test_relation_cache_reuse(tmp_path):
 def test_report_determinism(tmp_path):
     c = cfg(tmp_path)
     cmd_relations(c)
-    path = next(tmp_path.glob("relations-*.json"))
+    path = next(p for p in tmp_path.glob("relations-*.json") if not p.name.endswith(".meta.json"))
     first = path.read_bytes()
     cmd_relations(c)
     assert path.read_bytes() == first
@@ -243,10 +243,14 @@ def test_build_writes_no_space_cache(tmp_path):
     ("seed", True, "seed must be int, not True"),
     ("delta", 5, "delta must be str, not 5"),
     ("out_dir", 7, "out_dir must be a path, not 7"),
+    # key None: the value is the whole file
+    (None, [1, 2], "the config file must hold a JSON object, not [1, 2]"),
+    (None, "x", 'the config file must hold a JSON object, not "x"'),
+    (None, None, "the config file must hold a JSON object, not null"),
 ])
 def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, key, value, message):
     f = tmp_path / "cfg.json"
-    f.write_text(json.dumps(dict(SMALL, **{key: value})))
+    f.write_text(json.dumps(value if key is None else dict(SMALL, **{key: value})))
     code = cli.main(["build", "--config", str(f)] + ([] if key == "out_dir" else
                                                       ["--out", str(tmp_path)]))
     assert code == CONFIG_ERROR

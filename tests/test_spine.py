@@ -97,19 +97,21 @@ def test_cfg1_line_census(cfg1_space):
 
 
 def test_cfg1_line_set_matches_pencil_filter(cfg1_space):
-    # oracle: a pencil is a line of the fragment iff it keeps at least two points
-    space = cfg1_space
-    by_hb = set()
-    from spinegeo.gf import enumerate_between, full_subspace
-
-    full = full_subspace(space.params.space)
-    for h in enumerate_subspaces(space.params.space, 1):
-        for b in enumerate_between(h, full, 3):
-            members = enumerate_between(h, b, 2)
-            proper = [u for u in members if space.meet_w_dim(u) == 1]
-            if len(proper) >= 2:
-                by_hb.add((h.rows, b.rows))
-    assert by_hb == set(space.line_id_by_hb)
+    # oracle: a pencil p(H, B) of the ambient space is a line of the fragment
+    # iff it keeps at least two proper points; (2,4,2,2,4) is the w = n case,
+    # where every pencil is a line
+    for space in (cfg1_space, build_spine(standard_params(2, 5, 2, 1, 3)),
+                  build_spine(standard_params(2, 4, 2, 2, 4))):
+        k, m = space.params.k, space.params.m
+        full = full_subspace(space.params.space)
+        want = set()
+        for h in enumerate_subspaces(space.params.space, k - 1):
+            for b in enumerate_between(h, full, k + 1):
+                proper = [u for u in enumerate_between(h, b, k) if space.meet_w_dim(u) == m]
+                if len(proper) >= 2:
+                    want.add((h.rows, b.rows))
+        assert {(ln.h.rows, ln.b.rows) for ln in space.lines} == want == set(space.line_id_by_hb)
+        assert len(space.lines) == len(want)
 
 
 def test_full_w_gives_the_grassmann_space():

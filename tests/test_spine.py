@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import count_calls
+from conftest import ambient_pencil_lines, count_calls
 from spinegeo.gf import (FieldSpec, dim_intersect, enumerate_between, enumerate_subspaces,
                          full_subspace, intersect, rref, standard_tail_subspace, subspace_key,
                          subspace_sum, zero_subspace)
@@ -98,20 +98,11 @@ def test_cfg1_line_census(cfg1_space):
 
 def test_cfg1_line_set_matches_pencil_filter(cfg1_space):
     # oracle: a pencil p(H, B) of the ambient space is a line of the fragment
-    # iff it keeps at least two proper points; (2,4,2,2,4) is the w = n case,
-    # where every pencil is a line
-    for space in (cfg1_space, build_spine(standard_params(2, 5, 2, 1, 3)),
-                  build_spine(standard_params(2, 4, 2, 2, 4))):
-        k, m = space.params.k, space.params.m
-        full = full_subspace(space.params.space)
-        want = set()
-        for h in enumerate_subspaces(space.params.space, k - 1):
-            for b in enumerate_between(h, full, k + 1):
-                proper = [u for u in enumerate_between(h, b, k) if space.meet_w_dim(u) == m]
-                if len(proper) >= 2:
-                    want.add((h.rows, b.rows))
-        assert {(ln.h.rows, ln.b.rows) for ln in space.lines} == want == set(space.line_id_by_hb)
-        assert len(space.lines) == len(want)
+    # iff it keeps at least two proper points
+    want = ambient_pencil_lines(cfg1_space)
+    assert {(ln.h.rows, ln.b.rows) for ln in cfg1_space.lines} == want
+    assert want == set(cfg1_space.line_id_by_hb)
+    assert len(cfg1_space.lines) == len(want)
 
 
 def test_full_w_gives_the_grassmann_space():

@@ -334,17 +334,16 @@ class GeometricFamilies:
     planes: the space's plane table (the list itself, not a copy).
     flat_by_lines: full line set of every plane, to its plane id.
     planes_by_line: the ids of the planes through each line.
-    rho_semiflats: the maximal-clique semiflats of the proper-pencil
-        relation (projective flats, punctured choices, filtered selectors).
-    pi_family, rho_family: the flats, resp. semiflats, together with the
-        semibundles of the strong subspaces of dimension >= 3 (for rho, those
-        at a proper vertex); the space's `semibundle_at` keys them.
+    pi_family, rho_family: the flats, resp. the maximal-clique semiflats of
+        the proper-pencil relation (projective flats, punctured choices,
+        filtered selectors), together with the semibundles of the strong
+        subspaces of dimension >= 3 (for rho, those at a proper vertex); the
+        space's `semibundle_at` keys them.
     """
 
     planes: list[PlaneInfo]
     flat_by_lines: dict[frozenset[int], int]
     planes_by_line: dict[int, list[int]]
-    rho_semiflats: set[frozenset[int]]
     pi_family: set[frozenset[int]]
     rho_family: set[frozenset[int]]
 
@@ -376,11 +375,10 @@ def geometric_families(space: SpineSpace) -> GeometricFamilies:
 
     semibundles = space.semibundles(min_p_dim=3)
     pi_family = set(flat_by_lines) | set(semibundles.values())
-    rho_family = set(rho_semiflats) | {
+    rho_family = rho_semiflats | {
         lines for (sid, g), lines in semibundles.items() if g in space.pid_of_gid
     }
-    return GeometricFamilies(planes, flat_by_lines, planes_by_line, rho_semiflats,
-                             pi_family, rho_family)
+    return GeometricFamilies(planes, flat_by_lines, planes_by_line, pi_family, rho_family)
 
 
 def _maximal_selectors(space: SpineSpace, plane) -> list[frozenset[int]]:

@@ -24,8 +24,8 @@ dictionary key.
 complement of h in b whose vectors are the rows of b, chosen greedily in
 row order.  Any complement spans the same subspaces, but the order of the
 list follows from this basis, and that order fixes the point, line and
-plane ids of a spine space (and with them every report and cache), so the
-basis must not change.
+plane ids of a spine space (and with them every report and relation
+file), so the basis must not change.
 """
 
 from __future__ import annotations

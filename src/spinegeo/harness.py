@@ -5,11 +5,11 @@ separate metadata file carrying the only nondeterministic content, the
 timestamp), and returns the payload with an exit code: 0 all checks pass,
 1 a verification failed, 2 the configuration or a gate rejected the run.
 A `Workspace` computes each stage of the pipeline at most once per command,
-and each relation's spanned cliques once, in `spanned(kind)`.
-The relation graphs are also cached on disk under a digest of the space
-parameters and reused when the digest matches; a cache that does not decode,
-or holds the other relation, is recomputed, rewritten and noted in the
-sidecar.  The space itself is built again by every command.
+and each relation's spanned cliques once, in `spanned(kind)`.  Nothing is
+carried from one command to the next: every command builds the space and
+computes the relations it needs again.  Each computed relation is also
+written under `<out>/cache/`, keyed by a digest of the space parameters, as
+an output for readers outside the program; the program never reads it back.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .cliques import (GeometricFamilies, LineSetFamily, bron_kerbosch, family_K,
 from .excluded import CASE_NONE, ExcludedCase, classify_case
 from .pencils import LineGeometry, derive_line_geometry, family_B, geometry_to_json
 from .relations import (LineRelationGraph, StripResult, compute_pi, compute_rho,
-                        graph_from_json, graph_to_json, strip)
+                        graph_to_json, strip)
 from .spine import (GateReport, SpineParams, SpineSpace, build_spine, standard_params,
                     validate_params)
 
@@ -128,7 +128,6 @@ class Workspace:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self._stages: dict[tuple, object] = {}
-        self.notes: list[str] = []  # what the report's `.meta.json` sidecar records
 
     @_stage
     def params(self) -> SpineParams:
@@ -144,23 +143,11 @@ class Workspace:
 
     @_stage
     def graph(self, kind: str) -> LineRelationGraph:
-        """The relation, read from its cache when that decodes to it, else
-        computed and written there; a cache that does not decode, or decodes
-        to the other relation, is noted and replaced."""
-        path = self.cfg.out_dir / "cache" / f"relation-{kind}-{self.cfg.space_digest()}.json"
-        if path.exists():
-            try:
-                cached = graph_from_json(json.loads(path.read_text()))
-            except (AssertionError, LookupError, TypeError, ValueError) as exc:
-                self.notes.append(f"recomputed {path.name}: the cache did not decode"
-                                  f" ({type(exc).__name__}: {exc})")
-            else:
-                if cached.delta_kind == kind:
-                    return cached
-                self.notes.append(f"recomputed {path.name}: the cache holds the"
-                                  f" {cached.delta_kind!r} relation, not {kind!r}")
+        """The relation, computed and written to its file under `cache/`,
+        which replaces any file there (the program never reads it)."""
         g = (compute_pi if kind == "pi" else compute_rho)(self.space())
-        _write_atomic(path, graph_to_json(g))
+        _write_atomic(self.cfg.out_dir / "cache"
+                      / f"relation-{kind}-{self.cfg.space_digest()}.json", graph_to_json(g))
         return g
 
     @_stage
@@ -214,13 +201,11 @@ def _output_path(cfg: RunConfig, name: str) -> Path:
     return cfg.out_dir / f"{name}-{cfg.digest()}.json"
 
 
-def write_report(cfg: RunConfig, name: str, payload: dict, notes=()) -> Path:
+def write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
     path = _write_atomic(_output_path(cfg, name), payload)
-    meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "report": path.name}
-    if notes:
-        meta["notes"] = list(notes)
-    _write_atomic(path.with_suffix(".meta.json"), meta)
+    _write_atomic(path.with_suffix(".meta.json"),
+                  {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                   "report": path.name})
     return path
 
 
@@ -253,7 +238,7 @@ def command(name: str):
                 payload["gates"] = _gates_payload(gates)
                 payload["error"] = "; ".join(gates.problems)
                 code = CONFIG_ERROR
-            write_report(cfg, name, payload, ws.notes)
+            write_report(cfg, name, payload)
             return payload, code
         return run
     return wrap
@@ -284,7 +269,7 @@ def cmd_build(ws: Workspace, payload: dict) -> int:
 
 @command("relations")
 def cmd_relations(ws: Workspace, payload: dict) -> int:
-    """Compute (or load) both line relations and check their invariants."""
+    """Compute both line relations and check their invariants."""
     payload["sanity"] = report = verify.check_relation_sanity(ws)
     return OK if report["ok"] else CHECK_FAILED
 

@@ -186,22 +186,17 @@ class SpineSpace:
 
     def __init__(self, params: SpineParams):
         self.params = params
-        self.gates = validate_params(params)
-        if not self.gates.basic:
-            raise ValueError("invalid parameters: " + "; ".join(self.gates.problems))
+        gates = validate_params(params)
+        if not gates.basic:
+            raise ValueError("invalid parameters: " + "; ".join(gates.problems))
         space, k, m, w = params.space, params.k, params.m, params.w
         full = full_subspace(space)
-
-        def meet_w_dim(u: Subspace) -> int:
-            return dim_intersect(u, w)
-
-        self.meet_w_dim = meet_w_dim
 
         self.grass: list[Subspace] = enumerate_subspaces(space, k)
         # packed canonical basis -> Grassmann id, for every k-subspace
         self.gid_of = {subspace_key(u): i for i, u in enumerate(self.grass)}
         self.proper_gids: list[int] = [
-            g for g, u in enumerate(self.grass) if meet_w_dim(u) == m
+            g for g, u in enumerate(self.grass) if dim_intersect(u, w) == m
         ]
         self.pid_of_gid = {g: i for i, g in enumerate(self.proper_gids)}
         self.points: list[Subspace] = [self.grass[g] for g in self.proper_gids]
@@ -209,8 +204,8 @@ class SpineSpace:
         # the generators of lines and strong subspaces, each with its meet
         # with W: the (k-1)-subspaces (pencil bases, star generators) and the
         # (k+1)-subspaces (top generators)
-        lows = [(h, meet_w_dim(h)) for h in enumerate_subspaces(space, k - 1)]
-        highs = [(b, meet_w_dim(b)) for b in enumerate_subspaces(space, k + 1)]
+        lows = [(h, dim_intersect(h, w)) for h in enumerate_subspaces(space, k - 1)]
+        highs = [(b, dim_intersect(b, w)) for b in enumerate_subspaces(space, k + 1)]
 
         self.lines: list[SpineLine] = []
         self.line_id_by_hb: dict[tuple, int] = {}

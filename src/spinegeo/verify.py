@@ -61,12 +61,21 @@ def check_foundations(ws: Workspace) -> dict:
 
 
 def check_relation_sanity(ws: Workspace) -> dict:
+    """Both relations irreflexive and symmetric, and rho within pi; a relation
+    that breaks an invariant names its first witness in "invariant_problems"."""
     pi, rho = ws.graph(PI), ws.graph(RHO)
-    pi.check_invariants()
-    rho.check_invariants()
+    problems = []
+    for graph in (pi, rho):
+        try:
+            graph.check_invariants()
+        except AssertionError as exc:
+            problems.append(f"{graph.delta_kind}: {exc}")
     rho_in_pi = all(not (rho.rows[i] & ~pi.rows[i]) for i in range(pi.count))
-    return {"ok": rho_in_pi, "rho_subset_pi": rho_in_pi,
-            "pi_edges": pi.edge_count(), "rho_edges": rho.edge_count()}
+    out = {"ok": rho_in_pi and not problems, "rho_subset_pi": rho_in_pi,
+           "pi_edges": pi.edge_count(), "rho_edges": rho.edge_count()}
+    if problems:
+        out["invariant_problems"] = problems
+    return out
 
 
 def check_clique_classification(ws: Workspace) -> dict:

@@ -23,7 +23,7 @@ import spinegeo.gf
 import spinegeo.pencils
 import spinegeo.relations
 from spinegeo import verify
-from spinegeo.gf import enumerate_between, enumerate_subspaces, full_subspace
+from spinegeo.gf import dim_intersect, enumerate_between, enumerate_subspaces, full_subspace
 from spinegeo.harness import RunConfig, Workspace
 from spinegeo.spine import build_spine, standard_params
 
@@ -62,12 +62,12 @@ def ambient_pencil_lines(space) -> set:
     """The (H, B) rows of every pencil of the ambient Grassmann space that
     keeps at least two proper points of `space`, enumerated from scratch:
     the oracle for the spine's own line enumeration."""
-    k, m = space.params.k, space.params.m
+    k, m, w = space.params.k, space.params.m, space.params.w
     full = full_subspace(space.params.space)
     want = set()
     for h in enumerate_subspaces(space.params.space, k - 1):
         for b in enumerate_between(h, full, k + 1):
-            proper = [u for u in enumerate_between(h, b, k) if space.meet_w_dim(u) == m]
+            proper = [u for u in enumerate_between(h, b, k) if dim_intersect(u, w) == m]
             if len(proper) >= 2:
                 want.add((h.rows, b.rows))
     return want

@@ -232,7 +232,7 @@ def test_every_maximal_clique_classifies(cfg1_space, cfg1_pi, cfg1_rho, cfg1_fam
 
 def test_affine_semiflat_is_a_direction_selector(cfg1_space, cfg1_fams):
     lines = next(iter(
-        s for s in cfg1_fams.rho_semiflats
+        s for s in cfg1_fams.rho_family
         if classify_clique(s, cfg1_space, cfg1_fams)[0] == KIND_AFFINE_SEMIFLAT
     ))
     kind, pid = classify_clique(lines, cfg1_space, cfg1_fams)

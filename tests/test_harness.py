@@ -53,18 +53,24 @@ def test_gate_failure_names_the_inequalities(tmp_path):
     assert "4 <= n-k" in payload["error"] and "k != m+1" in payload["error"]
 
 
-def test_relation_cache_reuse(tmp_path):
+def test_a_second_command_rewrites_byte_identical_relation_files(tmp_path):
     c = cfg(tmp_path)
-    ws1 = Workspace(c)
-    g1 = ws1.graph("pi")
-    cache_files = sorted(p.name for p in (tmp_path / "cache").glob("relation-pi-*.json"))
-    assert len(cache_files) == 1
-    before = (tmp_path / "cache" / cache_files[0]).read_bytes()
-    ws2 = Workspace(c)
-    g2 = ws2.graph("pi")
+    g1 = Workspace(c).graph("pi")
+    (path,) = (tmp_path / "cache").glob("relation-pi-*.json")
+    inode, before = path.stat().st_ino, path.read_bytes()
+    g2 = Workspace(c).graph("pi")
     assert g2.rows == g1.rows
-    after = (tmp_path / "cache" / cache_files[0]).read_bytes()
-    assert before == after
+    assert path.stat().st_ino != inode  # a new file, moved into place
+    assert path.read_bytes() == before
+
+
+def test_no_command_reads_a_relation_file(tmp_path, monkeypatch):
+    counts = count_calls(monkeypatch, ["graph_from_json", "compute_pi", "compute_rho"])
+    c = cfg(tmp_path)
+    assert cmd_relations(c)[1] == OK
+    assert len(list((tmp_path / "cache").glob("relation-*.json"))) == 2
+    harness.cmd_verify_all(c, echo=lambda *_: None)
+    assert counts == {"graph_from_json": 0, "compute_pi": 2, "compute_rho": 2}
 
 
 def test_report_determinism(tmp_path):
@@ -271,11 +277,8 @@ def test_truncated_relation_cache_is_recomputed(tmp_path, capsys):
         p.name for p in (fresh_dir / "cache").iterdir())  # no temporary file left
     report = next(p for p in dir_.glob("relations-*.json") if ".meta" not in p.name)
     assert report.read_bytes() == (fresh_dir / report.name).read_bytes()
-    notes = json.loads(report.with_suffix(".meta.json").read_text())["notes"]
-    assert len(notes) == 1 and cache.name in notes[0] and "JSONDecodeError" in notes[0]
-    # the rewritten cache is read again without a note
-    assert cli.main(argv + [str(dir_)]) == OK
-    assert "notes" not in json.loads(report.with_suffix(".meta.json").read_text())
+    assert json.loads(report.with_suffix(".meta.json").read_text()).keys() == {
+        "written_at", "report"}
 
 
 def test_relation_cache_holding_the_other_relation_is_recomputed(tmp_path):
@@ -292,8 +295,5 @@ def test_relation_cache_holding_the_other_relation_is_recomputed(tmp_path):
     sanity = json.loads(report.read_text())["sanity"]
     assert sanity["pi_edges"] != sanity["rho_edges"]
     assert report.read_bytes() == (fresh_dir / report.name).read_bytes()
-    notes = json.loads(report.with_suffix(".meta.json").read_text())["notes"]
-    assert len(notes) == 1 and pi_cache.name in notes[0] and "'rho' relation" in notes[0]
-    # the rewritten cache is read again without a note
-    assert cli.main(argv + [str(dir_)]) == OK
-    assert "notes" not in json.loads(report.with_suffix(".meta.json").read_text())
+    assert json.loads(report.with_suffix(".meta.json").read_text()).keys() == {
+        "written_at", "report"}

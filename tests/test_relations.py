@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinegeo import verify
 from spinegeo.cliques import family_K
 from spinegeo.relations import (
     LineRelationGraph,
@@ -21,6 +22,16 @@ def test_invariants_and_containment(cfg1_pi, cfg1_rho):
     cfg1_rho.check_invariants()
     for i in range(cfg1_pi.count):
         assert not cfg1_rho.rows[i] & ~cfg1_pi.rows[i]  # rho is a subrelation
+
+
+def test_relation_sanity_reports_a_broken_invariant_instead_of_raising():
+    class Stub:  # a workspace whose pi has the edge (0, 1) without (1, 0)
+        def graph(self, kind):
+            return LineRelationGraph(kind, [0b010, 0, 0] if kind == "pi" else [0, 0, 0])
+
+    report = verify.check_relation_sanity(Stub())
+    assert report == {"ok": False, "rho_subset_pi": True, "pi_edges": 0, "rho_edges": 0,
+                      "invariant_problems": ["pi: relation not symmetric at (0, 1)"]}
 
 
 def test_pi_against_plane_oracle(cfg1_space, cfg1_pi):

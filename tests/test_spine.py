@@ -312,7 +312,8 @@ def test_a_head_w_gives_the_census_of_the_tail_w(params):
     tail_space = build_spine(standard_params(*params))
     head_space = build_spine(SpineParams(spec, k, m, head))
     for space in (tail_space, head_space):
-        assert all(space.meet_w_dim(space.grass[g]) == m for g in space.proper_gids)
+        assert all(dim_intersect(space.grass[g], space.params.w) == m
+                   for g in space.proper_gids)
     assert len(head_space.points) == len(tail_space.points)
     assert (Counter(ln.kind for ln in head_space.lines)
             == Counter(ln.kind for ln in tail_space.lines))

@@ -11,11 +11,10 @@ out the semiaffine semiflats among maximal cliques of the proper-pencil
 relation when q >= 3.
 
 Cliques cross function boundaries as sorted member tuples: families keep
-them, `bron_kerbosch` returns them, `podmianka` and `family_from_members`
-take them.  Kernels build bitmasks over line ids (`graph.mask_of`, the
-relation rows) inside a call and drop them on return; a tuple a family
-keeps comes from `graph.members_of`, so it holds the graph's shared id
-objects.
+them, `bron_kerbosch` returns them, `podmianka` takes them.  Kernels
+build bitmasks over line ids (`graph.mask_of`, the relation rows) inside a
+call and drop them on return; a tuple a family keeps comes from
+`graph.members_of`, so it holds the graph's shared id objects.
 """
 
 from __future__ import annotations
@@ -82,18 +81,6 @@ def delta_n(ids, graph: LineRelationGraph) -> bool:
     return _mask_is_clique(common, rows)
 
 
-def span_clique(l1: int, l2: int, l3: int, graph: LineRelationGraph) -> frozenset[int]:
-    """The maximal clique spanned by a positive triple.
-
-    The span is the triple's common neighbourhood together with the triple
-    itself.  Raises if the triple does not satisfy the spanning predicate.
-    """
-    if not delta_n((l1, l2, l3), graph):
-        raise ValueError(f"triple ({l1}, {l2}, {l3}) does not span a clique")
-    mask = graph.common_neighbors((l1, l2, l3))
-    return frozenset(bits_of(mask)) | {l1, l2, l3}
-
-
 @dataclass
 class LineSetFamily:
     """Line sets (cliques or pencils) of one relation graph, sorted by ids.
@@ -124,17 +111,6 @@ def line_set_family(members, count: int) -> LineSetFamily:
         for l in mem:
             by_line[l].append(idx)
     return LineSetFamily(members, by_line)
-
-
-def _clique_family(graph: LineRelationGraph, members, certify) -> LineSetFamily:
-    """The family of the distinct sorted tuples `members`, certified by
-    `certify(members)`, with the exchange flags when the graph is a
-    proper-pencil relation."""
-    family = line_set_family(sorted(members), graph.count)
-    family.certificates = [certify(mem) for mem in family.members]
-    if graph.delta_kind == RHO:
-        family.exchange = [podmianka(mem, graph) for mem in family.members]
-    return family
 
 
 def family_K(graph: LineRelationGraph) -> LineSetFamily:
@@ -187,30 +163,11 @@ def family_K(graph: LineRelationGraph) -> LineSetFamily:
                         at_line[l].append(mem)
                     if l > j:
                         covers[l] = covers.get(l, 0) | mask
-    return _clique_family(graph, found, found.__getitem__)
-
-
-def family_from_members(graph: LineRelationGraph, members) -> LineSetFamily:
-    """Package an externally produced clique list (e.g. the oracle's).
-
-    `members` are sorted tuples of line ids.  Each is verified to be a
-    maximal clique of the graph, and a spanning triple is searched inside
-    each clique; cliques without one get certificate None (they are maximal
-    but not spanned, like the affine semiflats for the proper-pencil
-    relation).  On a proper-pencil graph each clique also gets its exchange
-    flag.
-    """
-    rows = graph.rows
-
-    def certify(mem):
-        if not is_maximal_clique(mem, graph):
-            raise ValueError(f"not a maximal clique: {mem}")
-        for tri in itertools.combinations(mem, 3):
-            if _mask_is_clique(rows[tri[0]] & rows[tri[1]] & rows[tri[2]], rows):
-                return tri
-        return None
-
-    return _clique_family(graph, set(members), certify)
+    family = line_set_family(sorted(found), n)
+    family.certificates = [found[mem] for mem in family.members]
+    if graph.delta_kind == RHO:
+        family.exchange = [podmianka(mem, graph) for mem in family.members]
+    return family
 
 
 BK_MAX_LINES = 5000  # the largest line universe handed to the Bron-Kerbosch oracle

@@ -309,44 +309,6 @@ def q_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def _enumerate_rref(q: int, n: int, k: int):
-    """All k x n matrices in reduced row-echelon form over GF(q), full rank.
-
-    Generated in a fixed order: pivot columns in lexicographic order, free
-    entries in lexicographic order.  Each matrix appears exactly once, so
-    this enumerates Sub_k(GF(q)^n) without deduplication.
-    """
-    if k == 0:
-        yield ()
-        return
-    for pivots in itertools.combinations(range(n), k):
-        pivset = set(pivots)
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivset
-        ]
-        base = [[0] * n for _ in range(k)]
-        for i, p in enumerate(pivots):
-            base[i][p] = 1
-        if not free:
-            yield tuple(tuple(row) for row in base)
-            continue
-        for values in itertools.product(range(q), repeat=len(free)):
-            mat = [row[:] for row in base]
-            for (i, j), v in zip(free, values):
-                mat[i][j] = v
-            yield tuple(tuple(row) for row in mat)
-
-
-def enumerate_subspaces(space: FieldSpec, k: int) -> list[Subspace]:
-    """Every k-subspace of GF(q)^n exactly once, in a deterministic order."""
-    if not 0 <= k <= space.n:
-        raise ValueError(f"k = {k} out of range for n = {space.n}")
-    return [Subspace(space, rows) for rows in _enumerate_rref(space.q, space.n, k)]
-
-
 def subspace_key(sub: Subspace) -> tuple[int, ...]:
     """The packed canonical basis: equal keys iff equal subspaces of one space."""
     return tuple(map(_lanes(sub.space.q, sub.space.n).pack, sub.rows))
@@ -382,7 +344,8 @@ class Interval:
 
     def lifts(self):
         """Every (k - dim h)-subspace of the quotient, lifted; the quotient
-        bases run through the RREF matrices in `_enumerate_rref` order."""
+        bases run through the RREF matrices with pivot columns in
+        lexicographic order, then free entries in lexicographic order."""
         lanes, comp = self.lanes, self.comp
         add, q, d = lanes.add, lanes.q, len(comp)
         mults = [lanes.multiples(v) for v in comp]
@@ -432,6 +395,16 @@ class Interval:
         echelon = dict(echelon)
         rank += sum(lanes.extend(echelon, v) for v in lift)
         return self.h.dim + len(lift) + w.dim - rank
+
+
+def enumerate_subspaces(space: FieldSpec, k: int) -> list[Subspace]:
+    """Every k-subspace of GF(q)^n exactly once, in a deterministic order;
+    raises ValueError unless 0 <= k <= n."""
+    interval = Interval(zero_subspace(space), full_subspace(space), k)
+    # over the standard basis with h = 0 each lift is already the RREF basis,
+    # rows in pivot order
+    return [Subspace(space, tuple(map(interval.lanes.unpack, lift)))
+            for lift in interval.lifts()]
 
 
 def enumerate_between(h: Subspace, b: Subspace, k: int) -> list[Subspace]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cliques import LineSetFamily, _mask_is_clique, line_set_family, podmianka
+from .cliques import LineSetFamily, _mask_is_clique, line_set_family
 from .relations import PI, RHO, LineRelationGraph, bits_of
 
 
@@ -39,7 +39,7 @@ def p_pi(l1: int, l2: int, l3: int, graph: LineRelationGraph) -> bool:
 
 
 def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
-          family: LineSetFamily | None) -> bool:
+          family: LineSetFamily) -> bool:
     """Ternary concurrency for the common-pencil relation.
 
     The triple qualifies iff it does not span, and some spanned,
@@ -50,10 +50,7 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
     inside C (see `family_P`; exact when the family holds every spanned
     clique and only maximal cliques, as `family_K` does).  The rest of C is
     common to the three lines and the relation is irreflexive, so that holds
-    iff the common neighbourhood has exactly len(C) - 3 lines.  With
-    `family` None the witness triple is searched literally among the lines
-    related to all three (any containing clique lives there), so the two
-    paths agree.
+    iff the common neighbourhood has exactly len(C) - 3 lines.
 
     Recovering the proper pencils on affine planes needs q >= 3.  Over GF(2)
     such a pencil is three lines, one per direction of AG(2,2), and that
@@ -65,44 +62,15 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
     rows = graph.rows
     if not (rows[l1] >> l2 & 1 and rows[l1] >> l3 & 1 and rows[l2] >> l3 & 1):
         return False
-    if family is not None:
-        by_line, certificates, exchange = family.by_line, family.certificates, family.exchange
-        hits = set(by_line[l1]).intersection(by_line[l2], by_line[l3])
-        if not any(certificates[c] is not None and not exchange[c] for c in hits):
-            return False
-        if len(hits) > 1:  # a spanning triple lies in one maximal clique only
-            return True
-        (c,) = hits
-        common = rows[l1] & rows[l2] & rows[l3]
-        return common.bit_count() != len(family.members[c]) - 3
-    common = rows[l1] & rows[l2] & rows[l3]
-    if _mask_is_clique(common, rows):  # the triple itself spans
+    by_line, certificates, exchange = family.by_line, family.certificates, family.exchange
+    hits = set(by_line[l1]).intersection(by_line[l2], by_line[l3])
+    if not any(certificates[c] is not None and not exchange[c] for c in hits):
         return False
-    # literal witness search: candidate generators must relate to (or equal)
-    # each of l1, l2, l3
-    triple_mask = (1 << l1) | (1 << l2) | (1 << l3)
-    cand_mask = ((rows[l1] | 1 << l1) & (rows[l2] | 1 << l2) & (rows[l3] | 1 << l3))
-    cands = bits_of(cand_mask | triple_mask)
-    seen_spans = set()
-    for m1, m2, m3 in itertools.combinations(cands, 3):
-        gen_common = rows[m1] & rows[m2] & rows[m3]
-        if not (rows[m1] >> m2 & 1 and rows[m1] >> m3 & 1 and rows[m2] >> m3 & 1):
-            continue
-        if not _mask_is_clique(gen_common, rows):
-            continue
-        span = gen_common | (1 << m1) | (1 << m2) | (1 << m3)
-        if span & triple_mask != triple_mask or span in seen_spans:
-            continue
-        seen_spans.add(span)
-        if not podmianka(graph.members_of(span), graph):
-            return True
-    return False
-
-
-def _pencil_closure(i: int, j: int, graph, test) -> tuple[int, ...]:
-    """The pair with every third line `test` finds concurrent with it, sorted."""
-    third = [k for k in bits_of(graph.rows[i] & graph.rows[j]) if test(k, i, j)]
-    return tuple(sorted([i, j, *third]))
+    if len(hits) > 1:  # a spanning triple lies in one maximal clique only
+        return True
+    (c,) = hits
+    common = rows[l1] & rows[l2] & rows[l3]
+    return common.bit_count() != len(family.members[c]) - 3
 
 
 def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
@@ -114,8 +82,8 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
     Each related pair that no found pencil covers is closed once.  Each
     later line keeps the list of found pencils through it, and at line i
     their union is the mask of lines already paired with i; the family keeps
-    only each pencil's line ids.  Maximality and consistency of every inner
-    triple are checked by `verify_pencils` (exercised in the test suite).
+    only each pencil's line ids.  The tests close every pair of every pencil
+    with the literal predicates to check maximality and consistency.
 
     `family` is the graph's clique family (`family_K`), with its exchange
     flags on the proper-pencil relation.  A pair (i, j) is closed from its
@@ -201,32 +169,6 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
                 if l > i:
                     pencils_at[l].append(members)
     return line_set_family(sorted(found), n)
-
-
-def verify_pencils(pencils: LineSetFamily, graph: LineRelationGraph,
-                   family: LineSetFamily) -> list[str]:
-    """Check every recovered pencil is concurrency-closed and maximal.
-
-    `family` is the graph's clique family, which `p_rho` reads.
-    """
-    if graph.delta_kind == PI:
-        test = lambda k, i, j: p_pi(k, i, j, graph)
-    else:
-        test = lambda k, i, j: p_rho(k, i, j, graph, family)
-    problems = []
-    for mem in pencils.members:
-        for i, j in itertools.combinations(mem, 2):
-            if _pencil_closure(i, j, graph, test) != mem:
-                problems.append(f"pair ({i},{j}) closes to a different set than {mem}")
-                break
-    return problems
-
-
-def pencil_coplanar(p1, p2, graph: LineRelationGraph) -> bool:
-    """All-pairs relatedness across two pencils given by their line ids
-    (vacuously including shared lines)."""
-    rows = graph.rows
-    return all(a == b or rows[a] >> b & 1 for a in p1 for b in p2)
 
 
 def _local_masks(members, line_sets) -> list[int]:

@@ -287,10 +287,11 @@ def _pencil_comparison(recovered: set, target: set) -> dict:
 def check_pencil_recovery(ws: Workspace) -> dict:
     """The abstract pencil family on a stripped graph matches the geometry.
 
-    The pipeline only sees ids and adjacency; its surviving pencils are
-    mapped back through the stripping permutation and compared with the
-    geometric proper pencils as a set.  When the pencil gate fails the
-    comparison is reported without being counted as a failure.
+    For each relation the run's `delta` selects, the pipeline only sees ids
+    and adjacency; its surviving pencils are mapped back through the
+    stripping permutation and compared with the geometric proper pencils as
+    a set.  When the pencil gate fails the comparison is reported without
+    being counted as a failure.
 
     The proper-pencil half assumes q >= 3 on affine planes.  Over GF(2) it is
     compared exactly on the pencils of non-affine planes; the affine-plane
@@ -301,7 +302,7 @@ def check_pencil_recovery(ws: Workspace) -> dict:
     geo_proper = space.proper_pencil_sets()
     outside = _rho_outside_hypothesis(space)
     report: dict = {"applicable": True, "gate": gates.pencil_gate}
-    for name in (PI, RHO):
+    for name in ws.cfg.deltas():
         sr, geometry = ws.stripped(name), ws.geometry(name)
         target = geo_proper - outside if name == RHO else geo_proper
         # the recovered sets live only in the call, so one relation's are
@@ -319,7 +320,7 @@ def check_pencil_recovery(ws: Workspace) -> dict:
             entry["ok"] = True
             entry["note"] = "pencil gate fails; recovery reported, not asserted"
         report[name] = entry
-    report["ok"] = report["pi"]["ok"] and report["rho"]["ok"]
+    report["ok"] = all(report[name]["ok"] for name in ws.cfg.deltas())
     return report
 
 

@@ -1,0 +1,165 @@
+"""Reference implementations that the tests compare the package against.
+
+None of these is on a command's path.  Each does one job of the package
+in its most literal form, so a test can hold the fast code to it:
+
+- `enumerate_rref` lists the k x n RREF matrices directly; it fixes the
+  order of `gf.enumerate_subspaces` and of `gf.Interval.lifts`, and with it
+  every point, line and plane id.
+- `span_clique` is the span of one positive triple.
+- `family_from_members` packages an outside clique list (the Bron-Kerbosch
+  oracle's) as a family, checking each clique and searching its certificate.
+- `literal_p_rho` searches the witness clique of `pencils.p_rho` among the
+  lines related to all three, with no family.
+- `verify_pencils` closes every pair of every recovered pencil with the
+  ternary predicate; `pencil_coplanar` is all-pairs relatedness.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from spinegeo.cliques import (
+    LineSetFamily,
+    _mask_is_clique,
+    delta_n,
+    is_maximal_clique,
+    line_set_family,
+    podmianka,
+)
+from spinegeo.pencils import p_pi, p_rho
+from spinegeo.relations import PI, RHO, LineRelationGraph, bits_of
+
+
+def enumerate_rref(q: int, n: int, k: int):
+    """All k x n matrices in reduced row-echelon form over GF(q), full rank.
+
+    Generated in a fixed order: pivot columns in lexicographic order, free
+    entries in lexicographic order.  Each matrix appears exactly once, so
+    this enumerates Sub_k(GF(q)^n) without deduplication.
+    """
+    if k == 0:
+        yield ()
+        return
+    for pivots in itertools.combinations(range(n), k):
+        pivset = set(pivots)
+        free = [
+            (i, j)
+            for i in range(k)
+            for j in range(pivots[i] + 1, n)
+            if j not in pivset
+        ]
+        base = [[0] * n for _ in range(k)]
+        for i, p in enumerate(pivots):
+            base[i][p] = 1
+        if not free:
+            yield tuple(tuple(row) for row in base)
+            continue
+        for values in itertools.product(range(q), repeat=len(free)):
+            mat = [row[:] for row in base]
+            for (i, j), v in zip(free, values):
+                mat[i][j] = v
+            yield tuple(tuple(row) for row in mat)
+
+
+def span_clique(l1: int, l2: int, l3: int, graph: LineRelationGraph) -> frozenset[int]:
+    """The maximal clique spanned by a positive triple.
+
+    The span is the triple's common neighbourhood together with the triple
+    itself.  Raises if the triple does not satisfy the spanning predicate.
+    """
+    if not delta_n((l1, l2, l3), graph):
+        raise ValueError(f"triple ({l1}, {l2}, {l3}) does not span a clique")
+    mask = graph.common_neighbors((l1, l2, l3))
+    return frozenset(bits_of(mask)) | {l1, l2, l3}
+
+
+def family_from_members(graph: LineRelationGraph, members) -> LineSetFamily:
+    """Package an externally produced clique list (e.g. the oracle's).
+
+    `members` are sorted tuples of line ids.  Each is verified to be a
+    maximal clique of the graph, and a spanning triple is searched inside
+    each clique; cliques without one get certificate None (they are maximal
+    but not spanned, like the affine semiflats for the proper-pencil
+    relation).  On a proper-pencil graph each clique also gets its exchange
+    flag.
+    """
+    rows = graph.rows
+
+    def certify(mem):
+        if not is_maximal_clique(mem, graph):
+            raise ValueError(f"not a maximal clique: {mem}")
+        for tri in itertools.combinations(mem, 3):
+            if _mask_is_clique(rows[tri[0]] & rows[tri[1]] & rows[tri[2]], rows):
+                return tri
+        return None
+
+    family = line_set_family(sorted(set(members)), graph.count)
+    family.certificates = [certify(mem) for mem in family.members]
+    if graph.delta_kind == RHO:
+        family.exchange = [podmianka(mem, graph) for mem in family.members]
+    return family
+
+
+def literal_p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph) -> bool:
+    """`p_rho` without a clique family: the triple is pairwise related and
+    does not span, and a literal search finds a spanning triple among the
+    lines related to (or equal to) each of the three whose span holds the
+    triple and has no exchange (any containing clique lives there)."""
+    if len({l1, l2, l3}) != 3:
+        return False
+    rows = graph.rows
+    if not (rows[l1] >> l2 & 1 and rows[l1] >> l3 & 1 and rows[l2] >> l3 & 1):
+        return False
+    common = rows[l1] & rows[l2] & rows[l3]
+    if _mask_is_clique(common, rows):  # the triple itself spans
+        return False
+    triple_mask = (1 << l1) | (1 << l2) | (1 << l3)
+    cand_mask = ((rows[l1] | 1 << l1) & (rows[l2] | 1 << l2) & (rows[l3] | 1 << l3))
+    cands = bits_of(cand_mask | triple_mask)
+    seen_spans = set()
+    for m1, m2, m3 in itertools.combinations(cands, 3):
+        gen_common = rows[m1] & rows[m2] & rows[m3]
+        if not (rows[m1] >> m2 & 1 and rows[m1] >> m3 & 1 and rows[m2] >> m3 & 1):
+            continue
+        if not _mask_is_clique(gen_common, rows):
+            continue
+        span = gen_common | (1 << m1) | (1 << m2) | (1 << m3)
+        if span & triple_mask != triple_mask or span in seen_spans:
+            continue
+        seen_spans.add(span)
+        if not podmianka(graph.members_of(span), graph):
+            return True
+    return False
+
+
+def _pencil_closure(i: int, j: int, graph, test) -> tuple[int, ...]:
+    """The pair with every third line `test` finds concurrent with it, sorted."""
+    third = [k for k in bits_of(graph.rows[i] & graph.rows[j]) if test(k, i, j)]
+    return tuple(sorted([i, j, *third]))
+
+
+def verify_pencils(pencils: LineSetFamily, graph: LineRelationGraph,
+                   family: LineSetFamily) -> list[str]:
+    """Check every recovered pencil is concurrency-closed and maximal.
+
+    `family` is the graph's clique family, which `p_rho` reads.
+    """
+    if graph.delta_kind == PI:
+        test = lambda k, i, j: p_pi(k, i, j, graph)
+    else:
+        test = lambda k, i, j: p_rho(k, i, j, graph, family)
+    problems = []
+    for mem in pencils.members:
+        for i, j in itertools.combinations(mem, 2):
+            if _pencil_closure(i, j, graph, test) != mem:
+                problems.append(f"pair ({i},{j}) closes to a different set than {mem}")
+                break
+    return problems
+
+
+def pencil_coplanar(p1, p2, graph: LineRelationGraph) -> bool:
+    """All-pairs relatedness across two pencils given by their line ids
+    (vacuously including shared lines)."""
+    rows = graph.rows
+    return all(a == b or rows[a] >> b & 1 for a in p1 for b in p2)

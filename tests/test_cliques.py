@@ -14,12 +14,12 @@ from spinegeo.cliques import (
     classify_clique,
     delta_n,
     family_K,
-    family_from_members,
     podmianka,
-    span_clique,
 )
 from spinegeo.relations import bits_of
 from spinegeo.spine import PLANE_AFFINE, PLANE_PROJECTIVE
+
+from oracles import family_from_members, span_clique
 
 
 def pencil_triple(space, proper=True, size=3):

@@ -9,7 +9,6 @@ from spinegeo.gf import (
     FieldSpec,
     Interval,
     Subspace,
-    _enumerate_rref,
     _rank,
     _rref_rows,
     apply_matrix,
@@ -28,6 +27,8 @@ from spinegeo.gf import (
     subspace_sum,
     zero_subspace,
 )
+
+from oracles import enumerate_rref
 
 GF2_3 = FieldSpec(2, 3)
 GF2_4 = FieldSpec(2, 4)
@@ -164,6 +165,15 @@ def test_enumerate_is_deterministic_and_duplicate_free():
     assert len({s.rows for s in a}) == len(a)
 
 
+@pytest.mark.parametrize("q, n", [(2, 5), (3, 4), (5, 3), (131, 3)])
+def test_enumerate_matches_the_rref_reference_in_order(q, n):
+    # the order fixes every point, line and plane id; q = 131 packs two-byte lanes
+    spec = FieldSpec(q, n)
+    for k in range(n + 1):
+        expected = [Subspace(spec, rows) for rows in enumerate_rref(q, n, k)]
+        assert enumerate_subspaces(spec, k) == expected
+
+
 def test_enumerate_out_of_range():
     with pytest.raises(ValueError):
         enumerate_subspaces(GF2_3, 4)
@@ -251,7 +261,7 @@ def reference_enumerate_between(h, b, k):
             ext.append(row)
             comp.append(row)
     out = []
-    for quot_rows in _enumerate_rref(q, len(comp), k - h.dim):
+    for quot_rows in enumerate_rref(q, len(comp), k - h.dim):
         lifted = []
         for srow in quot_rows:
             vec = [0] * n

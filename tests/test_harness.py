@@ -73,6 +73,15 @@ def test_no_command_reads_a_relation_file(tmp_path, monkeypatch):
     assert counts == {"graph_from_json": 0, "compute_pi": 2, "compute_rho": 2}
 
 
+def test_pencils_with_delta_pi_computes_no_rho(tmp_path, monkeypatch):
+    counts = count_calls(monkeypatch, ["compute_rho"])
+    payload, code = harness.cmd_pencils(cfg(tmp_path, delta="pi"))
+    assert code == OK
+    assert counts["compute_rho"] == 0
+    assert "pi" in payload["recovery"] and "rho" not in payload["recovery"]
+    assert not list((tmp_path / "cache").glob("relation-rho-*.json"))
+
+
 def test_report_determinism(tmp_path):
     c = cfg(tmp_path)
     cmd_relations(c)

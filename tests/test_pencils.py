@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from spinegeo import build_spine, standard_params
-from spinegeo.cliques import _mask_is_clique, bron_kerbosch, family_K, family_from_members
+from spinegeo.cliques import _mask_is_clique, bron_kerbosch, family_K
 from spinegeo.pencils import (
     clique_dimension,
     derive_line_geometry,
@@ -12,11 +12,11 @@ from spinegeo.pencils import (
     family_P,
     p_pi,
     p_rho,
-    pencil_coplanar,
-    verify_pencils,
 )
 from spinegeo.relations import LineRelationGraph, bits_of, compute_pi, compute_rho, strip
 from spinegeo.spine import PLANE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED, STAR_ALPHA
+
+from oracles import family_from_members, literal_p_rho, pencil_coplanar, verify_pencils
 
 
 def hosted_pencils(space, kind=None, proper=True):
@@ -84,19 +84,19 @@ def test_p_pi_on_mutually_parallel_triples_over_gf3():
 def test_p_rho_via_triangle_witness_on_projective_plane(cfg3_space, cfg3_rho):
     p, _ = next(hosted_pencils(cfg3_space, kind=PLANE_PROJECTIVE))
     tri = sorted(p.line_ids)
-    assert p_rho(*tri, cfg3_rho, None)  # literal witness search
+    assert literal_p_rho(*tri, cfg3_rho)
 
 
 def test_p_rho_via_tripod_witness_on_punctured_plane(cfg3_space, cfg3_rho):
     p, _ = next(hosted_pencils(cfg3_space, kind=PLANE_PUNCTURED))
     tri = sorted(p.line_ids)
-    assert p_rho(*tri, cfg3_rho, None)
+    assert literal_p_rho(*tri, cfg3_rho)
 
 
 def test_p_rho_rejects_parallel_triples(cfg3_space, cfg3_rho):
     p, _ = next(hosted_pencils(cfg3_space, kind=PLANE_PUNCTURED, proper=False))
     tri = sorted(p.line_ids)[:3]
-    assert not p_rho(*tri, cfg3_rho, None)
+    assert not literal_p_rho(*tri, cfg3_rho)
 
 
 def parent_p_rho(l1, l2, l3, graph, fam):
@@ -128,10 +128,10 @@ def test_p_rho_fast_path_matches_literal(cfg1_space, cfg1_rho, cex_space, cex_rh
             tri = sorted(p.line_ids)[:3]
             if len(tri) < 3:
                 continue
-            assert p_rho(*tri, rho, fam) == p_rho(*tri, rho, None)
+            assert p_rho(*tri, rho, fam) == literal_p_rho(*tri, rho)
         for _ in range(25):
             tri = rng.sample(range(rho.count), 3)
-            assert p_rho(*tri, rho, fam) == p_rho(*tri, rho, None)
+            assert p_rho(*tri, rho, fam) == literal_p_rho(*tri, rho)
         # inside cliques, where the lookups decide: against the parent's index path
         for mem in rng.sample(fam.members, 40):
             for tri in itertools.islice(itertools.combinations(mem, 3), 30):

@@ -36,7 +36,7 @@ print("classification of the common-pencil cliques, with the exchange test")
 print("(swap one line for an outside line and stay a maximal clique):")
 census: Counter = Counter()
 for mem in bron_kerbosch(rho):
-    kind, _ = classify_clique(mem, space, fams)
+    kind, _ = classify_clique(mem, fams)
     census[(kind, podmianka(mem, rho))] += 1
 for (kind, flag), count in sorted(census.items()):
     print(f"  {kind:20s} exchange={str(flag):5s} : {count}")

@@ -10,6 +10,11 @@ universes.  `podmianka` is the single-line exchange criterion that singles
 out the semiaffine semiflats among maximal cliques of the proper-pencil
 relation when q >= 3.
 
+`geometric_families` generates the flats, semiflats and semibundles of a
+spine space and records each line set's kind and geometric witness as it
+goes; `classify_clique` looks a clique up in that one table, and the pi and
+rho families are its members of the relation's kinds.
+
 Cliques cross function boundaries as sorted member tuples: families keep
 them, `bron_kerbosch` returns them, `podmianka` takes them.  Kernels
 build bitmasks over line ids (`graph.mask_of`, the relation rows) inside a
@@ -24,14 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from .relations import RHO, LineRelationGraph, bits_of
-from .spine import (
-    PLANE_AFFINE,
-    PLANE_PROJECTIVE,
-    PLANE_PUNCTURED,
-    LINE_AFFINE,
-    PlaneInfo,
-    SpineSpace,
-)
+from .spine import LINE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED, SpineSpace
 
 KIND_PROJECTIVE_FLAT = "projective-flat"
 KIND_FLAT = "flat"
@@ -283,59 +281,58 @@ def podmianka(members: tuple[int, ...], graph: LineRelationGraph) -> bool:
 
 # -- geometric classification -------------------------------------------------
 
+# the kinds that are maximal cliques of pi, resp. of rho
+PI_KINDS = frozenset({KIND_PROJECTIVE_FLAT, KIND_FLAT,
+                      KIND_SEMIBUNDLE_PROPER, KIND_SEMIBUNDLE_IMPROPER})
+RHO_KINDS = frozenset({KIND_PROJECTIVE_FLAT, KIND_PUNCTURED_SEMIFLAT,
+                       KIND_AFFINE_SEMIFLAT, KIND_SEMIBUNDLE_PROPER})
+
 
 @dataclass
 class GeometricFamilies:
-    """Geometric clique families of a spine space, ready for matching.
+    """The geometric maximal cliques of a spine space, with their kinds.
 
-    planes: the space's plane table (the list itself, not a copy).
-    flat_by_lines: full line set of every plane, to its plane id.
-    planes_by_line: the ids of the planes through each line.
-    pi_family, rho_family: the flats, resp. the maximal-clique semiflats of
-        the proper-pencil relation (projective flats, punctured choices,
-        filtered selectors), together with the semibundles of the strong
-        subspaces of dimension >= 3 (for rho, those at a proper vertex); the
-        space's `semibundle_at` keys them.
+    kind_of: every flat, semiflat and semibundle (of a strong subspace of
+        dimension >= 3), as its line set, to its (kind, witness); the
+        witness is a plane id for flats and semiflats, a (strong id, vertex
+        gid) pair for semibundles.
+    pi_family, rho_family: the line sets of `kind_of` whose kind is in
+        `PI_KINDS` (the flats and every semibundle), resp. `RHO_KINDS` (the
+        projective flats, punctured choices, filtered selectors and the
+        semibundles at a proper vertex).
     """
 
-    planes: list[PlaneInfo]
-    flat_by_lines: dict[frozenset[int], int]
-    planes_by_line: dict[int, list[int]]
+    kind_of: dict[frozenset[int], tuple[str, object]]
     pi_family: set[frozenset[int]]
     rho_family: set[frozenset[int]]
 
 
-def _punctured_split(space: SpineSpace, plane) -> tuple[frozenset[int], frozenset[int]]:
-    """The affine lines of a punctured plane, and its projective lines."""
-    affine = frozenset(l for l in plane.line_ids if space.lines[l].kind == LINE_AFFINE)
-    return affine, frozenset(plane.line_ids) - affine
-
-
 def geometric_families(space: SpineSpace) -> GeometricFamilies:
-    planes = space.planes()
-    flat_by_lines = {frozenset(p.line_ids): p.id for p in planes}
-    planes_by_line: dict[int, list[int]] = {}
-    for p in planes:
-        for lid in p.line_ids:
-            planes_by_line.setdefault(lid, []).append(p.id)
-
-    rho_semiflats: set[frozenset[int]] = set()
-    for p in planes:
+    """Every geometric clique family of `space`, each line set recorded with
+    its kind as it is generated."""
+    kind_of: dict[frozenset[int], tuple[str, object]] = {}
+    for p in space.planes():
+        lines = frozenset(p.line_ids)
         if p.kind == PLANE_PROJECTIVE:
-            rho_semiflats.add(frozenset(p.line_ids))
-        elif p.kind == PLANE_PUNCTURED:
-            affine, projective = _punctured_split(space, p)
+            kind_of[lines] = (KIND_PROJECTIVE_FLAT, p.id)
+            continue
+        kind_of[lines] = (KIND_FLAT, p.id)
+        if p.kind == PLANE_PUNCTURED:
+            affine = [l for l in p.line_ids if space.lines[l].kind == LINE_AFFINE]
+            projective = lines.difference(affine)
             for a in affine:
-                rho_semiflats.add(projective | {a})
+                kind_of[projective | {a}] = (KIND_PUNCTURED_SEMIFLAT, p.id)
         else:
-            rho_semiflats.update(_maximal_selectors(space, p))
-
-    semibundles = space.semibundles(min_p_dim=3)
-    pi_family = set(flat_by_lines) | set(semibundles.values())
-    rho_family = rho_semiflats | {
-        lines for (sid, g), lines in semibundles.items() if g in space.pid_of_gid
-    }
-    return GeometricFamilies(planes, flat_by_lines, planes_by_line, pi_family, rho_family)
+            for selector in _maximal_selectors(space, p):
+                kind_of[selector] = (KIND_AFFINE_SEMIFLAT, p.id)
+    for key, lines in space.semibundles(min_p_dim=3).items():
+        proper = key[1] in space.pid_of_gid
+        kind_of[lines] = (KIND_SEMIBUNDLE_PROPER if proper else KIND_SEMIBUNDLE_IMPROPER, key)
+    return GeometricFamilies(
+        kind_of,
+        {lines for lines, (kind, _) in kind_of.items() if kind in PI_KINDS},
+        {lines for lines, (kind, _) in kind_of.items() if kind in RHO_KINDS},
+    )
 
 
 def _maximal_selectors(space: SpineSpace, plane) -> list[frozenset[int]]:
@@ -366,14 +363,14 @@ def _maximal_selectors(space: SpineSpace, plane) -> list[frozenset[int]]:
     return out
 
 
-def family_to_json(space: SpineSpace, cliques, fams: GeometricFamilies,
+def family_to_json(cliques, fams: GeometricFamilies,
                    exchange: list[bool] | None = None) -> list[dict]:
     """Cliques as JSON rows sorted by line ids: lines, kind tag, geometric
     witness, and the exchange flag when `exchange` gives one per clique."""
     flags = exchange if exchange is not None else [None] * len(cliques)
     rows = []
     for mem, flag in sorted((tuple(sorted(c)), f) for c, f in zip(cliques, flags)):
-        kind, witness = classify_clique(mem, space, fams)
+        kind, witness = classify_clique(mem, fams)
         row = {"lines": list(mem), "kind": kind, "witness": witness}
         if exchange is not None:
             row["exchange"] = flag
@@ -381,38 +378,7 @@ def family_to_json(space: SpineSpace, cliques, fams: GeometricFamilies,
     return rows
 
 
-def classify_clique(members, space: SpineSpace, fams: GeometricFamilies):
-    """Match a clique against the geometric families.
-
-    Returns (kind, witness): witness is a plane id for flats and semiflats,
-    a (strong id, vertex gid) pair for semibundles, None when unclassified.
-    """
-    lines = frozenset(members)
-    key = space.semibundle_at(lines)
-    if key is not None and space.strongs[key[0]].p_dim >= 3:
-        proper = key[1] in space.pid_of_gid
-        return (KIND_SEMIBUNDLE_PROPER if proper else KIND_SEMIBUNDLE_IMPROPER, key)
-    planes = fams.planes
-    if lines in fams.flat_by_lines:
-        pid = fams.flat_by_lines[lines]
-        if planes[pid].kind == PLANE_PROJECTIVE:
-            return (KIND_PROJECTIVE_FLAT, pid)
-        return (KIND_FLAT, pid)
-    candidates = None
-    for lid in lines:
-        plist = set(fams.planes_by_line.get(lid, ()))
-        candidates = plist if candidates is None else candidates & plist
-        if not candidates:
-            break
-    for pid in sorted(candidates or ()):  # the planes holding every line
-        plane = planes[pid]
-        if plane.kind == PLANE_PUNCTURED:
-            affine, projective = _punctured_split(space, plane)
-            if projective <= lines and len(lines & affine) == 1:
-                return (KIND_PUNCTURED_SEMIFLAT, pid)
-        elif plane.kind == PLANE_AFFINE:
-            directions = {space.lines[l].improper_gid for l in plane.line_ids}
-            if len(lines) == len(directions) and \
-                    len({space.lines[l].improper_gid for l in lines}) == len(lines):
-                return (KIND_AFFINE_SEMIFLAT, pid)
-    return (KIND_UNCLASSIFIED, None)
+def classify_clique(members, fams: GeometricFamilies):
+    """The (kind, witness) `fams.kind_of` records for the line set `members`,
+    or (KIND_UNCLASSIFIED, None) when it is no geometric clique."""
+    return fams.kind_of.get(frozenset(members), (KIND_UNCLASSIFIED, None))

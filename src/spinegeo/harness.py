@@ -285,8 +285,8 @@ def cmd_cliques(ws: Workspace, payload: dict) -> int:
         for kind in cfg.deltas():
             inv, family = ws.stripped(kind).inverse, ws.spanned(kind)
             artifact[kind] = family_to_json(
-                ws.space(), [[inv[l] for l in mem] for mem in family.members],
-                ws.families(), family.exchange)
+                [[inv[l] for l in mem] for mem in family.members], ws.families(),
+                family.exchange)
         payload["families_artifact"] = _write_atomic(
             _output_path(cfg, "clique-families"), artifact).name
     return OK if classification["ok"] and exchange["ok"] else CHECK_FAILED

@@ -105,7 +105,7 @@ def check_clique_classification(ws: Workspace) -> dict:
         problems = []
         for kind, family in ((PI, fams.pi_family), (RHO, fams.rho_family)):
             graph = ws.graph(kind)
-            for mem in map(sorted, family):
+            for mem in sorted(map(sorted, family)):
                 if not is_maximal_clique(mem, graph):
                     problems.append((graph.delta_kind, mem[:4]))
         out["pi_equal"] = out["rho_equal"] = not problems
@@ -130,13 +130,13 @@ def check_exchange_criterion(ws: Workspace) -> dict:
     space, rho, fams = ws.space(), ws.graph(RHO), ws.families()
     members = ws.cliques(RHO)
     if members is None:
-        members = [tuple(sorted(lines)) for lines in fams.rho_family]
+        members = sorted(tuple(sorted(lines)) for lines in fams.rho_family)
     gf2 = space.params.space.q == 2
     mismatches = []
     excluded_sizes: dict[str, int] = {}
     per_kind: dict[str, dict[bool, int]] = {}
     for mem in members:
-        kind, _ = classify_clique(mem, space, fams)
+        kind, _ = classify_clique(mem, fams)
         flag = podmianka(mem, rho)
         per_kind.setdefault(kind, {True: 0, False: 0})[flag] += 1
         if gf2 and kind == KIND_AFFINE_SEMIFLAT:
@@ -196,12 +196,13 @@ def _outside_report(pencils: set[frozenset[int]], rho: LineRelationGraph) -> dic
 def check_ternary_pencils(ws: Workspace) -> dict:
     """Ternary concurrency identifies pencils, clique by clique.
 
-    For every triple inside every maximal clique of each relation, the
-    abstract predicate is compared against the geometric truth: for the
-    coplanarity relation a triple should qualify iff it lies in a pencil
-    (proper or parallel vertex); for the proper-pencil relation iff it lies
-    in a pencil with a proper vertex.  Applicable only when every plane
-    extends into a strong subspace of dimension at least 3.
+    For every triple inside every maximal clique of each relation the run's
+    `delta` selects, the abstract predicate is compared against the
+    geometric truth: for the coplanarity relation a triple should qualify
+    iff it lies in a pencil (proper or parallel vertex); for the
+    proper-pencil relation iff it lies in a pencil with a proper vertex.
+    Applicable only when every plane extends into a strong subspace of
+    dimension at least 3.
 
     The predicates run on the stripped graph and `derive_line_geometry`'s
     cliques; cliques and triples are compared in original line ids.
@@ -218,7 +219,7 @@ def check_ternary_pencils(ws: Workspace) -> dict:
     outside = _rho_outside_hypothesis(space)
 
     report: dict = {"applicable": True}
-    for name in (PI, RHO):
+    for name in ws.cfg.deltas():
         sr, geometry = ws.stripped(name), ws.geometry(name)
         graph, perm, inv = sr.graph, sr.perm, sr.inverse
         # cliques as sorted tuples of original ids: far smaller than frozensets
@@ -232,7 +233,7 @@ def check_ternary_pencils(ws: Workspace) -> dict:
             coverage_ok = spanned == expected
         else:
             coverage_ok = spanned <= expected and all(
-                classify_clique(s, space, fams)[0] == KIND_AFFINE_SEMIFLAT
+                classify_clique(s, fams)[0] == KIND_AFFINE_SEMIFLAT
                 for s in unspanned
             )
         mismatches = {}
@@ -265,7 +266,7 @@ def check_ternary_pencils(ws: Workspace) -> dict:
             excluded = _outside_report(outside, ws.graph(RHO))
             report[name]["outside_hypothesis"] = excluded
             report[name]["ok"] = report[name]["ok"] and excluded["cause_holds"]
-    report["ok"] = report["pi"]["ok"] and report["rho"]["ok"]
+    report["ok"] = all(report[name]["ok"] for name in ws.cfg.deltas())
     return report
 
 

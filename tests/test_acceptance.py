@@ -34,10 +34,10 @@ import pytest
 import spinegeo.cliques
 from spinegeo import verify
 from spinegeo.cliques import KIND_AFFINE_SEMIFLAT, delta_n
-from spinegeo.harness import RunConfig, cmd_verify_all
+from spinegeo.harness import RunConfig, Workspace, cmd_verify_all
 from spinegeo.spine import LINE_OMEGA, PLANE_AFFINE, validate_params
 
-from conftest import CFG1, count_calls, workspace
+from conftest import CFG1, CFG3, count_calls, workspace
 
 SEED = 11
 EXCHANGE_TWIN = (3, 5, 2, 1, 3)  # cfg1's shape over GF(3)
@@ -196,6 +196,19 @@ def test_criterion_4_pencil_space_definability(cfg3_ws, cfg3_space, cfg3_rho, cf
     assert rho["recovered"] == rho["geometric"] == 112_840
     _assert_rho_outside_hypothesis(cfg3_space, cfg3_rho, rho["outside_hypothesis"])
     assert ok
+
+
+def test_ternary_pencils_with_delta_pi_derives_no_rho(cfg3_ws, tmp_path, monkeypatch):
+    # a pi-only run on cfg3 that starts from cfg3's stages without rho's
+    cfg3_ws.geometry("pi")
+    ws = Workspace(RunConfig(*CFG3, seed=SEED, delta="pi", out_dir=tmp_path))
+    ws._stages = {key: stage for key, stage in cfg3_ws._stages.items() if "rho" not in key}
+    counts = count_calls(monkeypatch, ["compute_rho", "strip", "derive_line_geometry"])
+    report = verify.check_ternary_pencils(ws)
+    assert counts == {"compute_rho": 0, "strip": 0, "derive_line_geometry": 0}
+    assert "rho" not in report
+    assert report["ok"] and report["pi"]["ok"]
+    assert report["pi"]["triples"] == 1_262_940
 
 
 def test_criterion_5_reconstruction(cfg1_ws, cfg1_space, roomy_reconstruction):

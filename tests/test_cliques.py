@@ -14,10 +14,11 @@ from spinegeo.cliques import (
     classify_clique,
     delta_n,
     family_K,
+    geometric_families,
     podmianka,
 )
 from spinegeo.relations import bits_of
-from spinegeo.spine import PLANE_AFFINE, PLANE_PROJECTIVE
+from spinegeo.spine import LINE_AFFINE, PLANE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED
 
 from oracles import family_from_members, span_clique
 
@@ -197,10 +198,10 @@ def test_bron_kerbosch_cap(monkeypatch):
 
 # ---------- exchange and classification ---------------------------------------------
 
-def test_exchange_flags_by_kind(cfg1_space, cfg1_rho, cfg1_fams):
+def test_exchange_flags_by_kind(cfg1_rho, cfg1_fams):
     flags = {}
     for mem in bron_kerbosch(cfg1_rho):
-        kind, _ = classify_clique(mem, cfg1_space, cfg1_fams)
+        kind, _ = classify_clique(mem, cfg1_fams)
         flags.setdefault(kind, set()).add(podmianka(mem, cfg1_rho))
     assert flags[KIND_PROJECTIVE_FLAT] == {False}
     assert flags[KIND_SEMIBUNDLE_PROPER] == {False}
@@ -217,14 +218,14 @@ def test_podmianka_rejects_non_maximal_input(cfg1_rho):
         podmianka(mem[1:], cfg1_rho)  # without its smallest line
 
 
-def test_every_maximal_clique_classifies(cfg1_space, cfg1_pi, cfg1_rho, cfg1_fams):
+def test_every_maximal_clique_classifies(cfg1_pi, cfg1_rho, cfg1_fams):
     for graph, expect in ((cfg1_pi, {KIND_PROJECTIVE_FLAT, KIND_FLAT,
                                      KIND_SEMIBUNDLE_PROPER, KIND_SEMIBUNDLE_IMPROPER}),
                           (cfg1_rho, {KIND_PROJECTIVE_FLAT, KIND_PUNCTURED_SEMIFLAT,
                                       KIND_AFFINE_SEMIFLAT, KIND_SEMIBUNDLE_PROPER})):
         kinds = set()
         for mem in bron_kerbosch(graph):
-            kind, witness = classify_clique(mem, cfg1_space, cfg1_fams)
+            kind, witness = classify_clique(mem, cfg1_fams)
             assert kind != KIND_UNCLASSIFIED
             kinds.add(kind)
         assert kinds == expect
@@ -233,12 +234,65 @@ def test_every_maximal_clique_classifies(cfg1_space, cfg1_pi, cfg1_rho, cfg1_fam
 def test_affine_semiflat_is_a_direction_selector(cfg1_space, cfg1_fams):
     lines = next(iter(
         s for s in cfg1_fams.rho_family
-        if classify_clique(s, cfg1_space, cfg1_fams)[0] == KIND_AFFINE_SEMIFLAT
+        if classify_clique(s, cfg1_fams)[0] == KIND_AFFINE_SEMIFLAT
     ))
-    kind, pid = classify_clique(lines, cfg1_space, cfg1_fams)
+    kind, pid = classify_clique(lines, cfg1_fams)
     plane = cfg1_space.planes()[pid]
     assert plane.kind == PLANE_AFFINE
     directions = [cfg1_space.lines[l].improper_gid for l in lines]
     assert len(set(directions)) == len(lines)
     all_directions = {cfg1_space.lines[l].improper_gid for l in plane.line_ids}
     assert set(directions) == all_directions
+
+
+# ---------- the kind table ----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def twin_fams(twin_space):
+    return geometric_families(twin_space)
+
+
+KIND_CENSUS = [  # flats, semiflats and semibundles of pi and rho together
+    ("cfg1", {KIND_PROJECTIVE_FLAT: 504, KIND_FLAT: 735, KIND_PUNCTURED_SEMIFLAT: 2058,
+              KIND_AFFINE_SEMIFLAT: 196, KIND_SEMIBUNDLE_PROPER: 196,
+              KIND_SEMIBUNDLE_IMPROPER: 21}),
+    ("twin", {KIND_PROJECTIVE_FLAT: 27, KIND_FLAT: 52, KIND_PUNCTURED_SEMIFLAT: 156,
+              KIND_AFFINE_SEMIFLAT: 1053}),
+]
+
+
+@pytest.mark.parametrize("name, census", KIND_CENSUS)
+def test_kind_census(request, name, census):
+    fams = request.getfixturevalue(f"{name}_fams")
+    got = {}
+    for lines in fams.pi_family | fams.rho_family:
+        kind, _ = classify_clique(lines, fams)
+        got[kind] = got.get(kind, 0) + 1
+    assert got == census
+
+
+@pytest.mark.parametrize("name", ["cfg1", "twin"])
+def test_each_kind_holds_of_its_witness(request, name):
+    space = request.getfixturevalue(f"{name}_space")
+    fams = request.getfixturevalue(f"{name}_fams")
+    planes = space.planes()
+    for lines, (kind, witness) in fams.kind_of.items():
+        if kind in (KIND_SEMIBUNDLE_PROPER, KIND_SEMIBUNDLE_IMPROPER):
+            assert space.semibundle_at(lines) == witness
+            assert (witness[1] in space.pid_of_gid) == (kind == KIND_SEMIBUNDLE_PROPER)
+            continue
+        plane = planes[witness]
+        if kind in (KIND_PROJECTIVE_FLAT, KIND_FLAT):
+            assert lines == frozenset(plane.line_ids)
+            assert (plane.kind == PLANE_PROJECTIVE) == (kind == KIND_PROJECTIVE_FLAT)
+        elif kind == KIND_PUNCTURED_SEMIFLAT:
+            assert plane.kind == PLANE_PUNCTURED
+            projective = {l for l in plane.line_ids if space.lines[l].kind != LINE_AFFINE}
+            (extra,) = lines - projective
+            assert projective <= lines and extra in plane.line_ids
+            assert space.lines[extra].kind == LINE_AFFINE
+        else:
+            assert kind == KIND_AFFINE_SEMIFLAT and plane.kind == PLANE_AFFINE
+            assert lines <= set(plane.line_ids)
+            directions = sorted(space.lines[l].improper_gid for l in lines)
+            assert directions == sorted({space.lines[l].improper_gid for l in plane.line_ids})

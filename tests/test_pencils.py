@@ -292,7 +292,7 @@ def test_clique_dimensions(cfg1_space, cfg1_pi):
         d = geometry.clique_dims[ci]
         if d is None:
             continue
-        kind, _ = classify_clique(frozenset(mem), cfg1_space, gf)
+        kind, _ = classify_clique(frozenset(mem), gf)
         fams.setdefault(kind, set()).add(d)
     assert fams["flat"] == {2} or fams.get("projective-flat") == {2}
     assert fams["semibundle-proper"] == {3}  # hosts are 4-dimensional stars

@@ -146,19 +146,28 @@ class _Lanes:
                     v = s - (((s + bias) & high) >> top) * q
             return v
 
-        def extend(echelon: dict, v: int) -> bool:
-            """Add v to an echelon basis (lead column -> multiples of a row
-            with lead entry 1) unless v lies in its span; True if added."""
+        def residue(echelon: dict, v: int) -> int:
+            """v reduced by an echelon basis (lead column -> multiples of a row
+            with lead entry 1) until its lead column has no row: 0 iff v lies
+            in the span."""
             while v:
                 c = n - 1 - (v.bit_length() - 1) // width
-                f = (v >> shift[c]) & mask
                 mults = echelon.get(c)
                 if mults is None:
-                    echelon[c] = multiples(v if f == 1 else scale(v, inv[f]))
-                    return True
-                s = v + mults[q - f]
+                    return v
+                s = v + mults[q - ((v >> shift[c]) & mask)]
                 v = s - (((s + bias) & high) >> top) * q
-            return False
+            return 0
+
+        def extend(echelon: dict, v: int) -> bool:
+            """Add v to an echelon basis unless v lies in its span; True if added."""
+            v = residue(echelon, v)
+            if not v:
+                return False
+            f = v >> (v.bit_length() - 1) // width * width
+            echelon[n - 1 - (v.bit_length() - 1) // width] = multiples(
+                v if f == 1 else scale(v, inv[f]))
+            return True
 
         def reduced_basis(vecs) -> dict:
             """A basis of the span of `vecs`, each row with pivot entry 1 and
@@ -179,8 +188,8 @@ class _Lanes:
             return sorted((mults[1] for mults in reduced_basis(vecs).values()), reverse=True)
 
         self.pack, self.unpack, self.add, self.multiples = pack, unpack, add, multiples
-        self.lead, self.reduce, self.extend, self.reduced_basis, self.rref = (
-            lead, reduce, extend, reduced_basis, rref)
+        self.lead, self.reduce, self.residue, self.extend = lead, reduce, residue, extend
+        self.reduced_basis, self.rref = reduced_basis, rref
 
 
 @lru_cache(maxsize=None)
@@ -296,6 +305,21 @@ def dim_intersect(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - dim_sum(a, b)
 
 
+def meet_dims(subs, w: Subspace) -> list[int]:
+    """dim(U meet w) for every U of `subs`, each U's rows added to a copy of
+    one echelon basis of w: U meets w in dim U minus the rows that raise it."""
+    lanes = _lanes(w.space.q, w.space.n)
+    base: dict = {}
+    for row in w.rows:
+        lanes.extend(base, lanes.pack(row))
+    out = []
+    for u in subs:
+        _check_same_space(u, w)
+        echelon = dict(base)
+        out.append(u.dim - sum(lanes.extend(echelon, lanes.pack(row)) for row in u.rows))
+    return out
+
+
 @lru_cache(maxsize=None)
 def q_binomial(n: int, k: int, q: int) -> int:
     """Gaussian binomial coefficient: the number of k-subspaces of GF(q)^n."""
@@ -314,14 +338,36 @@ def subspace_key(sub: Subspace) -> tuple[int, ...]:
     return tuple(map(_lanes(sub.space.q, sub.space.n).pack, sub.rows))
 
 
+def _quotient_lifts(lanes: _Lanes, comp: list[int], r: int):
+    """Every r-subspace of the span of `comp`, one basis of r vectors each;
+    the bases run through the RREF matrices over `comp` with pivot columns in
+    lexicographic order, then free entries in lexicographic order."""
+    add, d = lanes.add, len(comp)
+    mults = [lanes.multiples(v) for v in comp]
+    for pivots in itertools.combinations(range(d), r):
+        # row i of the matrix: 1 at pivots[i], free entries to its right; its
+        # free values vary in lexicographic order, the later rows faster, so
+        # the matrices are the product of the row lists
+        choices = []
+        for p in pivots:
+            row_lifts = [comp[p]]
+            for j in range(p + 1, d):
+                if j not in pivots:
+                    row_lifts = [add(v, m) for v in row_lifts for m in mults[j]]
+            choices.append(row_lifts)
+        yield from itertools.product(*choices)
+
+
 class Interval:
     """The k-subspaces U with h <= U <= b, as lifts of the quotient b/h.
 
     `lifts()` yields, in the order of `enumerate_between`, one packed basis
     of U modulo h per U (a tuple of k - dim h vectors); `subspace(lift)`
-    canonicalises one.  Callers that discard most of the U can test a lift
-    first with `meet_dim`, which is exact on any basis, and canonicalise
-    only the ones they keep.
+    canonicalises one.  Callers that discard most of the U can take each
+    lift's meet with a fixed w from `lifts_with_meet_dims`, and canonicalise
+    only the ones they keep.  One interval serves every subspace between h
+    and a subspace of b: `lifts_below` lists the points of h's quotient
+    below any of them without a new interval.
     """
 
     def __init__(self, h: Subspace, b: Subspace, k: int):
@@ -331,36 +377,51 @@ class Interval:
         self.lanes = lanes = _lanes(q, n)
         self.h_rows = [lanes.pack(row) for row in h.rows]
         self.h_basis = {lanes.lead(v): lanes.multiples(v) for v in self.h_rows}
-        # the complement: rows of b, in row order, that raise the rank of h
-        ext = dict(self.h_basis)
-        comp = [v for v in map(lanes.pack, b.rows) if lanes.extend(ext, v)]
+        comp = self._complement(map(lanes.pack, b.rows))
         if h.dim + len(comp) != b.dim:
             raise ValueError("h is not contained in b")
         if not h.dim <= k <= b.dim:
             raise ValueError(f"k = {k} outside [{h.dim}, {b.dim}]")
-        # reduced modulo h, a lift spans U together with h just the same
-        self.comp = [lanes.reduce(v, self.h_basis) for v in comp]
-        self._meet_base: tuple[Rows, dict, int] | None = None
+        self.comp = comp
+
+    def _complement(self, rows) -> list[int]:
+        """The packed rows, in row order, that raise the rank of h, each
+        reduced modulo h: a lift spans U together with h just the same."""
+        lanes, ext = self.lanes, dict(self.h_basis)
+        return [lanes.reduce(v, self.h_basis) for v in rows if lanes.extend(ext, v)]
 
     def lifts(self):
-        """Every (k - dim h)-subspace of the quotient, lifted; the quotient
-        bases run through the RREF matrices with pivot columns in
-        lexicographic order, then free entries in lexicographic order."""
-        lanes, comp = self.lanes, self.comp
-        add, q, d = lanes.add, lanes.q, len(comp)
-        mults = [lanes.multiples(v) for v in comp]
-        for pivots in itertools.combinations(range(d), self.k - self.h.dim):
-            # row i of the quotient matrix: 1 at pivots[i], free entries to its
-            # right; its free values vary in lexicographic order, the later
-            # rows faster, so the matrices are the product of the row lists
-            choices = []
-            for p in pivots:
-                row_lifts = [comp[p]]
-                for j in range(p + 1, d):
-                    if j not in pivots:
-                        row_lifts = [add(v, m) for v in row_lifts for m in mults[j]]
-                choices.append(row_lifts)
-            yield from itertools.product(*choices)
+        """Every (k - dim h)-subspace of the quotient, lifted."""
+        return _quotient_lifts(self.lanes, self.comp, self.k - self.h.dim)
+
+    def lifts_with_meet_dims(self, w: Subspace):
+        """(lift, dim(U meet w)) for every lift, in the order of `lifts()`.
+
+        Modulo h + w the complement is reduced once, and a lift reduces to
+        the same combination of the reduced rows; so dim(U + w) is dim(h + w)
+        plus the rank of that combination, listed in lock-step with the lift.
+        """
+        lanes = self.lanes
+        hw = lanes.reduced_basis(self.h_rows + [lanes.pack(row) for row in w.rows])
+        images = [lanes.reduce(v, hw) for v in self.comp]
+        base, extend, residue = self.k + w.dim - len(hw), lanes.extend, lanes.residue
+        # the product varies the last row fastest: the echelon of the others
+        # is kept while they stay, and the last row is only reduced by it
+        head, echelon = None, {}
+        for lift, image in zip(self.lifts(),
+                               _quotient_lifts(lanes, images, self.k - self.h.dim)):
+            *rest, last = image or (0,)
+            if rest != head:
+                head, echelon = rest, {}
+                for v in rest:
+                    extend(echelon, v)
+            yield lift, base - len(echelon) - (residue(echelon, last) != 0)
+
+    def lifts_below(self, key: tuple[int, ...]):
+        """The one-vector lifts of the (dim h + 1)-subspaces between h and the
+        subspace above h whose `subspace_key` is `key`, in the order of
+        `enumerate_between`."""
+        return _quotient_lifts(self.lanes, self._complement(key), 1)
 
     def key(self, lift) -> tuple[int, ...]:
         """`subspace_key` of the U spanned by h and a lift."""
@@ -373,8 +434,9 @@ class Interval:
         return tuple(rows)
 
     def unit(self, lift) -> int:
-        """For k = dim h + 1: the lift's vector, reduced modulo h, scaled to lead
-        entry 1; one vector per U, the same in every interval above h."""
+        """For a lift of one vector: that vector, reduced modulo h, scaled to
+        lead entry 1; one vector per (dim h + 1)-subspace above h, the same in
+        every interval above h."""
         (v,) = lift
         q, width = self.lanes.q, self.lanes.width
         f = v >> (v.bit_length() - 1) // width * width
@@ -383,18 +445,6 @@ class Interval:
     def subspace(self, lift) -> Subspace:
         """The canonical U spanned by h and a lift."""
         return Subspace(self.space, tuple(map(self.lanes.unpack, self.key(lift))))
-
-    def meet_dim(self, lift, w: Subspace) -> int:
-        """dim(U meet w) for the U spanned by h and a lift, from the lift itself."""
-        lanes = self.lanes
-        if self._meet_base is None or self._meet_base[0] != w.rows:
-            echelon = dict(self.h_basis)
-            rank = len(echelon) + sum(lanes.extend(echelon, lanes.pack(row)) for row in w.rows)
-            self._meet_base = (w.rows, echelon, rank)
-        _, echelon, rank = self._meet_base
-        echelon = dict(echelon)
-        rank += sum(lanes.extend(echelon, v) for v in lift)
-        return self.h.dim + len(lift) + w.dim - rank
 
 
 def enumerate_subspaces(space: FieldSpec, k: int) -> list[Subspace]:

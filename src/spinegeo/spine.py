@@ -10,7 +10,11 @@ shapes), each a projective space with a subspace removed ("slit" space).
 A built space enumerates each of its generators once (the k-subspaces,
 and the (k-1)- and (k+1)-subspaces with their meets with W) and keeps one
 index per object: lines by pencil base and by pencil span, lines through
-each closure point, and each k-subspace's id by its packed basis.  Planes,
+each closure point, and each k-subspace's id by its packed basis.  The work
+of one pencil base H is done once per H, not once per line: one interval
+above H lists its candidate spans with their meets with W, and the closures
+of its lines and stars, each closure point canonicalised once per H.  A
+top's closure is the union of its lines' closures.  Planes,
 line pencils and semibundles are materialised on demand and cached.  The
 module also runs the two foundational structure checks used by the
 verification suite: the star/top intersection dichotomy and the tripod
@@ -27,11 +31,11 @@ from .gf import (
     Interval,
     Subspace,
     contains,
-    dim_intersect,
     enumerate_between,
     enumerate_subspaces,
     full_subspace,
     intersect,
+    meet_dims,
     standard_tail_subspace,
     subspace_key,
     subspace_sum,
@@ -196,7 +200,7 @@ class SpineSpace:
         # packed canonical basis -> Grassmann id, for every k-subspace
         self.gid_of = {subspace_key(u): i for i, u in enumerate(self.grass)}
         self.proper_gids: list[int] = [
-            g for g, u in enumerate(self.grass) if dim_intersect(u, w) == m
+            g for g, d in enumerate(meet_dims(self.grass, w)) if d == m
         ]
         self.pid_of_gid = {g: i for i, g in enumerate(self.proper_gids)}
         self.points: list[Subspace] = [self.grass[g] for g in self.proper_gids]
@@ -204,27 +208,33 @@ class SpineSpace:
         # the generators of lines and strong subspaces, each with its meet
         # with W: the (k-1)-subspaces (pencil bases, star generators) and the
         # (k+1)-subspaces (top generators)
-        lows = [(h, dim_intersect(h, w)) for h in enumerate_subspaces(space, k - 1)]
-        highs = [(b, dim_intersect(b, w)) for b in enumerate_subspaces(space, k + 1)]
+        lows = enumerate_subspaces(space, k - 1)
+        highs = enumerate_subspaces(space, k + 1)
+        lows = list(zip(lows, meet_dims(lows, w)))
+        highs = list(zip(highs, meet_dims(highs, w)))
 
         self.lines: list[SpineLine] = []
         self.line_id_by_hb: dict[tuple, int] = {}
         # line ids by pencil base H and by pencil span B, keyed by their rows
         self.lines_by_h: dict[tuple, list[int]] = {}
         self.lines_by_b: dict[tuple, list[int]] = {}
-        # in one build each span B is canonicalised and met with W once, and each
-        # closure point once per pencil base H, for its lines and its stars
+        # in one build each span B is canonicalised and met with W once; each
+        # pencil base H lists its candidate spans, its lines' closures and its
+        # stars' closures from one interval, and looks each closure point up
+        # once, by its `Interval.unit` vector
         spans: dict[tuple, tuple[Subspace, Subspace]] = {}
-        points_above: dict[tuple, dict[int, int]] = {}
+        above: dict[tuple, tuple[Interval, dict[int, int]]] = {}
         for h, dh in lows:
             if dh not in (m - 1, m):
                 continue
-            points = points_above[h.rows] = {}
             candidates = Interval(h, full, k + 1)
-            for lift in candidates.lifts():
-                # reject the b that are no line before canonicalising them
-                # (on (3,5,2,1,2), 96 % of them); dim(b /\ W) holds on any basis
-                db = candidates.meet_dim(lift, w)
+            points: dict[int, int] = {}
+            above[h.rows] = (candidates, points)
+            # B /\ W rows -> the improper point h + (B /\ W) of the affine lines
+            improper_of: dict[tuple, Subspace] = {}
+            # reject the b that are no line before canonicalising them
+            # (on (3,5,2,1,2), 96 % of them)
+            for lift, db in candidates.lifts_with_meet_dims(w):
                 kind = classify_line(dh, db, m)
                 if kind is None:
                     continue
@@ -234,12 +244,14 @@ class SpineSpace:
                     spans[key] = (b, intersect(b, w))
                 b, b_meet_w = spans[key]
                 assert b_meet_w.dim == db
-                closure = self._gids_between(h, b, k, points)
+                closure = self._gids_above(candidates, points, key)
                 proper = tuple(self.pid_of_gid[g] for g in closure if g in self.pid_of_gid)
                 improper = tuple(g for g in closure if g not in self.pid_of_gid)
                 if kind == LINE_AFFINE:
                     assert len(improper) == 1
-                    assert self.grass[improper[0]] == subspace_sum(h, b_meet_w)
+                    if b_meet_w.rows not in improper_of:
+                        improper_of[b_meet_w.rows] = subspace_sum(h, b_meet_w)
+                    assert self.grass[improper[0]] == improper_of[b_meet_w.rows]
                     improper_gid = improper[0]
                 else:
                     assert not improper
@@ -261,7 +273,7 @@ class SpineSpace:
         self.void_classes: dict[str, str] = {}
         self.star_id_by_h: dict[tuple, int] = {}
         self.top_id_by_b: dict[tuple, int] = {}
-        self._build_strong(lows, highs, points_above)
+        self._build_strong(lows, highs, above)
 
         self.star_of_line = [self.star_id_by_h.get(ln.h.rows) for ln in self.lines]
         self.top_of_line = [self.top_id_by_b.get(ln.b.rows) for ln in self.lines]
@@ -281,22 +293,25 @@ class SpineSpace:
 
     # -- strong subspaces --------------------------------------------------
 
-    def _build_strong(self, lows, highs, points_above):
+    def _build_strong(self, lows, highs, above):
         params = self.params
         space, k, m, w = params.space, params.k, params.m, params.w
         n, wd = space.n, w.dim
-        full, zero = full_subspace(space), zero_subspace(space)
+        full = full_subspace(space)
         # one row per class, in id order: kind, point dimension, removed
-        # dimension, generators with their meets, required meet, the closure's
-        # bounds from a generator, and the lines by generator
+        # dimension, generators with their meets, required meet, and for a
+        # star the top of its closure.  A star's closure is listed from its
+        # pencil base's interval.  A top's closure is the union of its lines'
+        # closures: every k-subspace U of it lies on a line (h, B) of the top,
+        # for any hyperplane h of U that contains B /\ W (an alpha top) or
+        # does not contain U /\ W (an omega top, where that meet is nonzero).
         specs = [
-            (STAR_OMEGA, wd - m, -1, lows, m - 1,
-             lambda h: (h, subspace_sum(h, w)), self.lines_by_h),
-            (STAR_ALPHA, n - k, wd - m - 1, lows, m, lambda h: (h, full), self.lines_by_h),
-            (TOP_ALPHA, k - m, -1, highs, m, lambda b: (intersect(b, w), b), self.lines_by_b),
-            (TOP_OMEGA, k, k - m - 1, highs, m + 1, lambda b: (zero, b), self.lines_by_b),
+            (STAR_OMEGA, wd - m, -1, lows, m - 1, lambda h: subspace_sum(h, w)),
+            (STAR_ALPHA, n - k, wd - m - 1, lows, m, lambda h: full),
+            (TOP_ALPHA, k - m, -1, highs, m, None),
+            (TOP_OMEGA, k, k - m - 1, highs, m + 1, None),
         ]
-        for kind, p_dim, d_dim, generators, meet, bounds, lines_by in specs:
+        for kind, p_dim, d_dim, generators, meet, star_top in specs:
             if p_dim < 2:
                 self.void_classes[kind] = f"dimension {p_dim} < 2, not a maximal strong subspace"
                 continue
@@ -305,27 +320,32 @@ class SpineSpace:
                 continue
             found = 0
             for gen, meet_dim in generators:
-                if meet_dim == meet:  # no points map for a top: its generator is no base
-                    closure = self._gids_between(*bounds(gen), k, points_above.get(gen.rows))
-                    found += self._add_strong(kind, gen, closure, p_dim, d_dim,
-                                              lines_by.get(gen.rows, ()))
+                if meet_dim != meet:
+                    continue
+                if star_top:
+                    line_ids = self.lines_by_h.get(gen.rows, ())
+                    closure = self._gids_above(*above[gen.rows], subspace_key(star_top(gen)))
+                else:
+                    line_ids = self.lines_by_b.get(gen.rows, ())
+                    closure = [g for lid in line_ids for g in self.lines[lid].closure_gids]
+                found += self._add_strong(kind, gen, closure, p_dim, d_dim, line_ids)
             if not found:
                 self.void_classes[kind] = "no generator subspace exists for these parameters"
 
-    def _gids_between(self, low: Subspace, high: Subspace, k: int,
-                      points: dict[int, int] | None = None) -> tuple[int, ...]:
-        """Grassmann ids of the k-subspaces between low and high, in the order
-        of `enumerate_between`.  For a low of dimension k-1, `points` maps the
-        `Interval.unit` vectors above it to ids, filled on first use."""
-        interval = Interval(low, high, k)
-        if points is None:
-            return tuple(self.gid_of[interval.key(lift)] for lift in interval.lifts())
+    def _gids_above(self, interval: Interval, points: dict[int, int],
+                    key: tuple[int, ...]) -> tuple[int, ...]:
+        """Grassmann ids of the k-subspaces between a pencil base H (the
+        interval's h) and the subspace whose `subspace_key` is `key`, in the
+        order of `enumerate_between`.  `points` maps the `Interval.unit`
+        vectors above H to ids, filled on first use, so each closure point is
+        canonicalised once per H for all its lines and stars."""
         out = []
-        for lift in interval.lifts():
+        for lift in interval.lifts_below(key):
             v = interval.unit(lift)
-            if v not in points:
-                points[v] = self.gid_of[interval.key(lift)]
-            out.append(points[v])
+            g = points.get(v)
+            if g is None:
+                g = points[v] = self.gid_of[interval.key(lift)]
+            out.append(g)
         return tuple(out)
 
     def _add_strong(self, kind, generator, closure, p_dim, d_dim, line_ids) -> int:
@@ -385,7 +405,8 @@ class SpineSpace:
         for (side, _, _), (low, high, line_ids) in seen.items():
             if len(line_ids) < 2:
                 continue
-            closure = self._gids_between(low, high, k)
+            between = Interval(low, high, k)
+            closure = tuple(self.gid_of[between.key(lift)] for lift in between.lifts())
             improper = tuple(g for g in closure if g not in self.pid_of_gid)
             if len(improper) == 0:
                 kind = PLANE_PROJECTIVE

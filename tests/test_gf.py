@@ -20,6 +20,7 @@ from spinegeo.gf import (
     full_subspace,
     intersect,
     invert_matrix,
+    meet_dims,
     q_binomial,
     rref,
     standard_tail_subspace,
@@ -333,8 +334,10 @@ def test_two_byte_lanes_match_reference():
             assert _rref_rows(rows, q, n) == reference_rref_rows(rows, q, n)
 
 
-@pytest.mark.parametrize("q,n", [(2, 5), (3, 4)])
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3)])
 def test_interval_meet_dim_is_exact_on_the_lift(q, n):
+    # the meet dimensions listed in lock-step with the lifts, from the
+    # complement reduced once modulo h + w
     spec = FieldSpec(q, n)
     subs = [s for k in range(n + 1) for s in enumerate_subspaces(spec, k)]
     rng = random.Random(q)
@@ -343,10 +346,20 @@ def test_interval_meet_dim_is_exact_on_the_lift(q, n):
         for k in range(h.dim, n + 1):
             interval = Interval(h, full, k)
             for w in rng.sample(subs, 3):
-                for lift in interval.lifts():
+                listed = list(interval.lifts_with_meet_dims(w))
+                assert [lift for lift, _ in listed] == list(interval.lifts())
+                for lift, meet in listed:
                     u = interval.subspace(lift)
-                    assert interval.meet_dim(lift, w) == dim_intersect(u, w)
+                    assert meet == dim_intersect(u, w)
                     assert interval.key(lift) == subspace_key(u)
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3)])
+def test_meet_dims_match_dim_intersect(q, n):
+    spec = FieldSpec(q, n)
+    subs = [s for k in range(n + 1) for s in enumerate_subspaces(spec, k)]
+    for w in random.Random(q).sample(subs, 12):
+        assert meet_dims(subs, w) == [dim_intersect(u, w) for u in subs]
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3)])

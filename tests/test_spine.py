@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import ambient_pencil_lines, count_calls
+from spinegeo import gf
 from spinegeo.gf import (FieldSpec, dim_intersect, enumerate_between, enumerate_subspaces,
                          full_subspace, intersect, rref, standard_tail_subspace, subspace_key,
                          subspace_sum, zero_subspace)
@@ -338,7 +339,7 @@ def _params(params, w_side):
 @pytest.mark.parametrize("w_side", ["tail", "head"])
 @pytest.mark.parametrize("params", [
     (2, 5, 2, 1, 3), (2, 5, 2, 0, 3), (3, 4, 2, 1, 3), (3, 4, 2, 0, 2),
-    (2, 5, 3, 1, 2), (2, 6, 4, 2, 3), (3, 5, 3, 1, 2),
+    (2, 5, 3, 1, 2), (2, 6, 4, 2, 3), (3, 5, 3, 1, 2), (5, 4, 2, 1, 2),
 ])
 def test_shared_spans_and_closure_points_match_the_per_line_path(params, w_side):
     # the build canonicalises each span B and each closure point once; here
@@ -367,12 +368,39 @@ def test_shared_spans_and_closure_points_match_the_per_line_path(params, w_side)
         assert st.closure_gids == frozenset(gids(*bounds[st.kind](st.generator)))
 
 
-@pytest.mark.parametrize("params", [(2, 6, 2, 1, 3), (3, 4, 2, 1, 3)])
+@pytest.mark.parametrize("params", [(2, 6, 2, 1, 3), (3, 4, 2, 1, 3), (2, 5, 2, 0, 2)])
 def test_the_build_meets_each_span_with_w_once(monkeypatch, params):
-    # k - m = 1 leaves no alpha top, whose bounds take a meet with W per
-    # generator, so every meet of the build is a line span's
+    # a top's closure comes from its lines, so every meet with W the build
+    # takes is a line span's, alpha tops ((2,5,2,0,2)) included
     counts = count_calls(monkeypatch, ["intersect"])
     space = build_spine(standard_params(*params))
-    assert TOP_ALPHA in space.void_classes
     spans = {ln.b.rows for ln in space.lines}
     assert counts["intersect"] == len(spans) < len(space.lines)
+
+
+@pytest.mark.parametrize("params", [(2, 6, 2, 1, 3), (3, 5, 2, 1, 2)])
+def test_the_build_lists_each_pencil_base_from_one_interval(monkeypatch, params):
+    # the lines over one pencil base H take their candidates, closures and
+    # meets with W from one interval, so the build constructs fewer intervals
+    # than it has lines, and sums each (H, B /\ W) of an affine line once
+    counts = count_calls(monkeypatch, ["subspace_sum"])
+    original = gf.Interval.__init__
+
+    def counted(self, *args):
+        counts["Interval"] = counts.get("Interval", 0) + 1
+        original(self, *args)
+
+    monkeypatch.setattr(gf.Interval, "__init__", counted)
+    space = build_spine(standard_params(*params))
+    built = dict(counts)
+    monkeypatch.undo()
+    m, w = space.params.m, space.params.w
+    lows = enumerate_subspaces(space.params.space, space.params.k - 1)
+    bases = [h for h in lows if dim_intersect(h, w) in (m - 1, m)]
+    omega_bounds = 0 if STAR_OMEGA in space.void_classes else sum(
+        dim_intersect(h, w) == m - 1 for h in bases)
+    affine_sums = {(ln.h.rows, intersect(ln.b, w).rows)
+                   for ln in space.lines if ln.kind == LINE_AFFINE}
+    assert built["Interval"] <= 2 * len(bases) + len(space.strongs) + 3
+    assert built["Interval"] < len(space.lines)
+    assert built["subspace_sum"] <= len(affine_sums) + omega_bounds

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import _rank, apply_matrix, invert_matrix, subspace_key
+from .gf import _rank, _rref_rows, apply_matrix, subspace_key
 from .relations import LineRelationGraph, permute_rows
-from .spine import STAR_ALPHA, SpineParams, SpineSpace, StrongSubspace, validate_params
+from .spine import (STAR_ALPHA, TOP_ALPHA, TOP_OMEGA, SpineParams, SpineSpace,
+                    StrongSubspace, validate_params)
 
 CASE_GRASSMANN = "grassmann"
 CASE_POINT = "single-point"
@@ -97,32 +98,29 @@ def build_homology_map(space: SpineSpace, star: StrongSubspace, scale: int) -> L
     if star.kind != STAR_ALPHA:
         raise ValueError("the neighbourhood case twist lives on a star")
 
-    h = star.generator
-    w = params.w
-    # basis: rows of H, then a W-direction off H, then any complement
-    basis = [list(r) for r in h.rows]
-    w_vec = None
-    for row in w.rows:
-        cand = basis + [list(row)]
-        if _rank(tuple(tuple(r) for r in cand), q, n) == len(basis) + 1:
-            w_vec = list(row)
-            break
-    assert w_vec is not None
+    h, w = star.generator, params.w
+    # a W-direction off H, then a greedy complement of H + W-direction
+    basis = list(h.rows)
+    w_vec = next(row for row in w.rows if _rank(basis + [row], q, n) == len(basis) + 1)
     basis.append(w_vec)
     for i in range(n):
-        unit = [1 if j == i else 0 for j in range(n)]
-        cand = basis + [unit]
-        if _rank(tuple(tuple(r) for r in cand), q, n) == len(basis) + 1:
+        unit = tuple(int(j == i) for j in range(n))
+        if len(basis) < n and _rank(basis + [unit], q, n) == len(basis) + 1:
             basis.append(unit)
-        if len(basis) == n:
-            break
-    b_mat = tuple(tuple(r) for r in basis)
-    b_inv = invert_matrix(b_mat, q)
-    d = [[0] * n for _ in range(n)]
-    for i in range(n):
-        d[i][i] = scale if i == h.dim else 1
-    # v -> v B^-1 D B  (fixes H and the complement, scales the W-direction)
-    t_mat = _mat_mul(_mat_mul(b_inv, tuple(tuple(r) for r in d), q), b_mat, q)
+    # T fixes the axis span(H, complement) pointwise and scales w_vec: with
+    # phi the functional whose kernel is the axis, v T = v + c phi(v) w_vec
+    # where c = (scale - 1) / phi(w_vec), so row i of T is e_i + c phi_i w_vec.
+    # The axis is a hyperplane; phi is 1 at its RREF's one free column f and
+    # -row[f] at each row's pivot.
+    axis = _rref_rows(basis[:h.dim] + basis[h.dim + 1:], q, n)
+    pivots = [row.index(1) for row in axis]
+    (free,) = set(range(n)) - set(pivots)
+    phi = [0] * n
+    phi[free] = 1
+    for p, row in zip(pivots, axis):
+        phi[p] = -row[free] % q
+    c = (scale - 1) * pow(sum(a * b for a, b in zip(phi, w_vec)) % q, q - 2, q)
+    t_mat = [[(int(i == j) + c * phi[i] * w_vec[j]) % q for j in range(n)] for i in range(n)]
 
     star_lines = set(star.line_ids)
     w_gid = space.gid_of[subspace_key(w)]
@@ -143,18 +141,6 @@ def build_homology_map(space: SpineSpace, star: StrongSubspace, scale: int) -> L
             assert target == lid
     assert sorted(perm) == list(range(len(space.lines))), "line map must be a bijection"
     return LineMap(tuple(perm), star.id, tuple(sorted(moved)))
-
-
-def _mat_mul(a, b, q):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = 0
-            for l in range(n):
-                s += a[i][l] * b[l][j]
-            out[i][j] = s % q
-    return out
 
 
 def verify_counterexample(space: SpineSpace, lmap: LineMap,
@@ -187,7 +173,7 @@ def verify_counterexample(space: SpineSpace, lmap: LineMap,
 
     witness = None
     for top in space.strongs:
-        if top.kind not in ("alpha-top", "omega-top"):
+        if top.kind not in (TOP_ALPHA, TOP_OMEGA):
             continue
         shared = star.point_pids & top.point_pids
         if not shared:

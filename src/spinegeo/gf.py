@@ -305,21 +305,6 @@ def dim_intersect(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - dim_sum(a, b)
 
 
-def meet_dims(subs, w: Subspace) -> list[int]:
-    """dim(U meet w) for every U of `subs`, each U's rows added to a copy of
-    one echelon basis of w: U meets w in dim U minus the rows that raise it."""
-    lanes = _lanes(w.space.q, w.space.n)
-    base: dict = {}
-    for row in w.rows:
-        lanes.extend(base, lanes.pack(row))
-    out = []
-    for u in subs:
-        _check_same_space(u, w)
-        echelon = dict(base)
-        out.append(u.dim - sum(lanes.extend(echelon, lanes.pack(row)) for row in u.rows))
-    return out
-
-
 @lru_cache(maxsize=None)
 def q_binomial(n: int, k: int, q: int) -> int:
     """Gaussian binomial coefficient: the number of k-subspaces of GF(q)^n."""
@@ -450,11 +435,17 @@ class Interval:
 def enumerate_subspaces(space: FieldSpec, k: int) -> list[Subspace]:
     """Every k-subspace of GF(q)^n exactly once, in a deterministic order;
     raises ValueError unless 0 <= k <= n."""
+    return [u for u, _ in subspaces_meeting(space, k, zero_subspace(space))]
+
+
+def subspaces_meeting(space: FieldSpec, k: int, w: Subspace) -> list[tuple[Subspace, int]]:
+    """(U, dim(U meet w)) for every k-subspace U, in the order of
+    `enumerate_subspaces`: the lifts of the zero interval with their meets."""
     interval = Interval(zero_subspace(space), full_subspace(space), k)
     # over the standard basis with h = 0 each lift is already the RREF basis,
     # rows in pivot order
-    return [Subspace(space, tuple(map(interval.lanes.unpack, lift)))
-            for lift in interval.lifts()]
+    return [(Subspace(space, tuple(map(interval.lanes.unpack, lift))), d)
+            for lift, d in interval.lifts_with_meet_dims(w)]
 
 
 def enumerate_between(h: Subspace, b: Subspace, k: int) -> list[Subspace]:
@@ -465,30 +456,6 @@ def enumerate_between(h: Subspace, b: Subspace, k: int) -> list[Subspace]:
     """
     interval = Interval(h, b, k)
     return [interval.subspace(lift) for lift in interval.lifts()]
-
-
-def invert_matrix(mat, q: int):
-    """Inverse of a square matrix over GF(q) by Gauss-Jordan; raises if singular."""
-    n = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, n):
-            if aug[i][c] % q:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], q - 2, q)
-        aug[r] = [(x * inv) % q for x in aug[r]]
-        for i in range(n):
-            f = aug[i][c]
-            if i != r and f:
-                aug[i] = [(a - f * b) % q for a, b in zip(aug[i], aug[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def apply_matrix(sub: Subspace, mat) -> Subspace:

@@ -7,8 +7,8 @@ points as lines.  Lines come in three classes (one affine, two projective), and 
 maximal strong subspaces come in four classes (two star shapes, two top
 shapes), each a projective space with a subspace removed ("slit" space).
 
-A built space enumerates each of its generators once (the k-subspaces,
-and the (k-1)- and (k+1)-subspaces with their meets with W) and keeps one
+A built space enumerates each of its generators once (the k-, (k-1)- and
+(k+1)-subspaces, each listed with its meet with W) and keeps one
 index per object: lines by pencil base and by pencil span, lines through
 each closure point, and each k-subspace's id by its packed basis.  The work
 of one pencil base H is done once per H, not once per line: one interval
@@ -32,13 +32,12 @@ from .gf import (
     Subspace,
     contains,
     enumerate_between,
-    enumerate_subspaces,
     full_subspace,
     intersect,
-    meet_dims,
     standard_tail_subspace,
     subspace_key,
     subspace_sum,
+    subspaces_meeting,
     zero_subspace,
     _rank,
 )
@@ -196,22 +195,19 @@ class SpineSpace:
         space, k, m, w = params.space, params.k, params.m, params.w
         full = full_subspace(space)
 
-        self.grass: list[Subspace] = enumerate_subspaces(space, k)
+        grass = subspaces_meeting(space, k, w)
+        self.grass: list[Subspace] = [u for u, _ in grass]
         # packed canonical basis -> Grassmann id, for every k-subspace
         self.gid_of = {subspace_key(u): i for i, u in enumerate(self.grass)}
-        self.proper_gids: list[int] = [
-            g for g, d in enumerate(meet_dims(self.grass, w)) if d == m
-        ]
+        self.proper_gids: list[int] = [g for g, (_, d) in enumerate(grass) if d == m]
         self.pid_of_gid = {g: i for i, g in enumerate(self.proper_gids)}
         self.points: list[Subspace] = [self.grass[g] for g in self.proper_gids]
 
         # the generators of lines and strong subspaces, each with its meet
         # with W: the (k-1)-subspaces (pencil bases, star generators) and the
         # (k+1)-subspaces (top generators)
-        lows = enumerate_subspaces(space, k - 1)
-        highs = enumerate_subspaces(space, k + 1)
-        lows = list(zip(lows, meet_dims(lows, w)))
-        highs = list(zip(highs, meet_dims(highs, w)))
+        lows = subspaces_meeting(space, k - 1, w)
+        highs = subspaces_meeting(space, k + 1, w)
 
         self.lines: list[SpineLine] = []
         self.line_id_by_hb: dict[tuple, int] = {}

@@ -271,7 +271,8 @@ def check_ternary_pencils(ws: Workspace) -> dict:
 
 
 def _pencil_comparison(recovered: set, target: set) -> dict:
-    """Recovered against geometric pencils: the counts and a few witnesses."""
+    """Recovered against geometric pencils: the counts and the three smallest
+    witnesses of each side, each a sorted list of line ids."""
     missing = target - recovered
     extra = recovered - target
     return {
@@ -280,8 +281,8 @@ def _pencil_comparison(recovered: set, target: set) -> dict:
         "missing": len(missing),
         "extra": len(extra),
         "equal": not missing and not extra,
-        "missing_witnesses": [sorted(s) for s in list(missing)[:3]],
-        "extra_witnesses": [sorted(s) for s in list(extra)[:3]],
+        "missing_witnesses": sorted(map(sorted, missing))[:3],
+        "extra_witnesses": sorted(map(sorted, extra))[:3],
     }
 
 

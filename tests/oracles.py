@@ -13,6 +13,8 @@ in its most literal form, so a test can hold the fast code to it:
   lines related to all three, with no family.
 - `verify_pencils` closes every pair of every recovered pencil with the
   ternary predicate; `pencil_coplanar` is all-pairs relatedness.
+- `homology_matrix` builds the twist of `excluded.build_homology_map` as a
+  change of basis B^-1 D B, with a Gauss-Jordan `invert_matrix`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from spinegeo.cliques import (
     line_set_family,
     podmianka,
 )
+from spinegeo.gf import _rank
 from spinegeo.pencils import p_pi, p_rho
 from spinegeo.relations import PI, RHO, LineRelationGraph, bits_of
 
@@ -163,3 +166,45 @@ def pencil_coplanar(p1, p2, graph: LineRelationGraph) -> bool:
     (vacuously including shared lines)."""
     rows = graph.rows
     return all(a == b or rows[a] >> b & 1 for a in p1 for b in p2)
+
+
+def invert_matrix(mat, q: int):
+    """Inverse of a square matrix over GF(q) by Gauss-Jordan; raises if singular."""
+    n = len(mat)
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if aug[i][c] % q), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = pow(aug[c][c], q - 2, q)
+        aug[c] = [(x * inv) % q for x in aug[c]]
+        for i in range(n):
+            f = aug[i][c]
+            if i != c and f:
+                aug[i] = [(a - f * b) % q for a, b in zip(aug[i], aug[c])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def mat_mul(a, b, q: int):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)) for row in a)
+
+
+def homology_matrix(space, star, scale: int):
+    """The matrix of `excluded.build_homology_map`'s collineation, built as a
+    change of basis: B holds the rows of the star's base H, then the first
+    row of W off H, then the unit vectors that raise the rank, in order;
+    D scales the W row by `scale`; the matrix is B^-1 D B."""
+    q, n = space.params.space.q, space.params.space.n
+    h = star.generator
+    basis = list(h.rows)
+    for row in space.params.w.rows:
+        if _rank(basis + [row], q, n) == len(basis) + 1:
+            basis.append(row)
+            break
+    for i in range(n):
+        unit = tuple(int(j == i) for j in range(n))
+        if len(basis) < n and _rank(basis + [unit], q, n) == len(basis) + 1:
+            basis.append(unit)
+    d = [[scale if i == j == h.dim else int(i == j) for j in range(n)] for i in range(n)]
+    return mat_mul(mat_mul(invert_matrix(basis, q), d, q), basis, q)

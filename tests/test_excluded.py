@@ -14,8 +14,10 @@ from spinegeo.excluded import (
     classify_case,
     verify_counterexample,
 )
-from spinegeo.gf import subspace_key
+from spinegeo.gf import apply_matrix, subspace_key
 from spinegeo.spine import STAR_ALPHA
+
+from oracles import homology_matrix, invert_matrix
 
 
 def test_case_patterns():
@@ -60,6 +62,39 @@ def test_homology_map_needs_gf3():
     star = next(s for s in space.strongs if s.kind == STAR_ALPHA)
     with pytest.raises(ValueError):
         build_homology_map(space, star, 1)
+
+
+@pytest.mark.parametrize("params", [
+    (3, 4, 2, 1, 2),
+    (3, 5, 2, 1, 2),  # cex
+    (5, 4, 2, 1, 2),  # over GF(5) and GF(7) phi(w_vec) need not be its own inverse
+    (7, 4, 2, 1, 2),
+    (3, 5, 3, 2, 3),
+])
+def test_homology_map_matches_the_change_of_basis_oracle(params):
+    # the matrix written from the axis and centre moves every line of the
+    # star as B^-1 D B does, for every alpha star and every scale
+    space = build_spine(standard_params(*params))
+    stars = [s for s in space.strongs if s.kind == STAR_ALPHA]
+    assert len(stars) >= 4
+    for star in stars:
+        for scale in range(2, params[0]):
+            t_mat = homology_matrix(space, star, scale)
+            want = list(range(len(space.lines)))
+            for lid in star.line_ids:
+                ln = space.lines[lid]
+                want[lid] = space.line_id_by_hb[(apply_matrix(ln.h, t_mat).rows,
+                                                 apply_matrix(ln.b, t_mat).rows)]
+            lmap = build_homology_map(space, star, scale)
+            assert lmap.perm == tuple(want), (star.id, scale)
+            assert lmap.moved
+
+
+def test_homology_oracle_inverts_and_rejects_a_singular_matrix():
+    mat = ((1, 1, 0), (0, 1, 2), (0, 0, 1))
+    assert invert_matrix(mat, 3) == ((1, 2, 2), (0, 1, 1), (0, 0, 1))
+    with pytest.raises(ValueError):
+        invert_matrix(((1, 1, 0), (1, 1, 0), (0, 0, 1)), 3)
 
 
 def test_homology_map_fixes_lines_through_w(cex_space):

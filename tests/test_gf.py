@@ -19,13 +19,12 @@ from spinegeo.gf import (
     enumerate_subspaces,
     full_subspace,
     intersect,
-    invert_matrix,
-    meet_dims,
     q_binomial,
     rref,
     standard_tail_subspace,
     subspace_key,
     subspace_sum,
+    subspaces_meeting,
     zero_subspace,
 )
 
@@ -215,11 +214,10 @@ def test_standard_tail_subspace():
 
 def test_invert_and_apply_matrix_roundtrip():
     mat = ((1, 1, 0), (0, 1, 2), (0, 0, 1))
-    inv = invert_matrix(mat, 3)
+    inv = ((1, 2, 2), (0, 1, 1), (0, 0, 1))  # mat^-1 over GF(3)
     sub = rref(GF3_3, [(1, 2, 0), (0, 0, 1)])
+    assert apply_matrix(sub, mat) != sub
     assert apply_matrix(apply_matrix(sub, mat), inv) == sub
-    with pytest.raises(ValueError):
-        invert_matrix(((1, 1, 0), (1, 1, 0), (0, 0, 1)), 3)
 
 
 # ---------- packed kernel against the tuple elimination it replaced -----------
@@ -356,10 +354,15 @@ def test_interval_meet_dim_is_exact_on_the_lift(q, n):
 
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3)])
 def test_meet_dims_match_dim_intersect(q, n):
+    # the build's generator lists: every k-subspace in the order of
+    # enumerate_subspaces, each with its meet with w
     spec = FieldSpec(q, n)
     subs = [s for k in range(n + 1) for s in enumerate_subspaces(spec, k)]
     for w in random.Random(q).sample(subs, 12):
-        assert meet_dims(subs, w) == [dim_intersect(u, w) for u in subs]
+        for k in range(n + 1):
+            listed = subspaces_meeting(spec, k, w)
+            assert [u for u, _ in listed] == enumerate_subspaces(spec, k)
+            assert [meet for _, meet in listed] == [dim_intersect(u, w) for u, _ in listed]
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3)])

@@ -226,12 +226,12 @@ def test_clique_families_artifact_bytes(tmp_path, params, sha256):
 @pytest.mark.parametrize("argv, sha256", [
     # the oracle checks and criterion 6
     (["verify-all", "--q=2", "--n=6", "--k=2", "--m=1", "--w=3"],
-     {"verify-all": "8dc717e23debf0f6a1ff41f890ef17fb960425d96ef8c03d2c58a38d5c9b2888"}),
+     {"verify-all": "95dd76acac845f258dc5a26b15c93f119274bb7dbcbf3e7fa4c0cae2d7777b6d"}),
     # the GF(3) exchange check and the counterexample
     (["verify-all", "--q=3", "--n=5", "--k=2", "--m=1", "--w=2"],
-     {"verify-all": "e22b2b039efc8684ff794af8663fb83b667dedc79b7cf1d27f0f71746d921100"}),
+     {"verify-all": "bcffe8e85d833dc32e45c7492265703ed610ad166ea0d34357e281514df45319"}),
     (["pencils", "--q=2", "--n=5", "--k=2", "--m=1", "--w=3"],
-     {"pencils": "1f9b79ccab19cd348bad81beaea32530f81acf01a270e15380c0dfb18e4c002e",
+     {"pencils": "72156f0f2dd2319d04ab93fa991b44f76b1b72b60ccd9356a7c04e8049019e8a",
       "pencil-families": "114ea8a7c0ac3e66fc7ca1855a9367cafe8887b6bc06a5deb789dcc6c3cf57f9"}),
     # the verify_equivalence digests
     (["reconstruct", "--delta=pi", "--q=2", "--n=6", "--k=2", "--m=0", "--w=4"],

@@ -346,18 +346,14 @@ def _maximal_selectors(space: SpineSpace, plane) -> list[frozenset[int]]:
     groups: dict[int, list[int]] = {}
     for lid in plane.line_ids:
         groups.setdefault(space.lines[lid].improper_gid, []).append(lid)
-    if plane.side == "star":
-        host = space.star_id_by_h.get(plane.low.rows)
-    else:
-        host = space.top_id_by_b.get(plane.high.rows)
+    host = (space.star_of_line if plane.side == "star" else space.top_of_line)[plane.line_ids[0]]
     extendable = host is not None and space.strongs[host].p_dim >= 3
     out = []
     for combo in itertools.product(*(groups[d] for d in sorted(groups))):
-        common = set(space.lines[combo[0]].closure_gids)
-        for lid in combo[1:]:
-            common &= set(space.lines[lid].closure_gids)
-        concurrent_proper = any(g in space.pid_of_gid for g in common)
-        if concurrent_proper and extendable:
+        # concurrent at a proper point: every line passes through one of the first's
+        if extendable and any(all(lid in space.lines_through[g] for lid in combo[1:])
+                              for g in space.lines[combo[0]].closure_gids
+                              if g in space.pid_of_gid):
             continue
         out.append(frozenset(combo))
     return out

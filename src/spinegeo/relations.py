@@ -5,7 +5,9 @@ both; they are in a common line pencil iff additionally the closures meet
 at a proper point.  Distinct pencils of the ambient space share at most
 one member, so both relations reduce to a closure-point test: the lines
 must share their pencil base H or their pencil span B, and their closures
-must intersect (in the proper case, at a proper point).
+must intersect (in the proper case, at a proper point).  Both are read off
+the lines through each closure point (proper point, for rho): the lines
+there that share H, and those that share B, are pairwise related.
 
 The abstract side of the package consumes only `LineRelationGraph`: line
 ids plus a symmetric irreflexive adjacency, with no geometry attached.
@@ -118,24 +120,21 @@ def permute_rows(rows: list[int], perm) -> list[int]:
 
 
 def _relation_rows(space: SpineSpace, proper_only: bool) -> list[int]:
-    n = len(space.lines)
-    rows = [0] * n
-    closure_sets = [set(ln.closure_gids) for ln in space.lines]
-    proper = space.pid_of_gid
-    for group in (*space.lines_by_h.values(), *space.lines_by_b.values()):
-        for a in range(len(group)):
-            i = group[a]
-            ci = closure_sets[i]
-            for bidx in range(a + 1, len(group)):
-                j = group[bidx]
-                common = ci & closure_sets[j]
-                if not common:
-                    continue
-                assert len(common) == 1, "distinct pencils share at most one member"
-                if proper_only and next(iter(common)) not in proper:
-                    continue
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    lines = space.lines
+    rows = [0] * len(lines)
+    for g, lids in space.lines_through.items():
+        if proper_only and g not in space.pid_of_gid:
+            continue
+        by_h: dict[tuple, int] = {}
+        by_b: dict[tuple, int] = {}
+        for lid in lids:
+            by_h[lines[lid].h.rows] = by_h.get(lines[lid].h.rows, 0) | 1 << lid
+            by_b[lines[lid].b.rows] = by_b.get(lines[lid].b.rows, 0) | 1 << lid
+        for mask in (*by_h.values(), *by_b.values()):
+            for lid in bits_of(mask):
+                others = mask ^ 1 << lid
+                assert not rows[lid] & others, "distinct pencils share at most one member"
+                rows[lid] |= others
     return rows
 
 

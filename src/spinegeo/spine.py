@@ -8,9 +8,9 @@ maximal strong subspaces come in four classes (two star shapes, two top
 shapes), each a projective space with a subspace removed ("slit" space).
 
 A built space enumerates each of its generators once (the k-, (k-1)- and
-(k+1)-subspaces, each listed with its meet with W) and keeps one
-index per object: lines by pencil base and by pencil span, lines through
-each closure point, and each k-subspace's id by its packed basis.  The work
+(k+1)-subspaces, each listed with its meet with W) and keeps one index per
+incidence: lines through each closure point, each line's star and top, line
+ids by (H, B) and k-subspace ids by packed basis.  The work
 of one pencil base H is done once per H, not once per line: one interval
 above H lists its candidate spans with their meets with W, and the closures
 of its lines and stars, each closure point canonicalised once per H.  A
@@ -211,9 +211,9 @@ class SpineSpace:
 
         self.lines: list[SpineLine] = []
         self.line_id_by_hb: dict[tuple, int] = {}
-        # line ids by pencil base H and by pencil span B, keyed by their rows
-        self.lines_by_h: dict[tuple, list[int]] = {}
-        self.lines_by_b: dict[tuple, list[int]] = {}
+        # line ids by pencil base H and by pencil span B: the stars' and tops' lines
+        lines_by_h: dict[tuple, list[int]] = {}
+        lines_by_b: dict[tuple, list[int]] = {}
         # in one build each span B is canonicalised and met with W once; each
         # pencil base H lists its candidate spans, its lines' closures and its
         # stars' closures from one interval, and looks each closure point up
@@ -256,8 +256,8 @@ class SpineSpace:
                 lid = len(self.lines)
                 self.lines.append(SpineLine(lid, h, b, kind, closure, proper, improper_gid))
                 self.line_id_by_hb[(h.rows, b.rows)] = lid
-                self.lines_by_h.setdefault(h.rows, []).append(lid)
-                self.lines_by_b.setdefault(b.rows, []).append(lid)
+                lines_by_h.setdefault(h.rows, []).append(lid)
+                lines_by_b.setdefault(b.rows, []).append(lid)
 
         self.degenerate = not self.points or not self.lines
 
@@ -267,12 +267,10 @@ class SpineSpace:
 
         self.strongs: list[StrongSubspace] = []
         self.void_classes: dict[str, str] = {}
-        self.star_id_by_h: dict[tuple, int] = {}
-        self.top_id_by_b: dict[tuple, int] = {}
-        self._build_strong(lows, highs, above)
-
-        self.star_of_line = [self.star_id_by_h.get(ln.h.rows) for ln in self.lines]
-        self.top_of_line = [self.top_id_by_b.get(ln.b.rows) for ln in self.lines]
+        # line id -> the id of the star (same H) and the top (same B) holding it, or None
+        self.star_of_line: list[int | None] = [None] * len(self.lines)
+        self.top_of_line: list[int | None] = [None] * len(self.lines)
+        self._build_strong(lows, highs, above, lines_by_h, lines_by_b)
 
         self._planes: list[PlaneInfo] | None = None
         self._pencils: list[GeoPencil] | None = None
@@ -289,7 +287,7 @@ class SpineSpace:
 
     # -- strong subspaces --------------------------------------------------
 
-    def _build_strong(self, lows, highs, above):
+    def _build_strong(self, lows, highs, above, lines_by_h, lines_by_b):
         params = self.params
         space, k, m, w = params.space, params.k, params.m, params.w
         n, wd = space.n, w.dim
@@ -319,10 +317,10 @@ class SpineSpace:
                 if meet_dim != meet:
                     continue
                 if star_top:
-                    line_ids = self.lines_by_h.get(gen.rows, ())
+                    line_ids = lines_by_h.get(gen.rows, ())
                     closure = self._gids_above(*above[gen.rows], subspace_key(star_top(gen)))
                 else:
-                    line_ids = self.lines_by_b.get(gen.rows, ())
+                    line_ids = lines_by_b.get(gen.rows, ())
                     closure = [g for lid in line_ids for g in self.lines[lid].closure_gids]
                 found += self._add_strong(kind, gen, closure, p_dim, d_dim, line_ids)
             if not found:
@@ -356,10 +354,9 @@ class SpineSpace:
             StrongSubspace(sid, kind, generator, pids, closure_gids, p_dim, d_dim,
                            tuple(line_ids))
         )
-        if kind in (STAR_OMEGA, STAR_ALPHA):
-            self.star_id_by_h[generator.rows] = sid
-        else:
-            self.top_id_by_b[generator.rows] = sid
+        host_of = self.star_of_line if kind in (STAR_OMEGA, STAR_ALPHA) else self.top_of_line
+        for lid in line_ids:
+            host_of[lid] = sid
         return 1
 
     # -- planes, pencils and semibundles (built on demand, cached) ---------
@@ -563,7 +560,7 @@ class SpineSpace:
             for lid in lids:
                 by_h.setdefault(self.lines[lid].h.rows, []).append(lid)
                 by_b.setdefault(self.lines[lid].b.rows, []).append(lid)
-            for hrows, members in by_h.items():
+            for members in by_h.values():
                 if len(members) < 3:
                     continue
                 rows = []
@@ -571,9 +568,9 @@ class SpineSpace:
                     rows.extend(self.lines[lid].b.rows)
                 if _rank(tuple(rows), q, n) > k + 2:  # not all in one plane
                     groups_with_tripods += 1
-                    if self.star_id_by_h.get(hrows) is None:
+                    if self.star_of_line[members[0]] is None:
                         violations.append(("star", g, tuple(members)))
-            for brows, members in by_b.items():
+            for members in by_b.values():
                 if len(members) < 3:
                     continue
                 meet = self.lines[members[0]].h
@@ -581,7 +578,7 @@ class SpineSpace:
                     meet = intersect(meet, self.lines[lid].h)
                 if meet.dim < k - 2:  # not all in one plane
                     groups_with_tripods += 1
-                    if self.top_id_by_b.get(brows) is None:
+                    if self.top_of_line[members[0]] is None:
                         violations.append(("top", g, tuple(members)))
         return {
             "vertices_checked": len(self.lines_through),

@@ -204,8 +204,8 @@ def check_ternary_pencils(ws: Workspace) -> dict:
     Applicable only when every plane extends into a strong subspace of
     dimension at least 3.
 
-    The predicates run on the stripped graph and `derive_line_geometry`'s
-    cliques; cliques and triples are compared in original line ids.
+    The predicates run on the stripped graph and its spanned cliques
+    (`family_K`); cliques and triples are compared in original line ids.
 
     The proper-pencil half assumes q >= 3 on affine planes.  Over GF(2) its
     triples are compared on the pencils of non-affine planes only; the
@@ -220,10 +220,10 @@ def check_ternary_pencils(ws: Workspace) -> dict:
 
     report: dict = {"applicable": True}
     for name in ws.cfg.deltas():
-        sr, geometry = ws.stripped(name), ws.geometry(name)
+        sr, cliques = ws.stripped(name), ws.spanned(name)
         graph, perm, inv = sr.graph, sr.perm, sr.inverse
         # cliques as sorted tuples of original ids: far smaller than frozensets
-        spanned = {tuple(sorted(inv[l] for l in mem)) for mem in geometry.cliques.members}
+        spanned = {tuple(sorted(inv[l] for l in mem)) for mem in cliques.members}
         expected = {tuple(sorted(s))
                     for s in (fams.pi_family if name == PI else fams.rho_family)}
         # spanned cliques are maximal, so the spanning family never exceeds
@@ -247,8 +247,7 @@ def check_ternary_pencils(ws: Workspace) -> dict:
                 elif p is not None and p.line_ids in outside:
                     continue
                 else:
-                    got = p_rho(perm[tri[0]], perm[tri[1]], perm[tri[2]], graph,
-                                geometry.cliques)
+                    got = p_rho(perm[tri[0]], perm[tri[1]], perm[tri[2]], graph, cliques)
                     want = p is not None and p.proper
                 total += 1
                 if got != want and tri not in mismatches:

@@ -15,6 +15,8 @@ in its most literal form, so a test can hold the fast code to it:
   ternary predicate; `pencil_coplanar` is all-pairs relatedness.
 - `homology_matrix` builds the twist of `excluded.build_homology_map` as a
   change of basis B^-1 D B, with a Gauss-Jordan `invert_matrix`.
+- `plane_hosts` finds the star or top holding each plane by its generator
+  among `space.strongs`, not through the space's line-to-host lists.
 """
 
 from __future__ import annotations
@@ -208,3 +210,12 @@ def homology_matrix(space, star, scale: int):
             basis.append(unit)
     d = [[scale if i == j == h.dim else int(i == j) for j in range(n)] for i in range(n)]
     return mat_mul(mat_mul(invert_matrix(basis, q), d, q), basis, q)
+
+
+def plane_hosts(space) -> list:
+    """By plane id, the strong subspace holding the plane, or None: the star
+    whose generator is a star plane's H, the top whose generator is a top
+    plane's B."""
+    by_generator = {st.generator.rows: st for st in space.strongs}
+    return [by_generator.get((p.low if p.side == "star" else p.high).rows)
+            for p in space.planes()]

@@ -199,13 +199,16 @@ def test_criterion_4_pencil_space_definability(cfg3_ws, cfg3_space, cfg3_rho, cf
 
 
 def test_ternary_pencils_with_delta_pi_derives_no_rho(cfg3_ws, tmp_path, monkeypatch):
-    # a pi-only run on cfg3 that starts from cfg3's stages without rho's
+    # a pi-only run on cfg3 that starts from cfg3's stages without rho's and
+    # without the line geometry: the check reads the spanned cliques only
     cfg3_ws.geometry("pi")
     ws = Workspace(RunConfig(*CFG3, seed=SEED, delta="pi", out_dir=tmp_path))
-    ws._stages = {key: stage for key, stage in cfg3_ws._stages.items() if "rho" not in key}
-    counts = count_calls(monkeypatch, ["compute_rho", "strip", "derive_line_geometry"])
+    ws._stages = {key: stage for key, stage in cfg3_ws._stages.items()
+                  if "rho" not in key and key[0] != "geometry"}
+    counts = count_calls(monkeypatch, ["compute_rho", "strip", "derive_line_geometry",
+                                       "family_P", "clique_dimension", "detect_parallel"])
     report = verify.check_ternary_pencils(ws)
-    assert counts == {"compute_rho": 0, "strip": 0, "derive_line_geometry": 0}
+    assert counts == dict.fromkeys(counts, 0)
     assert "rho" not in report
     assert report["ok"] and report["pi"]["ok"]
     assert report["pi"]["triples"] == 1_262_940

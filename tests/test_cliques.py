@@ -20,22 +20,18 @@ from spinegeo.cliques import (
 from spinegeo.relations import bits_of
 from spinegeo.spine import LINE_AFFINE, PLANE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED
 
-from oracles import family_from_members, span_clique
+from oracles import family_from_members, plane_hosts, span_clique
 
 
 def pencil_triple(space, proper=True, size=3):
     # use a pencil whose base plane extends into a >= 3-dimensional strong
     # subspace; only there does a line off the plane witness non-spanning
-    planes = space.planes()
+    hosts = plane_hosts(space)
     for p in space.pencils():
         if p.proper != proper or len(p.line_ids) < size:
             continue
-        plane = planes[p.plane_id]
-        if plane.side == "star":
-            host = space.star_id_by_h.get(plane.low.rows)
-        else:
-            host = space.top_id_by_b.get(plane.high.rows)
-        if host is not None and space.strongs[host].p_dim >= 3:
+        host = hosts[p.plane_id]
+        if host is not None and host.p_dim >= 3:
             return tuple(sorted(p.line_ids))[:size]
     raise AssertionError("no such pencil")
 
@@ -81,10 +77,10 @@ def test_pairs_never_span_under_the_pencil_gate(cfg3_pi):
 def test_some_pairs_span_without_the_pencil_gate(cfg1_space, cfg1_pi):
     # two lines of a plane that is a maximal strong subspace: the common
     # neighbourhood is the rest of that plane, which is a clique
+    hosts = plane_hosts(cfg1_space)
     plane = next(
         p for p in cfg1_space.planes()
-        if p.side == "star" and cfg1_space.star_id_by_h.get(p.low.rows) is not None
-        and cfg1_space.strongs[cfg1_space.star_id_by_h[p.low.rows]].p_dim == 2
+        if p.side == "star" and hosts[p.id] is not None and hosts[p.id].p_dim == 2
     )
     a, b = plane.line_ids[:2]
     assert cfg1_pi.adjacent(a, b)

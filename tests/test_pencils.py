@@ -16,23 +16,21 @@ from spinegeo.pencils import (
 from spinegeo.relations import LineRelationGraph, bits_of, compute_pi, compute_rho, strip
 from spinegeo.spine import PLANE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED, STAR_ALPHA
 
-from oracles import family_from_members, literal_p_rho, pencil_coplanar, verify_pencils
+from oracles import (family_from_members, literal_p_rho, pencil_coplanar, plane_hosts,
+                     verify_pencils)
 
 
 def hosted_pencils(space, kind=None, proper=True):
     """Pencils whose base plane extends into a >= 3-dimensional strong subspace."""
-    planes = space.planes()
+    planes, hosts = space.planes(), plane_hosts(space)
     for p in space.pencils():
         if p.proper != proper:
             continue
         plane = planes[p.plane_id]
         if kind is not None and plane.kind != kind:
             continue
-        if plane.side == "star":
-            host = space.star_id_by_h.get(plane.low.rows)
-        else:
-            host = space.top_id_by_b.get(plane.high.rows)
-        if host is not None and space.strongs[host].p_dim >= 3:
+        host = hosts[p.plane_id]
+        if host is not None and host.p_dim >= 3:
             yield p, plane
 
 

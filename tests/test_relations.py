@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -6,15 +7,18 @@ from hypothesis import strategies as st
 
 from spinegeo import verify
 from spinegeo.cliques import family_K
+from spinegeo.gf import FieldSpec, rref
 from spinegeo.relations import (
     LineRelationGraph,
     bits_of,
     _row_to_rle,
+    compute_pi,
+    compute_rho,
     graph_from_json,
     graph_to_json,
     strip,
 )
-from spinegeo.spine import LINE_AFFINE
+from spinegeo.spine import LINE_AFFINE, SpineParams, build_spine, standard_params
 
 
 def test_invariants_and_containment(cfg1_pi, cfg1_rho):
@@ -34,25 +38,66 @@ def test_relation_sanity_reports_a_broken_invariant_instead_of_raising():
                       "invariant_problems": ["pi: relation not symmetric at (0, 1)"]}
 
 
-def test_pi_against_plane_oracle(cfg1_space, cfg1_pi):
-    # independent oracle: enumerate planes and mark every pair on one
-    rows = [0] * len(cfg1_space.lines)
-    for plane in cfg1_space.planes():
+def plane_pair_rows(space) -> list[int]:
+    """Independent oracle for pi: enumerate planes and mark every pair on one."""
+    rows = [0] * len(space.lines)
+    for plane in space.planes():
         for a, b in itertools.combinations(plane.line_ids, 2):
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-    assert rows == cfg1_pi.rows
+    return rows
 
 
-def test_rho_against_pencil_oracle(cfg1_space, cfg1_rho):
-    rows = [0] * len(cfg1_space.lines)
-    for pencil in cfg1_space.pencils():
+def proper_pencil_pair_rows(space) -> list[int]:
+    """Independent oracle for rho: mark every pair on one proper pencil."""
+    rows = [0] * len(space.lines)
+    for pencil in space.pencils():
         if not pencil.proper:
             continue
         for a, b in itertools.combinations(sorted(pencil.line_ids), 2):
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-    assert rows == cfg1_rho.rows
+    return rows
+
+
+def test_pi_against_plane_oracle(cfg1_space, cfg1_pi):
+    assert plane_pair_rows(cfg1_space) == cfg1_pi.rows
+
+
+def test_rho_against_pencil_oracle(cfg1_space, cfg1_rho):
+    assert proper_pencil_pair_rows(cfg1_space) == cfg1_rho.rows
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_space(params, w_side):
+    """The space of `params`, W on the last w coordinates (tail) or the first (head)."""
+    if w_side == "tail":
+        return build_spine(standard_params(*params))
+    q, n, k, m, w = params
+    spec = FieldSpec(q, n)
+    head = rref(spec, [tuple(int(i == j) for j in range(n)) for i in range(w)])
+    return build_spine(SpineParams(spec, k, m, head))
+
+
+# cex, the GF(3) twin, four more shapes over GF(2), GF(3) and GF(5), and two with W
+# on the first coordinates; built once per session, all seven in under a second
+ORACLE_SPACES = pytest.mark.parametrize("params, w_side", [
+    ((3, 5, 2, 1, 2), "tail"), ((3, 4, 2, 1, 3), "tail"), ((2, 5, 2, 0, 3), "tail"),
+    ((5, 4, 2, 1, 2), "tail"), ((2, 6, 2, 2, 4), "tail"),
+    ((2, 5, 2, 1, 3), "head"), ((3, 4, 2, 0, 2), "head"),
+])
+
+
+@ORACLE_SPACES
+def test_pi_against_plane_oracle_on_more_spaces(params, w_side):
+    space = oracle_space(params, w_side)
+    assert plane_pair_rows(space) == compute_pi(space).rows
+
+
+@ORACLE_SPACES
+def test_rho_against_pencil_oracle_on_more_spaces(params, w_side):
+    space = oracle_space(params, w_side)
+    assert proper_pencil_pair_rows(space) == compute_rho(space).rows
 
 
 def test_pencil_pairs_are_coplanar(cfg1_space, cfg1_pi):

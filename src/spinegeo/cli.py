@@ -51,6 +51,7 @@ def main(argv=None) -> int:
     }
     try:
         cfg = harness.config_from_sources(flags, args.config)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before any stage
     except (OSError, TypeError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return harness.CONFIG_ERROR

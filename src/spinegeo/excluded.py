@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .gf import _rank, _rref_rows, apply_matrix, subspace_key
 from .relations import LineRelationGraph, permute_rows
-from .spine import (STAR_ALPHA, TOP_ALPHA, TOP_OMEGA, SpineParams, SpineSpace,
-                    StrongSubspace, validate_params)
+from .spine import STAR_ALPHA, SpineParams, SpineSpace, StrongSubspace, validate_params
 
 CASE_GRASSMANN = "grassmann"
 CASE_POINT = "single-point"
@@ -171,18 +170,15 @@ def verify_counterexample(space: SpineSpace, lmap: LineMap,
     star = space.strongs[lmap.star_id]
     by_strong_vertex = space.semibundles(min_p_dim=2)
 
+    # the tops through the star's lines, each with the least line it shares
+    shared_line: dict[int, int] = {}
+    for lid in sorted(star.line_ids):
+        if space.top_of_line[lid] is not None:
+            shared_line.setdefault(space.top_of_line[lid], lid)
     witness = None
-    for top in space.strongs:
-        if top.kind not in (TOP_ALPHA, TOP_OMEGA):
-            continue
-        shared = star.point_pids & top.point_pids
-        if not shared:
-            continue
-        shared_lines = set(star.line_ids) & set(top.line_ids)
-        if not shared_lines:
-            continue
-        line_id = min(shared_lines)
-        for pid in sorted(shared):
+    for top_id, line_id in sorted(shared_line.items()):
+        top = space.strongs[top_id]
+        for pid in sorted(star.point_pids & top.point_pids):
             gid = space.proper_gids[pid]
             k_star = by_strong_vertex.get((star.id, gid))
             k_top = by_strong_vertex.get((top.id, gid))

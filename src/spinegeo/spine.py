@@ -13,9 +13,9 @@ incidence: lines through each closure point, each line's star and top, line
 ids by (H, B) and k-subspace ids by packed basis.  The work
 of one pencil base H is done once per H, not once per line: one interval
 above H lists its candidate spans with their meets with W, and the closures
-of its lines and stars, each closure point canonicalised once per H.  A
-top's closure is the union of its lines' closures.  Planes,
-line pencils and semibundles are materialised on demand and cached.  The
+of its lines, each closure point canonicalised once per H.  The closure of
+every strong subspace, star or top, is the union of its lines' closures.
+Planes and line pencils are materialised on demand and cached.  The
 module also runs the two foundational structure checks used by the
 verification suite: the star/top intersection dichotomy and the tripod
 span property.
@@ -215,17 +215,15 @@ class SpineSpace:
         lines_by_h: dict[tuple, list[int]] = {}
         lines_by_b: dict[tuple, list[int]] = {}
         # in one build each span B is canonicalised and met with W once; each
-        # pencil base H lists its candidate spans, its lines' closures and its
-        # stars' closures from one interval, and looks each closure point up
-        # once, by its `Interval.unit` vector
+        # pencil base H lists its candidate spans and its lines' closures from
+        # one interval, and looks each closure point up once, by its
+        # `Interval.unit` vector
         spans: dict[tuple, tuple[Subspace, Subspace]] = {}
-        above: dict[tuple, tuple[Interval, dict[int, int]]] = {}
         for h, dh in lows:
             if dh not in (m - 1, m):
                 continue
             candidates = Interval(h, full, k + 1)
             points: dict[int, int] = {}
-            above[h.rows] = (candidates, points)
             # B /\ W rows -> the improper point h + (B /\ W) of the affine lines
             improper_of: dict[tuple, Subspace] = {}
             # reject the b that are no line before canonicalising them
@@ -270,11 +268,10 @@ class SpineSpace:
         # line id -> the id of the star (same H) and the top (same B) holding it, or None
         self.star_of_line: list[int | None] = [None] * len(self.lines)
         self.top_of_line: list[int | None] = [None] * len(self.lines)
-        self._build_strong(lows, highs, above, lines_by_h, lines_by_b)
+        self._build_strong(lows, highs, lines_by_h, lines_by_b)
 
         self._planes: list[PlaneInfo] | None = None
         self._pencils: list[GeoPencil] | None = None
-        self._semibundles: dict[tuple[int, int], frozenset[int]] | None = None
 
     def _by_closure_point(self, line_ids) -> dict[int, list[int]]:
         """The given lines grouped by the closure points they pass through,
@@ -287,25 +284,23 @@ class SpineSpace:
 
     # -- strong subspaces --------------------------------------------------
 
-    def _build_strong(self, lows, highs, above, lines_by_h, lines_by_b):
+    def _build_strong(self, lows, highs, lines_by_h, lines_by_b):
         params = self.params
-        space, k, m, w = params.space, params.k, params.m, params.w
-        n, wd = space.n, w.dim
-        full = full_subspace(space)
+        k, m = params.k, params.m
+        n, wd = params.space.n, params.w_dim
         # one row per class, in id order: kind, point dimension, removed
-        # dimension, generators with their meets, required meet, and for a
-        # star the top of its closure.  A star's closure is listed from its
-        # pencil base's interval.  A top's closure is the union of its lines'
-        # closures: every k-subspace U of it lies on a line (h, B) of the top,
-        # for any hyperplane h of U that contains B /\ W (an alpha top) or
-        # does not contain U /\ W (an omega top, where that meet is nonzero).
+        # dimension, generators with their meets, required meet, and the
+        # class's lines by generator.  Each class listed is a projective
+        # space of dimension >= 2 with a proper subspace removed, so through
+        # each of its k-subspaces runs one of its lines with q >= 2 proper
+        # points, and its closure is the union of its lines' closures.
         specs = [
-            (STAR_OMEGA, wd - m, -1, lows, m - 1, lambda h: subspace_sum(h, w)),
-            (STAR_ALPHA, n - k, wd - m - 1, lows, m, lambda h: full),
-            (TOP_ALPHA, k - m, -1, highs, m, None),
-            (TOP_OMEGA, k, k - m - 1, highs, m + 1, None),
+            (STAR_OMEGA, wd - m, -1, lows, m - 1, lines_by_h),
+            (STAR_ALPHA, n - k, wd - m - 1, lows, m, lines_by_h),
+            (TOP_ALPHA, k - m, -1, highs, m, lines_by_b),
+            (TOP_OMEGA, k, k - m - 1, highs, m + 1, lines_by_b),
         ]
-        for kind, p_dim, d_dim, generators, meet, star_top in specs:
+        for kind, p_dim, d_dim, generators, meet, lines_by_gen in specs:
             if p_dim < 2:
                 self.void_classes[kind] = f"dimension {p_dim} < 2, not a maximal strong subspace"
                 continue
@@ -316,12 +311,8 @@ class SpineSpace:
             for gen, meet_dim in generators:
                 if meet_dim != meet:
                     continue
-                if star_top:
-                    line_ids = lines_by_h.get(gen.rows, ())
-                    closure = self._gids_above(*above[gen.rows], subspace_key(star_top(gen)))
-                else:
-                    line_ids = lines_by_b.get(gen.rows, ())
-                    closure = [g for lid in line_ids for g in self.lines[lid].closure_gids]
+                line_ids = lines_by_gen.get(gen.rows, ())
+                closure = [g for lid in line_ids for g in self.lines[lid].closure_gids]
                 found += self._add_strong(kind, gen, closure, p_dim, d_dim, line_ids)
             if not found:
                 self.void_classes[kind] = "no generator subspace exists for these parameters"
@@ -332,7 +323,7 @@ class SpineSpace:
         interval's h) and the subspace whose `subspace_key` is `key`, in the
         order of `enumerate_between`.  `points` maps the `Interval.unit`
         vectors above H to ids, filled on first use, so each closure point is
-        canonicalised once per H for all its lines and stars."""
+        canonicalised once per H for all its lines."""
         out = []
         for lift in interval.lifts_below(key):
             v = interval.unit(lift)
@@ -359,7 +350,7 @@ class SpineSpace:
             host_of[lid] = sid
         return 1
 
-    # -- planes, pencils and semibundles (built on demand, cached) ---------
+    # -- planes and pencils (built on demand, cached), semibundles ----------
 
     def planes(self) -> list[PlaneInfo]:
         if self._planes is None:
@@ -452,24 +443,17 @@ class SpineSpace:
         return {p.line_ids for p in self.pencils() if p.proper}
 
     def semibundles(self, min_p_dim: int = 3) -> dict[tuple[int, int], frozenset[int]]:
-        """Line sets L_U(X) keyed by (strong id, vertex gid), X at least min_p_dim.
-
-        The sets of every X of dimension at least 2 are built once and
-        filtered per call.
-        """
-        if self._semibundles is None:
-            table = {}
-            for st in self.strongs:
-                if st.p_dim < 2:
-                    continue
-                for g, lids in self._by_closure_point(st.line_ids).items():
-                    if len(lids) >= 2:
-                        table[(st.id, g)] = frozenset(lids)
-            # two lines fix their strong subspace and their common point
-            assert len(set(table.values())) == len(table)
-            self._semibundles = table
-        return {key: lines for key, lines in self._semibundles.items()
-                if self.strongs[key[0]].p_dim >= min_p_dim}
+        """Line sets L_U(X) keyed by (strong id, vertex gid), X at least min_p_dim."""
+        table = {}
+        for st in self.strongs:
+            if st.p_dim < min_p_dim:
+                continue
+            for g, lids in self._by_closure_point(st.line_ids).items():
+                if len(lids) >= 2:
+                    table[(st.id, g)] = frozenset(lids)
+        # two lines fix their strong subspace and their common point
+        assert len(set(table.values())) == len(table)
+        return table
 
     def semibundle_at(self, lines) -> tuple[int, int] | None:
         """The (strong id, vertex gid) of the L_U(X) equal to `lines`, X at
@@ -497,8 +481,6 @@ class SpineSpace:
             if host_of[a] is None or host_of[a] != host_of[b]:
                 return None
         sid = host_of[a]
-        if self.strongs[sid].p_dim < 2:
-            return None
         through = [l for l in self.lines_through[g] if host_of[l] == sid]
         if len(through) != len(lines) or not all(l in lines for l in through):
             return None

@@ -15,6 +15,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
@@ -114,3 +115,24 @@ def test_every_call_exits_0_1_or_2_without_a_traceback(command, values, delta, c
         assert len(reports) == parses, (reports, printed)
         if not parses or not _valid(values):
             assert code == CONFIG_ERROR, printed
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_an_out_path_at_or_under_a_file_is_a_config_error(under):
+    # an --out that names a regular file, or a path below one, exits 2 with
+    # one line on stderr (no traceback) before any stage runs or any report
+    # is written
+    with tempfile.TemporaryDirectory() as tmp:
+        blocker = Path(tmp) / "file"
+        blocker.write_text("")
+        out = blocker / "out" if under else blocker
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(["build", "--q=2", "--n=4", "--k=2", "--m=1", "--w=2",
+                             "--out", str(out)])
+        assert code == CONFIG_ERROR
+        assert stdout.getvalue() == ""
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error: "), lines
+        assert sorted(p.name for p in Path(tmp).rglob("*")) == ["file"]
+        assert blocker.read_text() == ""

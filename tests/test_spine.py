@@ -366,6 +366,9 @@ def test_shared_spans_and_closure_points_match_the_per_line_path(params, w_side)
     assert space.strongs
     for st in space.strongs:
         assert st.closure_gids == frozenset(gids(*bounds[st.kind](st.generator)))
+        # a listed strong subspace is a plane or larger and holds lines, so
+        # its lines' closures can cover it
+        assert st.p_dim >= 2 and st.line_ids
 
 
 @pytest.mark.parametrize("params", [(2, 6, 2, 1, 3), (3, 4, 2, 1, 3), (2, 5, 2, 0, 2)])
@@ -381,8 +384,10 @@ def test_the_build_meets_each_span_with_w_once(monkeypatch, params):
 @pytest.mark.parametrize("params", [(2, 6, 2, 1, 3), (3, 5, 2, 1, 2)])
 def test_the_build_lists_each_pencil_base_from_one_interval(monkeypatch, params):
     # the lines over one pencil base H take their candidates, closures and
-    # meets with W from one interval, so the build constructs fewer intervals
-    # than it has lines, and sums each (H, B /\ W) of an affine line once
+    # meets with W from one interval, so the build constructs one interval per
+    # pencil base (besides the three that list the k-, (k-1)- and
+    # (k+1)-subspaces), and sums each (H, B /\ W) of an affine line once; a
+    # strong subspace's closure comes from its lines and costs neither
     counts = count_calls(monkeypatch, ["subspace_sum"])
     original = gf.Interval.__init__
 
@@ -397,10 +402,7 @@ def test_the_build_lists_each_pencil_base_from_one_interval(monkeypatch, params)
     m, w = space.params.m, space.params.w
     lows = enumerate_subspaces(space.params.space, space.params.k - 1)
     bases = [h for h in lows if dim_intersect(h, w) in (m - 1, m)]
-    omega_bounds = 0 if STAR_OMEGA in space.void_classes else sum(
-        dim_intersect(h, w) == m - 1 for h in bases)
     affine_sums = {(ln.h.rows, intersect(ln.b, w).rows)
                    for ln in space.lines if ln.kind == LINE_AFFINE}
-    assert built["Interval"] <= 2 * len(bases) + len(space.strongs) + 3
-    assert built["Interval"] < len(space.lines)
-    assert built["subspace_sum"] <= len(affine_sums) + omega_bounds
+    assert built["Interval"] == len(bases) + 3 < len(space.lines)
+    assert built["subspace_sum"] == len(affine_sums)

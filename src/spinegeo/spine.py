@@ -14,11 +14,12 @@ ids by (H, B) and k-subspace ids by packed basis.  The work
 of one pencil base H is done once per H, not once per line: one interval
 above H lists its candidate spans with their meets with W, and the closures
 of its lines, each closure point canonicalised once per H.  The closure of
-every strong subspace, star or top, is the union of its lines' closures.
-Planes and line pencils are materialised on demand and cached.  The
-module also runs the two foundational structure checks used by the
-verification suite: the star/top intersection dichotomy and the tripod
-span property.
+every strong subspace, star or top, and of every plane is the union of its
+lines' closures, and a plane's pencils are its lines grouped by the closure
+points they pass through.  Planes and line pencils are materialised on
+demand and cached.  The module also runs the two foundational structure
+checks used by the verification suite: the star/top intersection dichotomy
+and the tripod span property.
 """
 
 from __future__ import annotations
@@ -367,20 +368,17 @@ class SpineSpace:
         # in order of first sight.  The lines of the star plane (H, Y) are the
         # (H, b) with b < Y, those of the top plane (Z, B) the (h, B) with Z < h;
         # the Y above b and the Z below h repeat across lines that share them.
+        # 1 < k < n-1 leaves room for both: k+2 <= n and k-2 >= 0.
         seen: dict[tuple, tuple[Subspace, Subspace, list[int]]] = {}
         ys_above: dict[tuple, list[Subspace]] = {}
         zs_below: dict[tuple, list[Subspace]] = {}
         for ln in self.lines:
-            sides = []
-            if k + 2 <= space.n:
-                if ln.b.rows not in ys_above:
-                    ys_above[ln.b.rows] = enumerate_between(ln.b, full, k + 2)
-                sides += [("star", ln.h, y) for y in ys_above[ln.b.rows]]
-            if k - 2 >= 0:
-                if ln.h.rows not in zs_below:
-                    zs_below[ln.h.rows] = enumerate_between(zero, ln.h, k - 2)
-                sides += [("top", z, ln.b) for z in zs_below[ln.h.rows]]
-            for side, low, high in sides:
+            if ln.b.rows not in ys_above:
+                ys_above[ln.b.rows] = enumerate_between(ln.b, full, k + 2)
+            if ln.h.rows not in zs_below:
+                zs_below[ln.h.rows] = enumerate_between(zero, ln.h, k - 2)
+            for side, low, high in ([("star", ln.h, y) for y in ys_above[ln.b.rows]]
+                                    + [("top", z, ln.b) for z in zs_below[ln.h.rows]]):
                 key = (side, low.rows, high.rows)
                 if key not in seen:
                     seen[key] = (low, high, [])
@@ -389,8 +387,8 @@ class SpineSpace:
         for (side, _, _), (low, high, line_ids) in seen.items():
             if len(line_ids) < 2:
                 continue
-            between = Interval(low, high, k)
-            closure = tuple(self.gid_of[between.key(lift)] for lift in between.lifts())
+            closure = tuple(dict.fromkeys(
+                g for lid in line_ids for g in self.lines[lid].closure_gids))
             improper = tuple(g for g in closure if g not in self.pid_of_gid)
             if len(improper) == 0:
                 kind = PLANE_PROJECTIVE
@@ -403,10 +401,8 @@ class SpineSpace:
                     f"unexpected plane fragment: {len(improper)} improper points "
                     f"on a plane with {len(line_ids)} lines"
                 )
-            planes.append(
-                PlaneInfo(len(planes), side, low, high, kind,
-                          tuple(sorted(line_ids)), closure, improper)
-            )
+            planes.append(PlaneInfo(len(planes), side, low, high, kind, tuple(line_ids),
+                                    closure, improper))
         return planes
 
     def _collinear_gids(self, gids) -> bool:
@@ -419,24 +415,21 @@ class SpineSpace:
         """
         space, k = self.params.space, self.params.k
         subs = [self.grass[g] for g in gids]
-        meet = subs[0] if len(subs) == 1 else intersect(subs[0], subs[1])
+        meet = intersect(subs[0], subs[1])
         rows = tuple(row for u in subs for row in u.rows)
         return (meet.dim == k - 1 and all(contains(u, meet) for u in subs[2:])
                 and _rank(rows, space.q, space.n) == k + 1)
 
     def pencils(self) -> list[GeoPencil]:
-        """Every geometric pencil: lines of one plane through one closure point."""
+        """Every geometric pencil: the lines of one plane through one of its
+        closure points, q+1 of them, or q through an improper point of an
+        affine plane (whose removed line is no line)."""
         if self._pencils is None:
-            out = []
-            for plane in self.planes():
-                through = self._by_closure_point(plane.line_ids)
-                for g in plane.closure_gids:
-                    members = through.get(g, ())
-                    if len(members) >= 2:
-                        out.append(
-                            GeoPencil(plane.id, g, g in self.pid_of_gid, frozenset(members))
-                        )
-            self._pencils = out
+            self._pencils = [
+                GeoPencil(plane.id, g, g in self.pid_of_gid, frozenset(members))
+                for plane in self.planes()
+                for g, members in self._by_closure_point(plane.line_ids).items()
+            ]
         return self._pencils
 
     def proper_pencil_sets(self) -> set[frozenset[int]]:

@@ -278,19 +278,19 @@ def test_space_export_is_canonical_and_deterministic(cfg1_space):
 
 # ---------- ids and bytes pinned -------------------------------------------------
 
-# sha256 of the space JSON, the plane table and the pencil table, computed with
-# the tuple elimination that preceded the packed kernel: the enumeration order
-# fixes every id, so any change of order or content shows here
+# sha256 of the space JSON, the plane table and the pencil table: the
+# enumeration order fixes every id, so any change of order or content shows
+# here.  A plane lists its closure points, and its pencils their vertices, in
+# order of first sight over the plane's lines (ascending ids).
 PINNED_TABLES = {
-    (2, 5, 2, 1, 3): "7c46575d284ec1491c445da464dfab8de7be8238cc01f99e9facbc666fc488f8",
-    (3, 4, 2, 1, 3): "e02674d08ce9790b8a9b93ea15652c6efeb6935d6cc031975479a9e27e8825bd",
-    (3, 5, 2, 1, 2): "13d1cdd536c5b27d34407220b9b8465db099096ef4af0d9e036ddc7916f08ebc",
-    # these two carry the void-class messages the m = 1 configs never show,
-    # pinned before the strong classes were built from one table: m = 0
-    # leaves no omega star (m-1 = -1) and no alpha top generator
-    (2, 5, 2, 0, 3): "fe5c6b5f4ec3e95a404730ab30655505b6e39da9c5f4cf076e953e1e188fa242",
+    (2, 5, 2, 1, 3): "df2decff552414f79af635603ee0e6c7dfeff0270baabd110383cec1aa56498c",
+    (3, 4, 2, 1, 3): "b575f7421f7c089920d52c0b5dd589c60ee77b6462f84f4e25ece116bace906c",
+    (3, 5, 2, 1, 2): "e1e1c19b5fea2543e9a13bf04f426b4919586a83642a3a992fe8e540d7fa66a0",
+    # these two carry the void-class messages the m = 1 configs never show:
+    # m = 0 leaves no omega star (m-1 = -1) and no alpha top generator
+    (2, 5, 2, 0, 3): "0fe3b403a124e86b8ff1788821228b70f623eba98c3b17bf60068035372a83cf",
     # m = k = 2: no alpha star generator
-    (2, 6, 2, 2, 4): "e11a39b0107892212a063fb236d822121c53a85159b24bf46580c42fd007b829",
+    (2, 6, 2, 2, 4): "54761a1de4b8f44dd16f0e8552116436c9453a6cdba670b1e9b3e39e2d1a1154",
 }
 
 
@@ -336,11 +336,14 @@ def _params(params, w_side):
                                                for i in range(w)]))
 
 
-@pytest.mark.parametrize("w_side", ["tail", "head"])
-@pytest.mark.parametrize("params", [
+PER_LINE_CONFIGS = [
     (2, 5, 2, 1, 3), (2, 5, 2, 0, 3), (3, 4, 2, 1, 3), (3, 4, 2, 0, 2),
     (2, 5, 3, 1, 2), (2, 6, 4, 2, 3), (3, 5, 3, 1, 2), (5, 4, 2, 1, 2),
-])
+]
+
+
+@pytest.mark.parametrize("w_side", ["tail", "head"])
+@pytest.mark.parametrize("params", PER_LINE_CONFIGS)
 def test_shared_spans_and_closure_points_match_the_per_line_path(params, w_side):
     # the build canonicalises each span B and each closure point once; here
     # every closure is listed again by `enumerate_between` and every subspace
@@ -371,6 +374,44 @@ def test_shared_spans_and_closure_points_match_the_per_line_path(params, w_side)
         assert st.p_dim >= 2 and st.line_ids
 
 
+@pytest.mark.parametrize("w_side", ["tail", "head"])
+@pytest.mark.parametrize("params", PER_LINE_CONFIGS)
+def test_plane_closures_and_pencils_match_the_per_plane_path(params, w_side):
+    # a plane's closure is the union of its lines' closures; here each plane
+    # is listed again by `enumerate_between` between its bounds, and each
+    # pencil (two or more of its lines through one point) found point by point
+    space = build_spine(_params(params, w_side))
+    k = space.params.k
+    assert space.planes()
+    expected = {}
+    for plane in space.planes():
+        assert list(plane.line_ids) == sorted(set(plane.line_ids))
+        closure = {space.gid_of[subspace_key(u)]
+                   for u in enumerate_between(plane.low, plane.high, k)}
+        assert len(plane.closure_gids) == len(closure)
+        assert set(plane.closure_gids) == closure
+        assert set(plane.improper_gids) == {g for g in closure if g not in space.pid_of_gid}
+        for g in closure:
+            through = frozenset(l for l in plane.line_ids if g in space.lines[l].closure_gids)
+            if len(through) >= 2:
+                expected[(plane.id, g)] = (g in space.pid_of_gid, through)
+    pencils = {(p.plane_id, p.vertex_gid): (p.proper, p.line_ids) for p in space.pencils()}
+    assert len(pencils) == len(space.pencils())
+    assert pencils == expected
+
+
+def _count_intervals(monkeypatch, counts):
+    """Count `Interval` constructions into counts["Interval"]."""
+    counts["Interval"] = 0
+    original = gf.Interval.__init__
+
+    def counted(self, *args):
+        counts["Interval"] += 1
+        original(self, *args)
+
+    monkeypatch.setattr(gf.Interval, "__init__", counted)
+
+
 @pytest.mark.parametrize("params", [(2, 6, 2, 1, 3), (3, 4, 2, 1, 3), (2, 5, 2, 0, 2)])
 def test_the_build_meets_each_span_with_w_once(monkeypatch, params):
     # a top's closure comes from its lines, so every meet with W the build
@@ -389,13 +430,7 @@ def test_the_build_lists_each_pencil_base_from_one_interval(monkeypatch, params)
     # (k+1)-subspaces), and sums each (H, B /\ W) of an affine line once; a
     # strong subspace's closure comes from its lines and costs neither
     counts = count_calls(monkeypatch, ["subspace_sum"])
-    original = gf.Interval.__init__
-
-    def counted(self, *args):
-        counts["Interval"] = counts.get("Interval", 0) + 1
-        original(self, *args)
-
-    monkeypatch.setattr(gf.Interval, "__init__", counted)
+    _count_intervals(monkeypatch, counts)
     space = build_spine(standard_params(*params))
     built = dict(counts)
     monkeypatch.undo()
@@ -406,3 +441,19 @@ def test_the_build_lists_each_pencil_base_from_one_interval(monkeypatch, params)
                    for ln in space.lines if ln.kind == LINE_AFFINE}
     assert built["Interval"] == len(bases) + 3 < len(space.lines)
     assert built["subspace_sum"] == len(affine_sums)
+
+
+@pytest.mark.parametrize("params", [(2, 6, 2, 1, 3), (3, 5, 2, 1, 2)])
+def test_planes_construct_no_interval_per_plane(monkeypatch, params):
+    # a plane's closure comes from its lines, so the only intervals `planes()`
+    # constructs are those of its `enumerate_between` calls: the Y above each
+    # line span b and the Z below each pencil base h
+    space = build_spine(standard_params(*params))
+    counts = count_calls(monkeypatch, ["enumerate_between"])
+    _count_intervals(monkeypatch, counts)
+    assert space.planes()
+    built = dict(counts)
+    monkeypatch.undo()
+    spans = {ln.b.rows for ln in space.lines}
+    bases = {ln.h.rows for ln in space.lines}
+    assert built["Interval"] == built["enumerate_between"] == len(spans) + len(bases)

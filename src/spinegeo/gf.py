@@ -14,8 +14,9 @@ most significant lane, so the leading coordinate of a vector is read off
 its bit length.  w is the smallest multiple of 8 with 2^(w-1) >= 2q - 1
 (8 for every q < 64, so a row packs and unpacks as bytes): the lane-wise
 sum of two reduced vectors then never carries into the next lane, and one
-masked conditional subtract of q reduces it again.  Scaling is
-double-and-add on that sum, so the same SWAR path serves every prime q.
+masked conditional subtract of q reduces it again.  A row's multiples
+[0, v, 2v, ..., (q-1)v] are built by that sum, and scaling v to lead entry 1
+permutes them, so the same SWAR path serves every prime q.
 Results are unpacked back into the canonical tuples; outside this module
 only `subspace_key`, the packed canonical basis, is seen, as a cheap
 dictionary key.
@@ -123,16 +124,6 @@ class _Lanes:
                 out.append(add(out[-1], v))
             return out
 
-        def scale(v: int, f: int) -> int:
-            """f * v by double-and-add."""
-            out = 0
-            while f:
-                if f & 1:
-                    out = add(out, v)
-                v = add(v, v)
-                f >>= 1
-            return out
-
         def lead(v: int) -> int:
             """Column of the first nonzero coordinate of a nonzero v."""
             return n - 1 - (v.bit_length() - 1) // width
@@ -160,13 +151,17 @@ class _Lanes:
             return 0
 
         def extend(echelon: dict, v: int) -> bool:
-            """Add v to an echelon basis unless v lies in its span; True if added."""
+            """Add v to an echelon basis unless v lies in its span; True if added.
+            The row kept is v / f for v's lead entry f, whose multiples are
+            v's permuted: i * (v / f) = (i / f) * v."""
             v = residue(echelon, v)
             if not v:
                 return False
             f = v >> (v.bit_length() - 1) // width * width
-            echelon[n - 1 - (v.bit_length() - 1) // width] = multiples(
-                v if f == 1 else scale(v, inv[f]))
+            mults = multiples(v)
+            if f != 1:
+                mults = [mults[i * inv[f] % q] for i in range(q)]
+            echelon[n - 1 - (v.bit_length() - 1) // width] = mults
             return True
 
         def reduced_basis(vecs) -> dict:
@@ -350,9 +345,7 @@ class Interval:
     of U modulo h per U (a tuple of k - dim h vectors); `subspace(lift)`
     canonicalises one.  Callers that discard most of the U can take each
     lift's meet with a fixed w from `lifts_with_meet_dims`, and canonicalise
-    only the ones they keep.  One interval serves every subspace between h
-    and a subspace of b: `lifts_below` lists the points of h's quotient
-    below any of them without a new interval.
+    only the ones they keep.
     """
 
     def __init__(self, h: Subspace, b: Subspace, k: int):
@@ -362,18 +355,16 @@ class Interval:
         self.lanes = lanes = _lanes(q, n)
         self.h_rows = [lanes.pack(row) for row in h.rows]
         self.h_basis = {lanes.lead(v): lanes.multiples(v) for v in self.h_rows}
-        comp = self._complement(map(lanes.pack, b.rows))
+        # the rows of b, in row order, that raise the rank of h, each reduced
+        # modulo h: a lift spans U together with h just the same
+        ext = dict(self.h_basis)
+        comp = [lanes.reduce(v, self.h_basis) for v in map(lanes.pack, b.rows)
+                if lanes.extend(ext, v)]
         if h.dim + len(comp) != b.dim:
             raise ValueError("h is not contained in b")
         if not h.dim <= k <= b.dim:
             raise ValueError(f"k = {k} outside [{h.dim}, {b.dim}]")
         self.comp = comp
-
-    def _complement(self, rows) -> list[int]:
-        """The packed rows, in row order, that raise the rank of h, each
-        reduced modulo h: a lift spans U together with h just the same."""
-        lanes, ext = self.lanes, dict(self.h_basis)
-        return [lanes.reduce(v, self.h_basis) for v in rows if lanes.extend(ext, v)]
 
     def lifts(self):
         """Every (k - dim h)-subspace of the quotient, lifted."""
@@ -402,12 +393,6 @@ class Interval:
                     extend(echelon, v)
             yield lift, base - len(echelon) - (residue(echelon, last) != 0)
 
-    def lifts_below(self, key: tuple[int, ...]):
-        """The one-vector lifts of the (dim h + 1)-subspaces between h and the
-        subspace above h whose `subspace_key` is `key`, in the order of
-        `enumerate_between`."""
-        return _quotient_lifts(self.lanes, self._complement(key), 1)
-
     def key(self, lift) -> tuple[int, ...]:
         """`subspace_key` of the U spanned by h and a lift."""
         lanes = self.lanes
@@ -418,11 +403,10 @@ class Interval:
         rows.sort(reverse=True)
         return tuple(rows)
 
-    def unit(self, lift) -> int:
-        """For a lift of one vector: that vector, reduced modulo h, scaled to
-        lead entry 1; one vector per (dim h + 1)-subspace above h, the same in
-        every interval above h."""
-        (v,) = lift
+    def unit(self, v: int) -> int:
+        """A nonzero vector reduced modulo h (zero in h's pivot columns),
+        scaled to lead entry 1: one vector per (dim h + 1)-subspace above h,
+        the same in every interval above h."""
         q, width = self.lanes.q, self.lanes.width
         f = v >> (v.bit_length() - 1) // width * width
         return v if f == 1 else self.lanes.multiples(v)[pow(f, q - 2, q)]

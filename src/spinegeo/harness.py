@@ -25,14 +25,14 @@ from pathlib import Path
 
 from . import cliques, verify
 from .bundles import ReconstructedSpace, reconstruct
-from .cliques import (GeometricFamilies, LineSetFamily, bron_kerbosch, family_K,
+from .cliques import (GeometricFamilies, LineSetFamily, bron_kerbosch, delta_n, family_K,
                       family_to_json, geometric_families)
 from .excluded import CASE_NONE, ExcludedCase, classify_case
 from .pencils import LineGeometry, derive_line_geometry, family_B, geometry_to_json
 from .relations import (LineRelationGraph, StripResult, compute_pi, compute_rho,
                         graph_to_json, strip)
-from .spine import (GateReport, SpineParams, SpineSpace, build_spine, standard_params,
-                    validate_params)
+from .spine import (PLANE_AFFINE, GateReport, SpineParams, SpineSpace, build_spine,
+                    standard_params, validate_params)
 
 OK = 0
 CHECK_FAILED = 1
@@ -121,7 +121,8 @@ class Workspace:
     graph(kind) -> the Bron-Kerbosch cliques(kind).  spanned(kind) is the
     relation's one spanned clique family, on the stripped graph;
     stripped(kind) maps it back to the original line ids.  families() are
-    the geometric clique families the checks compare against.  `kind` is
+    the geometric clique families the checks compare against, and
+    rho_outside() the pencils the rho checks exclude over GF(2).  `kind` is
     "pi" or "rho".
     """
 
@@ -180,6 +181,30 @@ class Workspace:
     @_stage
     def reconstruction(self, kind: str) -> ReconstructedSpace:
         return reconstruct(family_B(self.geometry(kind)), self.stripped(kind).graph)
+
+    @_stage
+    def rho_outside(self) -> tuple[set[frozenset[int]], dict | None]:
+        """The pencils the rho checks exclude, and their report: over GF(2),
+        the proper pencils on affine planes, with whether each spans under
+        rho (the stated cause); no pencils and no report when q >= 3.
+
+        Such a pencil is three lines, one per direction of AG(2,2), and the
+        triple spans under rho; `p_rho` asks for a non-spanning triple, so it
+        cannot see these pencils.
+        """
+        space = self.space()
+        if space.params.space.q != 2:
+            return set(), None
+        planes = space.planes()
+        outside = {p.line_ids for p in space.pencils()
+                   if p.proper and planes[p.plane_id].kind == PLANE_AFFINE}
+        if not outside:
+            return outside, None
+        rows = sorted(sorted(p) for p in outside)
+        rho = self.graph("rho")
+        spanning = sum(delta_n(p, rho) for p in rows)
+        return outside, {"hypothesis": "q >= 3", "count": len(rows), "spanning": spanning,
+                         "cause_holds": spanning == len(rows), "pencils": rows}
 
 
 def _write_atomic(path: Path, doc) -> Path:

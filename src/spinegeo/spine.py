@@ -10,10 +10,11 @@ shapes), each a projective space with a subspace removed ("slit" space).
 A built space enumerates each of its generators once (the k-, (k-1)- and
 (k+1)-subspaces, each listed with its meet with W) and keeps one index per
 incidence: lines through each closure point, each line's star and top, line
-ids by (H, B) and k-subspace ids by packed basis.  The work
-of one pencil base H is done once per H, not once per line: one interval
-above H lists its candidate spans with their meets with W, and the closures
-of its lines, each closure point canonicalised once per H.  The closure of
+ids by (H, B) and k-subspace ids by packed basis.  The work of one pencil
+base H is done once per H, not once per line: one interval above H lists its
+candidate spans B with their meets with W, each as a lift (u, v) of B modulo
+H, and a line's closure points are read off its lift (H plus each nonzero
+combination of u and v), each canonicalised once per H.  The closure of
 every strong subspace, star or top, and of every plane is the union of its
 lines' closures, and a plane's pencils are its lines grouped by the closure
 points they pass through.  Planes and line pencils are materialised on
@@ -148,7 +149,9 @@ class SpineLine:
     h: Subspace
     b: Subspace
     kind: str
-    closure_gids: tuple[int, ...]  # the q+1 pencil members, proper or not
+    # the q+1 pencil members, proper or not, in the order of the lift (u, v)
+    # of B modulo H: H + v, then H + (u + t v) for t = 0, ..., q-1
+    closure_gids: tuple[int, ...]
     proper_pids: tuple[int, ...]
     improper_gid: int | None  # set exactly for affine lines
 
@@ -216,9 +219,9 @@ class SpineSpace:
         lines_by_h: dict[tuple, list[int]] = {}
         lines_by_b: dict[tuple, list[int]] = {}
         # in one build each span B is canonicalised and met with W once; each
-        # pencil base H lists its candidate spans and its lines' closures from
-        # one interval, and looks each closure point up once, by its
-        # `Interval.unit` vector
+        # pencil base H lists its candidate spans from one interval, reads each
+        # line's closure off the candidate's lift, and looks each closure point
+        # up once, by its `Interval.unit` vector
         spans: dict[tuple, tuple[Subspace, Subspace]] = {}
         for h, dh in lows:
             if dh not in (m - 1, m):
@@ -239,7 +242,7 @@ class SpineSpace:
                     spans[key] = (b, intersect(b, w))
                 b, b_meet_w = spans[key]
                 assert b_meet_w.dim == db
-                closure = self._gids_above(candidates, points, key)
+                closure = self._closure_of(candidates, points, lift)
                 proper = tuple(self.pid_of_gid[g] for g in closure if g in self.pid_of_gid)
                 improper = tuple(g for g in closure if g not in self.pid_of_gid)
                 if kind == LINE_AFFINE:
@@ -318,19 +321,20 @@ class SpineSpace:
             if not found:
                 self.void_classes[kind] = "no generator subspace exists for these parameters"
 
-    def _gids_above(self, interval: Interval, points: dict[int, int],
-                    key: tuple[int, ...]) -> tuple[int, ...]:
-        """Grassmann ids of the k-subspaces between a pencil base H (the
-        interval's h) and the subspace whose `subspace_key` is `key`, in the
-        order of `enumerate_between`.  `points` maps the `Interval.unit`
-        vectors above H to ids, filled on first use, so each closure point is
-        canonicalised once per H for all its lines."""
-        out = []
-        for lift in interval.lifts_below(key):
-            v = interval.unit(lift)
-            g = points.get(v)
+    def _closure_of(self, interval: Interval, points: dict[int, int],
+                    lift: tuple[int, int]) -> tuple[int, ...]:
+        """Grassmann ids of the q + 1 k-subspaces between a pencil base H (the
+        interval's h) and the span B of H and a lift (u, v) of B modulo H:
+        H + v, then H + (u + t v) for t = 0, ..., q - 1.  `points` maps the
+        `Interval.unit` vectors above H to ids, filled on first use, so each
+        closure point is canonicalised once per H for all its lines."""
+        u, v = lift
+        lanes, out = interval.lanes, []
+        for x in [v] + [lanes.add(u, tv) for tv in lanes.multiples(v)]:
+            x = interval.unit(x)
+            g = points.get(x)
             if g is None:
-                g = points[v] = self.gid_of[interval.key(lift)]
+                g = points[x] = self.gid_of[interval.key((x,))]
             out.append(g)
         return tuple(out)
 

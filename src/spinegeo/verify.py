@@ -19,15 +19,14 @@ from .cliques import (
     KIND_AFFINE_SEMIFLAT,
     KIND_PUNCTURED_SEMIFLAT,
     classify_clique,
-    delta_n,
     is_maximal_clique,
     podmianka,
 )
 from .excluded import CASE_NEIGHBOURHOOD, build_homology_map, classify_case, verify_counterexample
 from .gf import FieldSpec, enumerate_subspaces, q_binomial
 from .pencils import family_B, p_pi, p_rho
-from .relations import PI, RHO, LineRelationGraph
-from .spine import LINE_AFFINE, PLANE_AFFINE, STAR_ALPHA, GeoPencil, SpineSpace
+from .relations import PI, RHO
+from .spine import LINE_AFFINE, STAR_ALPHA, GeoPencil, SpineSpace
 
 if TYPE_CHECKING:
     from .harness import Workspace
@@ -171,28 +170,6 @@ def _pencil_of_triple(space: SpineSpace) -> dict[tuple[int, int, int], GeoPencil
     return out
 
 
-def _rho_outside_hypothesis(space: SpineSpace) -> set[frozenset[int]]:
-    """Over GF(2), the proper pencils on affine planes; empty when q >= 3.
-
-    Such a pencil is three lines, one per direction of AG(2,2), and the
-    triple spans under rho; `p_rho` asks for a non-spanning triple, so it
-    cannot see these pencils.
-    """
-    if space.params.space.q != 2:
-        return set()
-    planes = space.planes()
-    return {p.line_ids for p in space.pencils()
-            if p.proper and planes[p.plane_id].kind == PLANE_AFFINE}
-
-
-def _outside_report(pencils: set[frozenset[int]], rho: LineRelationGraph) -> dict:
-    """The excluded pencils, and whether each spans under rho (the stated cause)."""
-    rows = sorted(sorted(p) for p in pencils)
-    spanning = sum(delta_n(p, rho) for p in rows)
-    return {"hypothesis": "q >= 3", "count": len(rows), "spanning": spanning,
-            "cause_holds": spanning == len(rows), "pencils": rows}
-
-
 def check_ternary_pencils(ws: Workspace) -> dict:
     """Ternary concurrency identifies pencils, clique by clique.
 
@@ -216,10 +193,10 @@ def check_ternary_pencils(ws: Workspace) -> dict:
         return {"applicable": False, "ok": True, "note": "pencil gate fails"}
     space, fams = ws.space(), ws.families()
     pencil_of = _pencil_of_triple(space)
-    outside = _rho_outside_hypothesis(space)
 
     report: dict = {"applicable": True}
     for name in ws.cfg.deltas():
+        outside, excluded = ws.rho_outside() if name == RHO else (set(), None)
         sr, cliques = ws.stripped(name), ws.spanned(name)
         graph, perm, inv = sr.graph, sr.perm, sr.inverse
         # cliques as sorted tuples of original ids: far smaller than frozensets
@@ -261,8 +238,7 @@ def check_ternary_pencils(ws: Workspace) -> dict:
             "witnesses": list(mismatches.values())[:5],
             "ok": coverage_ok and not mismatches,
         }
-        if name == RHO and outside:
-            excluded = _outside_report(outside, ws.graph(RHO))
+        if excluded is not None:
             report[name]["outside_hypothesis"] = excluded
             report[name]["ok"] = report[name]["ok"] and excluded["cause_holds"]
     report["ok"] = all(report[name]["ok"] for name in ws.cfg.deltas())
@@ -301,20 +277,20 @@ def check_pencil_recovery(ws: Workspace) -> dict:
     """
     gates, space = ws.gates(), ws.space()
     geo_proper = space.proper_pencil_sets()
-    outside = _rho_outside_hypothesis(space)
     report: dict = {"applicable": True, "gate": gates.pencil_gate}
     for name in ws.cfg.deltas():
+        outside, excluded = ws.rho_outside() if name == RHO else (set(), None)
         sr, geometry = ws.stripped(name), ws.geometry(name)
-        target = geo_proper - outside if name == RHO else geo_proper
+        target = geo_proper - outside if outside else geo_proper
         # the recovered sets live only in the call, so one relation's are
         # freed before the next relation's are built
         inv, members = sr.inverse, geometry.pencils.members
         entry = _pencil_comparison({frozenset(inv[l] for l in members[idx])
                                     for idx in geometry.proper_pencils}, target)
         cause_holds = True
-        if name == RHO and outside:
-            entry["outside_hypothesis"] = _outside_report(outside, ws.graph(RHO))
-            cause_holds = entry["outside_hypothesis"]["cause_holds"]
+        if excluded is not None:
+            entry["outside_hypothesis"] = excluded
+            cause_holds = excluded["cause_holds"]
         if gates.pencil_gate:
             entry["ok"] = entry["equal"] and cause_holds
         else:

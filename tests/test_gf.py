@@ -378,6 +378,6 @@ def test_interval_unit_is_one_vector_per_subspace_above_h(q, n):
                                if contains(s, h)]:
                 interval = Interval(h, b, d + 1)
                 for lift in interval.lifts():
-                    assert unit_of.setdefault(interval.key(lift), interval.unit(lift)) == (
-                        interval.unit(lift))
+                    assert unit_of.setdefault(interval.key(lift), interval.unit(*lift)) == (
+                        interval.unit(*lift))
             assert len(set(unit_of.values())) == len(unit_of) == q_binomial(n - d, 1, q)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from spinegeo import cli, harness
+from spinegeo import cli, harness, verify
 from spinegeo.cliques import family_K
 from spinegeo.excluded import CASE_NONE, classify_case
 from spinegeo.pencils import family_P
@@ -21,7 +21,7 @@ from spinegeo.harness import (
     reconstruction_claim,
 )
 
-from conftest import count_calls
+from conftest import CFG1, SEED, count_calls
 
 SMALL = dict(q=2, n=5, k=2, m=1, w=3)
 
@@ -209,6 +209,18 @@ def test_verify_all_computes_each_stage_once_per_relation(tmp_path, monkeypatch)
         payload["checks"])
     assert counts == {"strip": 2, "derive_line_geometry": 2,
                       "geometric_families": 1, "bron_kerbosch": 2}
+
+
+def test_the_rho_exclusion_is_computed_once_per_workspace(cfg1_ws, tmp_path, monkeypatch):
+    # over GF(2) the rho half sets the proper pencils of affine planes aside
+    # and tests each for spanning, once per command however often it is read
+    ws = Workspace(RunConfig(*CFG1, seed=SEED, out_dir=tmp_path))
+    ws._stages = {key: stage for key, stage in cfg1_ws._stages.items()
+                  if key[0] != "rho_outside"}
+    counts = count_calls(monkeypatch, ["delta_n"])
+    first = verify.check_pencil_recovery(ws)
+    assert verify.check_pencil_recovery(ws) == first
+    assert first["rho"]["outside_hypothesis"]["count"] == counts["delta_n"] == 196
 
 
 @pytest.mark.parametrize("params, sha256", [

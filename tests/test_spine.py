@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -280,17 +281,19 @@ def test_space_export_is_canonical_and_deterministic(cfg1_space):
 
 # sha256 of the space JSON, the plane table and the pencil table: the
 # enumeration order fixes every id, so any change of order or content shows
-# here.  A plane lists its closure points, and its pencils their vertices, in
-# order of first sight over the plane's lines (ascending ids).
+# here.  A line lists its closure points in the order of its lift (u, v) of B
+# modulo H (H + v, then H + (u + t v) for t = 0, ..., q-1), and a plane its
+# closure points, and its pencils their vertices, in order of first sight over
+# the plane's lines (ascending ids).
 PINNED_TABLES = {
-    (2, 5, 2, 1, 3): "df2decff552414f79af635603ee0e6c7dfeff0270baabd110383cec1aa56498c",
-    (3, 4, 2, 1, 3): "b575f7421f7c089920d52c0b5dd589c60ee77b6462f84f4e25ece116bace906c",
-    (3, 5, 2, 1, 2): "e1e1c19b5fea2543e9a13bf04f426b4919586a83642a3a992fe8e540d7fa66a0",
+    (2, 5, 2, 1, 3): "b959504b7eb4f87a06c726ab995a5a98616f034c1cced659dabfc7917acba277",
+    (3, 4, 2, 1, 3): "fd9f65fb3dba207c9f2dc9e70aadcab1c47620d0a78cbe18525115e062a22001",
+    (3, 5, 2, 1, 2): "48074738dddd08a0d04535400f7d41fa4d05f448ec428c69b0c4c32851a32dd6",
     # these two carry the void-class messages the m = 1 configs never show:
     # m = 0 leaves no omega star (m-1 = -1) and no alpha top generator
-    (2, 5, 2, 0, 3): "0fe3b403a124e86b8ff1788821228b70f623eba98c3b17bf60068035372a83cf",
+    (2, 5, 2, 0, 3): "00108db878e1edcf619ef1ce7d1a9a3c29afbcdd33fe25f4c033cac0cca237ca",
     # m = k = 2: no alpha star generator
-    (2, 6, 2, 2, 4): "54761a1de4b8f44dd16f0e8552116436c9453a6cdba670b1e9b3e39e2d1a1154",
+    (2, 6, 2, 2, 4): "9dadd8d447b7ffb47e5b58ee89667054b6c50ed6ef3981640cd989d7cdd9555e",
 }
 
 
@@ -347,7 +350,8 @@ PER_LINE_CONFIGS = [
 def test_shared_spans_and_closure_points_match_the_per_line_path(params, w_side):
     # the build canonicalises each span B and each closure point once; here
     # every closure is listed again by `enumerate_between` and every subspace
-    # looked up by its own key, as the build did per line before
+    # looked up by its own key, as the build did per line before; the build
+    # lists a closure in its lift's order, so the lists are compared sorted
     space = build_spine(_params(params, w_side))
     k, w = space.params.k, space.params.w
     full, zero = full_subspace(space.params.space), zero_subspace(space.params.space)
@@ -357,7 +361,7 @@ def test_shared_spans_and_closure_points_match_the_per_line_path(params, w_side)
 
     assert space.lines
     for ln in space.lines:
-        assert ln.closure_gids == gids(ln.h, ln.b)
+        assert sorted(ln.closure_gids) == sorted(gids(ln.h, ln.b))
         if ln.kind == LINE_AFFINE:
             assert space.grass[ln.improper_gid] == subspace_sum(ln.h, intersect(ln.b, w))
     bounds = {
@@ -441,6 +445,29 @@ def test_the_build_lists_each_pencil_base_from_one_interval(monkeypatch, params)
                    for ln in space.lines if ln.kind == LINE_AFFINE}
     assert built["Interval"] == len(bases) + 3 < len(space.lines)
     assert built["subspace_sum"] == len(affine_sums)
+
+
+@pytest.mark.parametrize("params, extends", [((2, 6, 2, 1, 3), 1515), ((3, 5, 2, 1, 2), 2812)])
+def test_the_build_reads_each_line_off_its_lift(monkeypatch, params, extends):
+    # a line's closure points are H plus each nonzero combination of its lift
+    # (u, v), so the build eliminates nothing per line: its only echelon
+    # extensions are those of its intervals' complements and of their meets
+    # with W
+    lanes = gf._lanes(*params[:2])
+    original, callers = lanes.extend, Counter()
+
+    def counted(echelon, v):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension: its function
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return original(echelon, v)
+
+    monkeypatch.setattr(lanes, "extend", counted)
+    build_spine(standard_params(*params))
+    monkeypatch.undo()
+    assert set(callers) == {"__init__", "lifts_with_meet_dims"}
+    assert sum(callers.values()) == extends
 
 
 @pytest.mark.parametrize("params", [(2, 6, 2, 1, 3), (3, 5, 2, 1, 2)])

@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .relations import RHO, LineRelationGraph, bits_of
 from .spine import LINE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED, SpineSpace
@@ -83,32 +84,38 @@ def delta_n(ids, graph: LineRelationGraph) -> bool:
 class LineSetFamily:
     """Line sets (cliques or pencils) of one relation graph, sorted by ids.
 
-    `members[i]` holds the sorted line ids of set i; `by_line[l]` lists the
-    indexes of the sets containing line l, ascending (readers intersect it
-    through a temporary set: a stored set per line takes about four times
-    the memory of the list).  A clique family also has `certificates[i]`,
-    one triple whose span is exactly clique i (None for a maximal clique
-    that no triple spans); and, on a proper-pencil graph, `exchange[i]`, the
-    `podmianka` flag of clique i.  No family keeps masks: a clique has a
-    few lines, a pencil q + 1, and a mask as wide as the universe would cost
-    hundreds of bytes for each; readers build `graph.mask_of(members[i])`
-    when they need one.
+    `members[i]` holds the sorted line ids of set i, over `count` lines.
+    `by_line[l]` lists the indexes of the sets containing line l, ascending;
+    it is built on first read and kept (readers intersect it through a
+    temporary set: a stored set per line takes about four times the memory
+    of the list).  Clique families are read by line; the pipeline never
+    reads a pencil family that way, so it never builds that index.  A clique
+    family also has `certificates[i]`, one triple whose span is exactly
+    clique i (None for a maximal clique that no triple spans); and, on a
+    proper-pencil graph, `exchange[i]`, the `podmianka` flag of clique i.
+    No family keeps masks: a clique has a few lines, a pencil q + 1, and a
+    mask as wide as the universe would cost hundreds of bytes for each;
+    readers build `graph.mask_of(members[i])` when they need one.
     """
 
     members: list[tuple[int, ...]]
-    by_line: list[list[int]]
+    count: int
     certificates: list[tuple[int, int, int] | None] | None = None
     exchange: list[bool] | None = None
+
+    @cached_property
+    def by_line(self) -> list[list[int]]:
+        by_line: list[list[int]] = [[] for _ in range(self.count)]
+        for idx, mem in enumerate(self.members):
+            for l in mem:
+                by_line[l].append(idx)
+        return by_line
 
 
 def line_set_family(members, count: int) -> LineSetFamily:
     """The line sets `members` (sorted tuples, in sorted order) over `count`
-    lines, indexed by line."""
-    by_line: list[list[int]] = [[] for _ in range(count)]
-    for idx, mem in enumerate(members):
-        for l in mem:
-            by_line[l].append(idx)
-    return LineSetFamily(members, by_line)
+    lines."""
+    return LineSetFamily(members, count)
 
 
 def family_K(graph: LineRelationGraph) -> LineSetFamily:

@@ -288,16 +288,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff b is a subspace of a."""
-    return dim_sum(a, b) == a.dim
-
-
-def dim_sum(a: Subspace, b: Subspace) -> int:
     _check_same_space(a, b)
-    return _rank(a.rows + b.rows, a.space.q, a.space.n)
-
-
-def dim_intersect(a: Subspace, b: Subspace) -> int:
-    return a.dim + b.dim - dim_sum(a, b)
+    return _rank(a.rows + b.rows, a.space.q, a.space.n) == a.dim
 
 
 @lru_cache(maxsize=None)

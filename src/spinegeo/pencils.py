@@ -218,7 +218,11 @@ def clique_dimension(members, pencils_inside) -> int:
 
 @dataclass
 class LineGeometry:
-    """Everything the abstract pipeline derives from one relation graph."""
+    """Everything the abstract pipeline derives from one relation graph.
+
+    A pencil index is one int object wherever it occurs: in
+    `pencils_in_clique`, `parallel_pencils` and `proper_pencils`.
+    """
 
     graph: LineRelationGraph
     cliques: LineSetFamily               # with exchange flags on rho graphs
@@ -268,24 +272,21 @@ def detect_parallel(pencils: LineSetFamily, graph: LineRelationGraph,
             flag = any(cov != full for cov in covered)
         affine_plane[ci] = flag
 
-    pencil_on_plane = [False] * n_pencils
+    # the pencils and lines on an affine plane
     pencil_on_affine = [False] * n_pencils
+    line_on_affine = [False] * graph.count
+    for ci in plane_cliques:
+        if affine_plane[ci]:
+            for pi_idx in pencils_in_clique[ci]:
+                pencil_on_affine[pi_idx] = True
+                for l in pencils.members[pi_idx]:
+                    line_on_affine[l] = True
+
+    # a pencil on planes, none of them affine, whose lines all lie on affine planes
     for ci in plane_cliques:
         for pi_idx in pencils_in_clique[ci]:
-            pencil_on_plane[pi_idx] = True
-            if affine_plane[ci]:
-                pencil_on_affine[pi_idx] = True
-
-    line_on_affine = [False] * graph.count
-    for pi_idx in range(n_pencils):
-        if pencil_on_affine[pi_idx]:
-            for l in pencils.members[pi_idx]:
-                line_on_affine[l] = True
-
-    for pi_idx in range(n_pencils):
-        if pi_idx in parallel:
-            continue
-        if pencil_on_plane[pi_idx] and not pencil_on_affine[pi_idx]:
+            if pi_idx in parallel or pencil_on_affine[pi_idx]:
+                continue
             if all(line_on_affine[l] for l in pencils.members[pi_idx]):
                 parallel.add(pi_idx)
     return parallel
@@ -300,13 +301,19 @@ def derive_line_geometry(graph: LineRelationGraph, cliques: LineSetFamily) -> Li
     `detect_parallel` for a coplanarity graph); cliques carrying a surviving
     pencil get an abstract dimension; those of dimension at least three form
     the semibundle family handed to bundle reconstruction.
+
+    The pencils are numbered once, so every list of pencil indexes holds the
+    same int object for each (`enumerate` and `range` would each make their
+    own object for every index above 256).
     """
     pencils = family_P(graph, cliques)
+
+    indexes = list(range(len(pencils.members)))
 
     # the cliques holding a pencil are those through each of its lines
     at_line = cliques.by_line
     pencils_in_clique: list[list[int]] = [[] for _ in cliques.members]
-    for pi_idx, mem in enumerate(pencils.members):
+    for pi_idx, mem in zip(indexes, pencils.members):
         for ci in set(at_line[mem[0]]).intersection(*(at_line[l] for l in mem[1:])):
             pencils_in_clique[ci].append(pi_idx)
 
@@ -319,7 +326,7 @@ def derive_line_geometry(graph: LineRelationGraph, cliques: LineSetFamily) -> Li
         parallel = detect_parallel(pencils, graph, cliques, pencils_in_clique, clique_dims)
     else:
         parallel = set()
-    proper = [i for i in range(len(pencils.members)) if i not in parallel]
+    proper = [i for i in indexes if i not in parallel]
     bundle_cliques = [
         ci for ci, d in enumerate(clique_dims)
         if d is not None and d >= 3 and any(p not in parallel for p in pencils_in_clique[ci])

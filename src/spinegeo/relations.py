@@ -33,17 +33,19 @@ class LineRelationGraph:
     line i relates to line j.  Bitmasks make neighbourhood intersections and
     clique tests single integer operations.
 
-    `ids[l]` is the one int object for line id l, built once per graph.
-    `members_of(mask)`, the inverse of `mask_of`, draws a line set's member
-    tuple from it, so a line held by many kept tuples is stored once: every
-    int above 256 is otherwise a separate 32-byte object per tuple.
+    `ids[l]` is the one int object for line id l, built once per graph and
+    shared with the graph's strip (`strip` passes it on, and draws its
+    permutation from it).  `members_of(mask)`, the inverse of `mask_of`,
+    draws a line set's member tuple from it, so a line held by many kept
+    tuples is stored once: every int above 256 is otherwise a separate
+    32-byte object per tuple.
     """
 
-    def __init__(self, delta_kind: str, rows: list[int]):
+    def __init__(self, delta_kind: str, rows: list[int], ids: tuple[int, ...] | None = None):
         self.delta_kind = delta_kind
         self.rows = rows
         self.count = len(rows)
-        self.ids = tuple(range(self.count))
+        self.ids = tuple(range(self.count)) if ids is None else ids
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -164,22 +166,27 @@ class StripResult:
     def inverse(self) -> tuple[int, ...]:
         """Stripped line id -> original line id."""
         inv = [0] * len(self.perm)
-        for orig, stripped in enumerate(self.perm):
+        for orig, stripped in zip(self.graph.ids, self.perm):
             inv[stripped] = orig
         return tuple(inv)
 
 
 def strip(graph: LineRelationGraph, seed: int) -> StripResult:
+    """`graph` with its line ids shuffled by a permutation seeded by `seed`.
+
+    The stripped graph shares `graph.ids`, and `perm` and `inverse` hold
+    those same objects, so a strip adds no int object per line id.
+    """
     n = graph.count
     rng = random.Random(seed)
-    perm = list(range(n))
+    perm = list(graph.ids)
     # Fisher-Yates with an explicit loop, so the permutation depends only on
     # the seed and n.
     for i in range(n - 1, 0, -1):
         j = rng.randrange(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     rows = permute_rows(graph.rows, perm)
-    return StripResult(LineRelationGraph(graph.delta_kind, rows), tuple(perm))
+    return StripResult(LineRelationGraph(graph.delta_kind, rows, graph.ids), tuple(perm))
 
 
 # -- serialisation ----------------------------------------------------------

@@ -23,9 +23,11 @@ import spinegeo.gf
 import spinegeo.pencils
 import spinegeo.relations
 from spinegeo import verify
-from spinegeo.gf import dim_intersect, enumerate_between, enumerate_subspaces, full_subspace
+from spinegeo.gf import enumerate_between, enumerate_subspaces, full_subspace
 from spinegeo.harness import RunConfig, Workspace
 from spinegeo.spine import build_spine, standard_params
+
+from oracles import dim_intersect
 
 CFG1 = (2, 6, 2, 1, 3)
 CFG3 = (2, 6, 3, 0, 1)

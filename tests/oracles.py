@@ -6,6 +6,8 @@ in its most literal form, so a test can hold the fast code to it:
 - `enumerate_rref` lists the k x n RREF matrices directly; it fixes the
   order of `gf.enumerate_subspaces` and of `gf.Interval.lifts`, and with it
   every point, line and plane id.
+- `dim_sum` and `dim_intersect` are the dimensions of the join and the meet
+  of two subspaces, from the rank of their stacked bases alone.
 - `span_clique` is the span of one positive triple.
 - `family_from_members` packages an outside clique list (the Bron-Kerbosch
   oracle's) as a family, checking each clique and searching its certificate.
@@ -31,7 +33,7 @@ from spinegeo.cliques import (
     line_set_family,
     podmianka,
 )
-from spinegeo.gf import _rank
+from spinegeo.gf import Subspace, _check_same_space, _rank
 from spinegeo.pencils import p_pi, p_rho
 from spinegeo.relations import PI, RHO, LineRelationGraph, bits_of
 
@@ -65,6 +67,17 @@ def enumerate_rref(q: int, n: int, k: int):
             for (i, j), v in zip(free, values):
                 mat[i][j] = v
             yield tuple(tuple(row) for row in mat)
+
+
+def dim_sum(a: Subspace, b: Subspace) -> int:
+    """dim(a + b): the rank of the two bases stacked."""
+    _check_same_space(a, b)
+    return _rank(a.rows + b.rows, a.space.q, a.space.n)
+
+
+def dim_intersect(a: Subspace, b: Subspace) -> int:
+    """dim(a & b), by the dimension formula."""
+    return a.dim + b.dim - dim_sum(a, b)
 
 
 def span_clique(l1: int, l2: int, l3: int, graph: LineRelationGraph) -> frozenset[int]:

@@ -141,8 +141,8 @@ def test_constructive_mode_reports_a_non_clique_and_a_non_maximal_clique(
     assert not report["ok"]
 
 
-# Criterion 3 computes cfg3's stripped and geometry stages, and criterion 4
-# reads them.
+# Criterion 3 computes cfg3's stripped and spanned stages, and criterion 4
+# reads them and computes the geometry stage from them.
 
 @pytest.fixture(scope="module")
 def cfg3_calls():
@@ -176,8 +176,8 @@ def test_criterion_3_ternary_pencils(cfg3_ws, cfg3_space, cfg3_rho, cfg3_calls):
 
 def test_criterion_4_pencil_space_definability(cfg3_ws, cfg3_space, cfg3_rho, cfg3_calls):
     report = verify.check_pencil_recovery(cfg3_ws)
-    # one spanned family per relation: criterion 3 computed the geometry
-    # that criterion 4 reads
+    # one spanned family per relation: criterion 3 computed the spanned
+    # cliques that criterion 4's geometry reads
     assert cfg3_calls == {"family_K": 2, "strip": 2}
     rho = report["rho"]
     ok = _line(

@@ -13,8 +13,6 @@ from spinegeo.gf import (
     _rref_rows,
     apply_matrix,
     contains,
-    dim_intersect,
-    dim_sum,
     enumerate_between,
     enumerate_subspaces,
     full_subspace,
@@ -28,7 +26,7 @@ from spinegeo.gf import (
     zero_subspace,
 )
 
-from oracles import enumerate_rref
+from oracles import dim_intersect, dim_sum, enumerate_rref
 
 GF2_3 = FieldSpec(2, 3)
 GF2_4 = FieldSpec(2, 4)

@@ -486,3 +486,27 @@ def test_pipeline_is_strip_invariant(cfg1_pi):
         frozenset(plain.cliques.members[ci]) for ci in plain.bundle_cliques
     }
     assert back == plain_sets
+
+
+def test_pipeline_keeps_one_object_per_line_id_and_pencil_index(cfg1_pi):
+    # the memory the pipeline holds: no per-line index of the pencils until
+    # something reads it, one int object per pencil index, and a strip that
+    # draws on its source graph's line-id objects
+    sr = strip(cfg1_pi, 11)
+    geometry = derive_line_geometry(sr.graph, family_K(sr.graph))
+    pencils = geometry.pencils
+    assert len(pencils.members) > 257  # ints up to 256 are shared by CPython anyway
+    assert "by_line" not in vars(pencils)
+    want = [[] for _ in range(sr.graph.count)]
+    for idx, mem in enumerate(pencils.members):
+        for l in mem:
+            want[l].append(idx)
+    assert pencils.by_line == want
+    first: dict[int, int] = {}
+    for idx in itertools.chain(*geometry.pencils_in_clique, geometry.proper_pencils,
+                               geometry.parallel_pencils):
+        assert first.setdefault(idx, idx) is idx
+    ids = cfg1_pi.ids
+    assert sr.graph.ids is ids
+    assert all(l is ids[l] for l in sr.perm)
+    assert all(l is ids[l] for l in sr.inverse)

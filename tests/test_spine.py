@@ -7,10 +7,11 @@ from collections import Counter
 import pytest
 
 from conftest import ambient_pencil_lines, count_calls
+from oracles import dim_intersect
 from spinegeo import gf
-from spinegeo.gf import (FieldSpec, dim_intersect, enumerate_between, enumerate_subspaces,
-                         full_subspace, intersect, rref, standard_tail_subspace, subspace_key,
-                         subspace_sum, zero_subspace)
+from spinegeo.gf import (FieldSpec, enumerate_between, enumerate_subspaces, full_subspace,
+                         intersect, rref, standard_tail_subspace, subspace_key, subspace_sum,
+                         zero_subspace)
 from spinegeo.spine import (
     LINE_AFFINE,
     LINE_ALPHA,

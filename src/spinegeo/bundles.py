@@ -226,7 +226,7 @@ def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
     report["checks"]["collinearity"] = collinear_bad == 0
     report["collinearity_mismatches"] = collinear_bad
     report["collinearity_witness"] = collinear_witness
-    report["ok"] = all(bool(v) for v in report["checks"].values() if v is not None)
+    report["ok"] = all(report["checks"].values())
     return report
 
 

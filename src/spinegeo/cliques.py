@@ -112,12 +112,6 @@ class LineSetFamily:
         return by_line
 
 
-def line_set_family(members, count: int) -> LineSetFamily:
-    """The line sets `members` (sorted tuples, in sorted order) over `count`
-    lines."""
-    return LineSetFamily(members, count)
-
-
 def family_K(graph: LineRelationGraph) -> LineSetFamily:
     """All cliques spanned by positive triples, found by edge iteration.
 
@@ -168,7 +162,7 @@ def family_K(graph: LineRelationGraph) -> LineSetFamily:
                         at_line[l].append(mem)
                     if l > j:
                         covers[l] = covers.get(l, 0) | mask
-    family = line_set_family(sorted(found), n)
+    family = LineSetFamily(sorted(found), n)
     family.certificates = [found[mem] for mem in family.members]
     if graph.delta_kind == RHO:
         family.exchange = [podmianka(mem, graph) for mem in family.members]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cliques import LineSetFamily, _mask_is_clique, line_set_family
+from .cliques import LineSetFamily, _mask_is_clique
 from .relations import PI, RHO, LineRelationGraph, bits_of
 
 
@@ -168,7 +168,7 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
             for l in members:
                 if l > i:
                     pencils_at[l].append(members)
-    return line_set_family(sorted(found), n)
+    return LineSetFamily(sorted(found), n)
 
 
 def _local_masks(members, line_sets) -> list[int]:

@@ -1,13 +1,16 @@
 """Binary line relations: coplanarity and the common-pencil relation.
 
-Two distinct lines are coplanar iff some plane of the spine space contains
-both; they are in a common line pencil iff additionally the closures meet
-at a proper point.  Distinct pencils of the ambient space share at most
-one member, so both relations reduce to a closure-point test: the lines
-must share their pencil base H or their pencil span B, and their closures
-must intersect (in the proper case, at a proper point).  Both are read off
-the lines through each closure point (proper point, for rho): the lines
-there that share H, and those that share B, are pairwise related.
+Two distinct lines are coplanar iff they lie in one semibundle L_U(X): the
+lines of one strong subspace U through one point X of U's closure.  They
+are in a common line pencil iff in addition X is proper.  Both relations
+are read off the space's semibundle table, which each relation builds once.
+
+No pair is lost: coplanar lines share their pencil base H or span B and
+their closures meet, so both lie in the star of H or the top of B wherever
+that class is listed.  A class void by dimension gives each of its pencil
+bases (or spans) one line, and one void by meet gives none.  Two lines fix
+their strong subspace and common point, so distinct semibundles share at
+most one line.
 
 The abstract side of the package consumes only `LineRelationGraph`: line
 ids plus a symmetric irreflexive adjacency, with no geometry attached.
@@ -122,31 +125,27 @@ def permute_rows(rows: list[int], perm) -> list[int]:
 
 
 def _relation_rows(space: SpineSpace, proper_only: bool) -> list[int]:
-    lines = space.lines
-    rows = [0] * len(lines)
-    for g, lids in space.lines_through.items():
+    rows = [0] * len(space.lines)
+    for (_, g), lids in space.semibundles(min_p_dim=2).items():
         if proper_only and g not in space.pid_of_gid:
             continue
-        by_h: dict[tuple, int] = {}
-        by_b: dict[tuple, int] = {}
+        mask = 0
         for lid in lids:
-            by_h[lines[lid].h.rows] = by_h.get(lines[lid].h.rows, 0) | 1 << lid
-            by_b[lines[lid].b.rows] = by_b.get(lines[lid].b.rows, 0) | 1 << lid
-        for mask in (*by_h.values(), *by_b.values()):
-            for lid in bits_of(mask):
-                others = mask ^ 1 << lid
-                assert not rows[lid] & others, "distinct pencils share at most one member"
-                rows[lid] |= others
+            mask |= 1 << lid
+        for lid in lids:
+            others = mask ^ 1 << lid
+            assert not rows[lid] & others, "distinct semibundles share at most one line"
+            rows[lid] |= others
     return rows
 
 
 def compute_pi(space: SpineSpace) -> LineRelationGraph:
-    """Coplanarity: same pencil base or span, closures meeting (anywhere)."""
+    """Coplanarity: both lines in one semibundle, at any vertex."""
     return LineRelationGraph(PI, _relation_rows(space, proper_only=False))
 
 
 def compute_rho(space: SpineSpace) -> LineRelationGraph:
-    """Common line pencil: coplanar with the closures meeting at a proper point."""
+    """Common line pencil: both lines in one semibundle at a proper vertex."""
     return LineRelationGraph(RHO, _relation_rows(space, proper_only=True))
 
 

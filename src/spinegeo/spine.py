@@ -436,11 +436,9 @@ class SpineSpace:
             ]
         return self._pencils
 
-    def proper_pencil_sets(self) -> set[frozenset[int]]:
-        return {p.line_ids for p in self.pencils() if p.proper}
-
     def semibundles(self, min_p_dim: int = 3) -> dict[tuple[int, int], frozenset[int]]:
-        """Line sets L_U(X) keyed by (strong id, vertex gid), X at least min_p_dim."""
+        """Line sets L_U(X) of two or more lines keyed by (strong id, vertex
+        gid), U at least min_p_dim-dimensional (2 takes every listed U)."""
         table = {}
         for st in self.strongs:
             if st.p_dim < min_p_dim:
@@ -453,9 +451,10 @@ class SpineSpace:
         return table
 
     def semibundle_at(self, lines) -> tuple[int, int] | None:
-        """The (strong id, vertex gid) of the L_U(X) equal to `lines`, X at
-        least 2-dimensional, or None.  `lines` is a set of line ids (or a
-        sequence without repeats, in any order).
+        """The (strong id, vertex gid) of the L_U(X) equal to `lines`, U any
+        listed strong subspace (each at least 2-dimensional), or None.
+        `lines` is a set of line ids (or a sequence without repeats, in any
+        order).
 
         Any two of the lines fix the only candidate key.  Distinct pencils
         share at most one member, so the lines' closures meet in at most one
@@ -528,6 +527,10 @@ class SpineSpace:
         share their pencil base H or their pencil span B, and a same-base
         family contains a non-coplanar triple iff it does not fit in a single
         plane; in that case the common star (resp. top) must exist.
+
+        The lines through each closure point are grouped by H and by B here,
+        not read off `semibundles()`: this independently checks the strong
+        subspace listing that both line relations are read off.
         """
         k = self.params.k
         q, n = self.params.space.q, self.params.space.n

@@ -276,7 +276,7 @@ def check_pencil_recovery(ws: Workspace) -> dict:
     passes only if each of them spans (the stated cause).
     """
     gates, space = ws.gates(), ws.space()
-    geo_proper = space.proper_pencil_sets()
+    geo_proper = {p.line_ids for p in space.pencils() if p.proper}
     report: dict = {"applicable": True, "gate": gates.pencil_gate}
     for name in ws.cfg.deltas():
         outside, excluded = ws.rho_outside() if name == RHO else (set(), None)

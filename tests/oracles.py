@@ -30,7 +30,6 @@ from spinegeo.cliques import (
     _mask_is_clique,
     delta_n,
     is_maximal_clique,
-    line_set_family,
     podmianka,
 )
 from spinegeo.gf import Subspace, _check_same_space, _rank
@@ -112,7 +111,7 @@ def family_from_members(graph: LineRelationGraph, members) -> LineSetFamily:
                 return tri
         return None
 
-    family = line_set_family(sorted(set(members)), graph.count)
+    family = LineSetFamily(sorted(set(members)), graph.count)
     family.certificates = [certify(mem) for mem in family.members]
     if graph.delta_kind == RHO:
         family.exchange = [podmianka(mem, graph) for mem in family.members]

@@ -80,11 +80,25 @@ def oracle_space(params, w_side):
 
 
 # cex, the GF(3) twin, four more shapes over GF(2), GF(3) and GF(5), and two with W
-# on the first coordinates; built once per session, all seven in under a second
+# on the first coordinates; then every other valid config with q = 2 and n <= 5 or
+# with q = 3 and n = 4, which take in each star and top class void by dimension and
+# by meet; built once per session, all 47 in about a second
 ORACLE_SPACES = pytest.mark.parametrize("params, w_side", [
     ((3, 5, 2, 1, 2), "tail"), ((3, 4, 2, 1, 3), "tail"), ((2, 5, 2, 0, 3), "tail"),
     ((5, 4, 2, 1, 2), "tail"), ((2, 6, 2, 2, 4), "tail"),
     ((2, 5, 2, 1, 3), "head"), ((3, 4, 2, 0, 2), "head"),
+    *[(cfg, "tail") for cfg in [
+        (2, 4, 2, 0, 0), (2, 4, 2, 0, 1), (2, 4, 2, 1, 1), (2, 4, 2, 0, 2), (2, 4, 2, 1, 2),
+        (2, 4, 2, 2, 2), (2, 4, 2, 1, 3), (2, 4, 2, 2, 3), (2, 4, 2, 2, 4),
+        (2, 5, 2, 0, 0), (2, 5, 2, 0, 1), (2, 5, 2, 1, 1), (2, 5, 2, 0, 2), (2, 5, 2, 1, 2),
+        (2, 5, 2, 2, 2), (2, 5, 2, 1, 3), (2, 5, 2, 2, 3), (2, 5, 2, 1, 4), (2, 5, 2, 2, 4),
+        (2, 5, 2, 2, 5),
+        (2, 5, 3, 0, 0), (2, 5, 3, 0, 1), (2, 5, 3, 1, 1), (2, 5, 3, 0, 2), (2, 5, 3, 1, 2),
+        (2, 5, 3, 2, 2), (2, 5, 3, 1, 3), (2, 5, 3, 2, 3), (2, 5, 3, 3, 3), (2, 5, 3, 2, 4),
+        (2, 5, 3, 3, 4), (2, 5, 3, 3, 5),
+        (3, 4, 2, 0, 0), (3, 4, 2, 0, 1), (3, 4, 2, 1, 1), (3, 4, 2, 0, 2), (3, 4, 2, 1, 2),
+        (3, 4, 2, 2, 2), (3, 4, 2, 2, 3), (3, 4, 2, 2, 4),
+    ]],
 ])
 
 

@@ -24,7 +24,6 @@ call and drop them on return; a tuple a family keeps comes from
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -174,14 +173,19 @@ BK_MAX_LINES = 5000  # the largest line universe handed to the Bron-Kerbosch ora
 
 def bron_kerbosch(graph: LineRelationGraph) -> list[tuple[int, ...]]:
     """All maximal cliques as sorted tuples of line ids, in sorted order, by
-    pivoting Bron-Kerbosch.
+    one pivoting Bron-Kerbosch recursion over all lines at once.
 
-    Runs over a degeneracy ordering at the outer level.  Raises above
-    `BK_MAX_LINES` lines, against accidental use on large universes.
+    Each call branches on the candidates outside the neighbourhood of a
+    pivot of most candidate neighbours (Tomita, Tanaka and Takahashi 2006).
+    A graph without lines has no cliques: the empty set is not reported.
+    Raises above `BK_MAX_LINES` lines, against accidental use on large
+    universes.
     """
     n = graph.count
     if n > BK_MAX_LINES:
         raise ValueError(f"{n} lines exceeds the Bron-Kerbosch cap of {BK_MAX_LINES}")
+    if not n:
+        return []
     rows = graph.rows
     out: list[int] = []
 
@@ -201,46 +205,8 @@ def bron_kerbosch(graph: LineRelationGraph) -> list[tuple[int, ...]]:
             p_mask ^= low
             x_mask |= low
 
-    order = _degeneracy_order(graph)
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = 0
-        earlier = 0
-        for u in bits_of(rows[v]):
-            if pos[u] > pos[v]:
-                later |= 1 << u
-            else:
-                earlier |= 1 << u
-        expand(1 << v, later, earlier)
+    expand(0, (1 << n) - 1, 0)
     return sorted(graph.members_of(m) for m in out)
-
-
-def _degeneracy_order(graph: LineRelationGraph) -> list[int]:
-    """The lines in the order of repeatedly removing one of least remaining
-    degree, the smallest id among ties.
-
-    A heap of (degree, id) entries with lazy deletion: each decrement pushes
-    the line's new entry, and a popped entry is stale when its line is gone
-    or its degree is no longer current (degrees only fall, so a stale entry
-    sorts after the current one).
-    """
-    rows = graph.rows
-    degs = [graph.degree(v) for v in range(graph.count)]
-    heap = [(d, v) for v, d in enumerate(degs)]
-    heapq.heapify(heap)
-    removed = [False] * graph.count
-    order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != degs[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for u in bits_of(rows[v]):
-            if not removed[u]:
-                degs[u] -= 1
-                heapq.heappush(heap, (degs[u], u))
-    return order
 
 
 def podmianka(members: tuple[int, ...], graph: LineRelationGraph) -> bool:

@@ -240,7 +240,7 @@ def _gates_payload(gates: GateReport) -> dict:
 
 
 def command(name: str):
-    """Turn `body(ws, payload, ...) -> exit code` into the command `name`.
+    """Turn `body(ws, payload) -> exit code` into the command `name`.
 
     The command validates the parameters first.  When they are invalid it
     reports the problems and returns exit code 2 without running the body;
@@ -249,7 +249,7 @@ def command(name: str):
     """
     def wrap(body):
         @functools.wraps(body)
-        def run(cfg: RunConfig, **kwargs) -> tuple[dict, int]:
+        def run(cfg: RunConfig) -> tuple[dict, int]:
             ws = Workspace(cfg)
             payload: dict = {"config": dict(cfg.space_key(), delta=cfg.delta, seed=cfg.seed)}
             try:
@@ -258,7 +258,7 @@ def command(name: str):
             except ValueError as exc:
                 gates = GateReport(False, False, False, [str(exc)])
             if gates.basic:
-                code = body(ws, payload, **kwargs)
+                code = body(ws, payload)
             else:
                 payload["gates"] = _gates_payload(gates)
                 payload["error"] = "; ".join(gates.problems)
@@ -367,7 +367,7 @@ def reconstruction_claim(space: SpineSpace, case: ExcludedCase) -> str:
 
 
 @command("verify-all")
-def cmd_verify_all(ws: Workspace, payload: dict, echo=print) -> int:
+def cmd_verify_all(ws: Workspace, payload: dict) -> int:
     """Run every applicable structural check and summarise one line each."""
     cfg = ws.cfg
     checks = [
@@ -389,19 +389,19 @@ def cmd_verify_all(ws: Workspace, payload: dict, echo=print) -> int:
                  functools.partial(verify.check_reconstruction, kind=kind)),
             ]
     else:
-        checks.append(("reconstruction", None))  # gated out: echoed, not reported
+        checks.append(("reconstruction", None))  # gated out: printed, not reported
     checks.append(("counterexample", verify.check_counterexample))
 
     payload["checks"] = {}
     for name, check in checks:
         if check is None:
-            echo(f"  {name}: skipped ({'; '.join(gates.notes)})")
+            print(f"  {name}: skipped ({'; '.join(gates.notes)})")
             continue
         payload["checks"][name] = report = check(ws)
         if not report.get("applicable", True):
-            echo(f"  {name}: skipped ({report.get('note', 'not applicable')})")
+            print(f"  {name}: skipped ({report.get('note', 'not applicable')})")
         else:
-            echo(f"  {name}: {'pass' if report['ok'] else 'FAIL'}")
+            print(f"  {name}: {'pass' if report['ok'] else 'FAIL'}")
     space = ws.space()
     case = classify_case(space.params)
     payload["case"] = {"tag": case.tag,
@@ -411,5 +411,5 @@ def cmd_verify_all(ws: Workspace, payload: dict, echo=print) -> int:
               if rep.get("applicable", True) and not rep["ok"]]
     payload["failed"] = failed
     payload["ok"] = not failed
-    echo(f"verify-all: {'all checks pass' if not failed else 'FAILED: ' + ', '.join(failed)}")
+    print(f"verify-all: {'all checks pass' if not failed else 'FAILED: ' + ', '.join(failed)}")
     return OK if not failed else CHECK_FAILED

@@ -53,9 +53,6 @@ class LineRelationGraph:
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
 
-    def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 

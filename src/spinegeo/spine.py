@@ -436,7 +436,7 @@ class SpineSpace:
             ]
         return self._pencils
 
-    def semibundles(self, min_p_dim: int = 3) -> dict[tuple[int, int], frozenset[int]]:
+    def semibundles(self, min_p_dim: int) -> dict[tuple[int, int], frozenset[int]]:
         """Line sets L_U(X) of two or more lines keyed by (strong id, vertex
         gid), U at least min_p_dim-dimensional (2 takes every listed U)."""
         table = {}

@@ -289,12 +289,13 @@ def test_criterion_8_foundations(cfg1_ws, cfg3_ws):
     assert ok
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, capsys):
     cfg_a = RunConfig(q=2, n=5, k=2, m=1, w=3, seed=SEED, out_dir=tmp_path / "a")
     cfg_b = RunConfig(q=2, n=5, k=2, m=1, w=3, seed=SEED, out_dir=tmp_path / "b")
-    quiet = lambda *_: None
-    payload_a, _ = cmd_verify_all(cfg_a, echo=quiet)
-    payload_b, _ = cmd_verify_all(cfg_b, echo=quiet)
+    payload_a, _ = cmd_verify_all(cfg_a)
+    echo_a = capsys.readouterr().out
+    payload_b, _ = cmd_verify_all(cfg_b)
+    assert capsys.readouterr().out == echo_a
     report_a = next(p for p in (tmp_path / "a").glob("verify-all-*.json")
                     if not p.name.endswith(".meta.json"))
     report_b = next(p for p in (tmp_path / "b").glob("verify-all-*.json")

@@ -64,12 +64,13 @@ def test_a_second_command_rewrites_byte_identical_relation_files(tmp_path):
     assert path.read_bytes() == before
 
 
-def test_no_command_reads_a_relation_file(tmp_path, monkeypatch):
+def test_no_command_reads_a_relation_file(tmp_path, monkeypatch, capsys):
     counts = count_calls(monkeypatch, ["graph_from_json", "compute_pi", "compute_rho"])
     c = cfg(tmp_path)
     assert cmd_relations(c)[1] == OK
     assert len(list((tmp_path / "cache").glob("relation-*.json"))) == 2
-    harness.cmd_verify_all(c, echo=lambda *_: None)
+    harness.cmd_verify_all(c)
+    assert capsys.readouterr().out.endswith("verify-all: all checks pass\n")
     assert counts == {"graph_from_json": 0, "compute_pi": 2, "compute_rho": 2}
 
 
@@ -197,14 +198,15 @@ def test_cli_exits_2_on_parameters_outside_the_field_or_space(tmp_path, capsys,
     assert json.loads(report.read_text())["error"] == message
 
 
-def test_verify_all_computes_each_stage_once_per_relation(tmp_path, monkeypatch):
+def test_verify_all_computes_each_stage_once_per_relation(tmp_path, monkeypatch, capsys):
     # cfg1 passes the bundle gate, so pencil recovery and the gluing check
     # both need the stripped geometry of each relation
     counts = count_calls(monkeypatch, ["strip", "derive_line_geometry",
                                        "geometric_families", "bron_kerbosch"])
     c = RunConfig(q=2, n=6, k=2, m=1, w=3, seed=11, out_dir=tmp_path)
-    payload, code = harness.cmd_verify_all(c, echo=lambda *_: None)
+    payload, code = harness.cmd_verify_all(c)
     assert code == OK
+    assert capsys.readouterr().out.endswith("verify-all: all checks pass\n")
     assert {"pencil_recovery", "upsilon_structure_pi", "upsilon_structure_rho"} <= set(
         payload["checks"])
     assert counts == {"strip": 2, "derive_line_geometry": 2,
@@ -248,6 +250,9 @@ def test_clique_families_artifact_bytes(tmp_path, params, sha256):
     # the verify_equivalence digests
     (["reconstruct", "--delta=pi", "--q=2", "--n=6", "--k=2", "--m=0", "--w=4"],
      {"reconstruct": "390cf9be5dc7b8000335f7d3fc368714eb7b9676909e936b91ef8f446d98429a"}),
+    # the single-point space: no lines, so no cliques for the oracle to report
+    (["verify-all", "--q=2", "--n=4", "--k=2", "--m=2", "--w=2"],
+     {"verify-all": "b7ce6285bec8e0fa857cf97a9c44860b5397bffc52b39ee16f8844419411445e"}),
 ])
 def test_report_bytes(tmp_path, argv, sha256):
     # every report and artifact the command writes, byte for byte (not the

@@ -13,8 +13,9 @@ universe-wide mask per clique, on random graphs and on the relations of
 cfg1, cex and the GF(3) twin (3,4,2,1,3).  Their kept member tuples hold
 the graph's shared `ids` objects.
 
-Bron-Kerbosch's degeneracy order, now taken from a heap, is compared with
-the earlier minimum-per-step loop on the same graphs.
+Bron-Kerbosch, the oracle of record for the clique families, is compared
+with a brute-force list of the maximal cliques over all vertex subsets on
+the same random graphs and on the graph without lines.
 """
 
 import itertools
@@ -22,7 +23,7 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinegeo.cliques import _degeneracy_order, _mask_is_clique, family_K, podmianka
+from spinegeo.cliques import _mask_is_clique, bron_kerbosch, family_K, podmianka
 from spinegeo.pencils import clique_dimension, derive_line_geometry, family_P, p_rho
 from spinegeo.relations import PI, RHO, LineRelationGraph, bits_of, compute_pi, compute_rho
 
@@ -334,35 +335,30 @@ def test_clique_families_match_mask_references_on_cex_and_twin(cex_pi, cex_rho, 
     assert compare_families(compute_rho(twin_space)) == 26442
 
 
-# ---------- the degeneracy order ---------------------------------------------
+# ---------- Bron-Kerbosch against every vertex subset ------------------------
 
 
-def reference_degeneracy_order(graph):
-    """The earlier loop: a minimum over the remaining lines at every step."""
-    remaining = set(range(graph.count))
-    degs = {v: graph.degree(v) for v in remaining}
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda u: (degs[u], u))
-        order.append(v)
-        remaining.remove(v)
-        for u in bits_of(graph.rows[v]):
-            if u in remaining:
-                degs[u] -= 1
-    return order
+def brute_force_maximal_cliques(graph):
+    """The nonempty vertex subsets that are cliques and lie in no larger
+    clique, as sorted tuples, in sorted order.  A subset is a clique when it
+    is empty, or when its top line relates to the rest and the rest is one."""
+    rows, n = graph.rows, graph.count
+    clique = [True] * (1 << n)
+    for mask in range(1, 1 << n):
+        top = mask.bit_length() - 1
+        rest = mask ^ 1 << top
+        clique[mask] = clique[rest] and rows[top] & rest == rest
+    return sorted(
+        tuple(v for v in range(n) if mask >> v & 1)
+        for mask in range(1, 1 << n)
+        if clique[mask] and not any(clique[mask | 1 << v] for v in range(n) if not mask >> v & 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_graphs())
-def test_degeneracy_order_matches_the_minimum_loop_on_random_graphs(graph):
-    assert _degeneracy_order(graph) == reference_degeneracy_order(graph)
-
-
-def test_degeneracy_order_matches_the_minimum_loop_on_pinned_configs(
-        cfg1_pi, cfg1_rho, cex_pi, cex_rho, twin_space):
-    for graph in (cfg1_pi, cfg1_rho, cex_pi, cex_rho,
-                  compute_pi(twin_space), compute_rho(twin_space)):
-        assert _degeneracy_order(graph) == reference_degeneracy_order(graph)
+@example(LineRelationGraph(PI, []))
+def test_bron_kerbosch_matches_brute_force_on_random_graphs(graph):
+    assert bron_kerbosch(graph) == brute_force_maximal_cliques(graph)
 
 
 # ---------- shared line ids --------------------------------------------------

@@ -62,7 +62,6 @@ class ReconstructedSpace:
     not glued to b; there are none iff `transitive`.
     """
 
-    line_count: int
     points: list[int]
     class_of: list[int]
     point_of_class: list[int]
@@ -144,7 +143,7 @@ def reconstruct(bundle_family, graph: LineRelationGraph) -> ReconstructedSpace:
     unions = [tuple(sorted({l for i in comp for l in bundle_family[i]})) for comp in classes]
     points = sorted(set(unions))
     index = {u: i for i, u in enumerate(points)}
-    return ReconstructedSpace(graph.count, [graph.mask_of(u) for u in points], class_of,
+    return ReconstructedSpace([graph.mask_of(u) for u in points], class_of,
                               [index[u] for u in unions], adj, not witnesses, witnesses)
 
 

@@ -8,16 +8,6 @@ from pathlib import Path
 
 from . import harness
 
-COMMANDS = {
-    "build": harness.cmd_build,
-    "relations": harness.cmd_relations,
-    "cliques": harness.cmd_cliques,
-    "pencils": harness.cmd_pencils,
-    "reconstruct": harness.cmd_reconstruct,
-    "counterexample": harness.cmd_counterexample,
-    "verify-all": harness.cmd_verify_all,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -26,7 +16,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and point reconstruction, with structural verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
+    for name, fn in harness.COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0] if fn.__doc__ else None)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON file with defaults; explicit flags win")
@@ -55,7 +45,7 @@ def main(argv=None) -> int:
     except (OSError, TypeError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return harness.CONFIG_ERROR
-    payload, code = COMMANDS[args.command](cfg)
+    payload, code = harness.COMMANDS[args.command](cfg)
     if args.command != "verify-all" or "error" in payload:
         interesting = {k: v for k, v in payload.items() if k not in ("config",)}
         for key, value in interesting.items():

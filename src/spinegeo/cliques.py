@@ -89,17 +89,16 @@ class LineSetFamily:
     temporary set: a stored set per line takes about four times the memory
     of the list).  Clique families are read by line; the pipeline never
     reads a pencil family that way, so it never builds that index.  A clique
-    family also has `certificates[i]`, one triple whose span is exactly
-    clique i (None for a maximal clique that no triple spans); and, on a
-    proper-pencil graph, `exchange[i]`, the `podmianka` flag of clique i.
-    No family keeps masks: a clique has a few lines, a pencil q + 1, and a
-    mask as wide as the universe would cost hundreds of bytes for each;
-    readers build `graph.mask_of(members[i])` when they need one.
+    family is `family_K`'s: spanned cliques only, each the span of some
+    triple.  On a proper-pencil graph it also has `exchange[i]`, the
+    `podmianka` flag of clique i.  No family keeps masks: a clique has a
+    few lines, a pencil q + 1, and a mask as wide as the universe would cost
+    hundreds of bytes for each; readers build `graph.mask_of(members[i])`
+    when they need one.
     """
 
     members: list[tuple[int, ...]]
     count: int
-    certificates: list[tuple[int, int, int] | None] | None = None
     exchange: list[bool] | None = None
 
     @cached_property
@@ -122,17 +121,16 @@ def family_K(graph: LineRelationGraph) -> LineSetFamily:
     A third line k that some already-found clique through i and j contains
     is skipped: the span of a positive triple is the only maximal clique
     containing it, so a covered triple either does not span or spans a
-    clique already found.  The first triple found for each clique is
-    therefore the same as without the skip, and so are the certificates.
-    On a proper-pencil graph each clique also gets its exchange flag.
+    clique already found.  On a proper-pencil graph each clique also gets
+    its exchange flag.
 
     Found cliques are kept as member tuples.  At line i one dict maps each
     later line j of the found cliques through i to the union, as a mask, of
     those holding j too; it lives while the scan is at line i.
     """
-    rows, ids = graph.rows, graph.ids
+    rows = graph.rows
     n = graph.count
-    found: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    found: set[tuple[int, ...]] = set()
     at_line: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # found cliques per line
     for i in range(n):
         ri = rows[i]
@@ -154,7 +152,7 @@ def family_K(graph: LineRelationGraph) -> LineSetFamily:
                     continue
                 mask = common | (1 << i) | (1 << j) | (1 << k)
                 mem = graph.members_of(mask)
-                found[mem] = (ids[i], ids[j], ids[k])
+                found.add(mem)
                 covered |= mask
                 for l in mem:
                     if l > i:
@@ -162,7 +160,6 @@ def family_K(graph: LineRelationGraph) -> LineSetFamily:
                     if l > j:
                         covers[l] = covers.get(l, 0) | mask
     family = LineSetFamily(sorted(found), n)
-    family.certificates = [found[mem] for mem in family.members]
     if graph.delta_kind == RHO:
         family.exchange = [podmianka(mem, graph) for mem in family.members]
     return family

@@ -239,8 +239,12 @@ def _gates_payload(gates: GateReport) -> dict:
             "problems": gates.problems, "notes": gates.notes}
 
 
+COMMANDS: dict = {}  # command name -> command, in order of definition
+
+
 def command(name: str):
-    """Turn `body(ws, payload) -> exit code` into the command `name`.
+    """Turn `body(ws, payload) -> exit code` into the command `name`, listed
+    in `COMMANDS`.
 
     The command validates the parameters first.  When they are invalid it
     reports the problems and returns exit code 2 without running the body;
@@ -265,6 +269,7 @@ def command(name: str):
                 code = CONFIG_ERROR
             write_report(cfg, name, payload)
             return payload, code
+        COMMANDS[name] = run
         return run
     return wrap
 

@@ -43,14 +43,14 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
     """Ternary concurrency for the common-pencil relation.
 
     The triple qualifies iff it does not span, and some spanned,
-    exchange-free clique contains all three lines.  Given the graph's clique
-    family with its exchange flags, both halves are lookups: the triple must
-    lie in a certified, exchange-free clique, and it spans iff it lies in
-    exactly one clique C of the family and its common neighbourhood lies
-    inside C (see `family_P`; exact when the family holds every spanned
-    clique and only maximal cliques, as `family_K` does).  The rest of C is
-    common to the three lines and the relation is irreflexive, so that holds
-    iff the common neighbourhood has exactly len(C) - 3 lines.
+    exchange-free clique contains all three lines.  `family` is the graph's
+    spanned clique family, `family_K(graph)`, with its exchange flags: every
+    spanned clique and nothing else.  Both halves are then lookups: the
+    triple must lie in an exchange-free clique of the family, and it spans
+    iff it lies in exactly one clique C of the family and its common
+    neighbourhood lies inside C (see `family_P`).  The rest of C is common
+    to the three lines and the relation is irreflexive, so that holds iff
+    the common neighbourhood has exactly len(C) - 3 lines.
 
     Recovering the proper pencils on affine planes needs q >= 3.  Over GF(2)
     such a pencil is three lines, one per direction of AG(2,2), and that
@@ -62,9 +62,9 @@ def p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph,
     rows = graph.rows
     if not (rows[l1] >> l2 & 1 and rows[l1] >> l3 & 1 and rows[l2] >> l3 & 1):
         return False
-    by_line, certificates, exchange = family.by_line, family.certificates, family.exchange
+    by_line, exchange = family.by_line, family.exchange
     hits = set(by_line[l1]).intersection(by_line[l2], by_line[l3])
-    if not any(certificates[c] is not None and not exchange[c] for c in hits):
+    if all(exchange[c] for c in hits):
         return False
     if len(hits) > 1:  # a spanning triple lies in one maximal clique only
         return True
@@ -85,13 +85,13 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
     only each pencil's line ids.  The tests close every pair of every pencil
     with the literal predicates to check maximality and consistency.
 
-    `family` is the graph's clique family (`family_K`), with its exchange
-    flags on the proper-pencil relation.  A pair (i, j) is closed from its
-    common neighbourhood ``cij`` and the family cliques through it, as
-    masks built when a pair at line i first needs them and dropped after
-    line i.  The tests below are exact whenever the family's cliques are
-    maximal and include every spanned clique, as `family_K`'s do: the span
-    of a spanning triple is then the only family clique containing it.
+    `family` is the graph's spanned clique family, `family_K(graph)`: every
+    spanned clique and nothing else, with exchange flags on the
+    proper-pencil relation.  A pair (i, j) is closed from its common
+    neighbourhood ``cij`` and the family cliques through it, as masks built
+    when a pair at line i first needs them and dropped after line i.  The
+    tests below are exact because the span of a spanning triple is the only
+    maximal clique containing it, and so the only family clique that does.
 
     - Spanning, for a third line k in ``cij``: a k in no family clique
       through the pair, or in two of them, does not span with it.  A k in
@@ -99,18 +99,15 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
       clique through the triple, so the rest of C is common to all three),
       so k is kept iff ``rows[k]`` meets ``cij`` outside C.  For coplanarity
       that is the whole test of `p_pi`.
-    - For the proper-pencil relation `p_rho` also asks for a certified,
-      exchange-free clique holding the triple, so only the k inside such a
-      clique through the pair are candidates.
+    - For the proper-pencil relation `p_rho` also asks for an exchange-free
+      clique holding the triple, so only the k inside such a clique through
+      the pair are candidates.
     - Hence no k of C is kept when ``cij`` lies inside C: those tests are
       skipped, and the whole pair when C is its only clique.
     """
     rows = graph.rows
     clique_members, at_line = family.members, family.by_line
-    witness = None  # certified, exchange-free cliques, on the proper-pencil relation
-    if graph.delta_kind == RHO:
-        witness = [cert is not None and not ex
-                   for cert, ex in zip(family.certificates, family.exchange)]
+    exchange = family.exchange if graph.delta_kind == RHO else None
     n = graph.count
     pencils_at: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # found, per later line
     found: set[tuple[int, ...]] = set()
@@ -135,10 +132,10 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
             if len(through) == 1 and cij & through[0][1] == cij:
                 continue  # every third line is in the one clique, spanning nothing with it
             cand = cij
-            if witness is not None:
+            if exchange is not None:
                 reach = 0
                 for c, m in through:
-                    if witness[c]:
+                    if not exchange[c]:
                         reach |= m
                 cand &= reach
                 if not cand:
@@ -244,13 +241,14 @@ def detect_parallel(pencils: LineSetFamily, graph: LineRelationGraph,
     tell them apart; on such configurations some improper-vertex pencils
     survive.  The recovery checks report this instead of asserting.
     """
-    n_pencils = len(pencils.members)
     plane_cliques = [i for i, d in enumerate(clique_dims) if d == 2]
 
     # two disjoint pencils of a plane are both parallel and make it affine;
-    # the plane's pencils are masks local to it
-    affine_plane: dict[int, bool] = {}
+    # the plane's pencils are masks local to it.  The pencils and lines of
+    # an affine plane are marked as it is decided.
     parallel: set[int] = set()
+    pencil_on_affine = [False] * len(pencils.members)
+    line_on_affine = [False] * graph.count
     for ci in plane_cliques:
         inside = pencils_in_clique[ci]
         plane = cliques.members[ci]
@@ -270,14 +268,8 @@ def detect_parallel(pencils: LineSetFamily, graph: LineRelationGraph,
                     covered[x] |= pm
             full = (1 << len(plane)) - 1
             flag = any(cov != full for cov in covered)
-        affine_plane[ci] = flag
-
-    # the pencils and lines on an affine plane
-    pencil_on_affine = [False] * n_pencils
-    line_on_affine = [False] * graph.count
-    for ci in plane_cliques:
-        if affine_plane[ci]:
-            for pi_idx in pencils_in_clique[ci]:
+        if flag:
+            for pi_idx in inside:
                 pencil_on_affine[pi_idx] = True
                 for l in pencils.members[pi_idx]:
                     line_on_affine[l] = True

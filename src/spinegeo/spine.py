@@ -162,7 +162,6 @@ class StrongSubspace:
     kind: str
     generator: Subspace  # H for stars, B for tops
     point_pids: frozenset[int]
-    closure_gids: frozenset[int]  # includes the removed (improper) part
     p_dim: int
     d_dim: int
     line_ids: tuple[int, ...]
@@ -339,16 +338,12 @@ class SpineSpace:
         return tuple(out)
 
     def _add_strong(self, kind, generator, closure, p_dim, d_dim, line_ids) -> int:
-        closure_gids = frozenset(closure)
-        pids = frozenset(
-            self.pid_of_gid[g] for g in closure_gids if g in self.pid_of_gid
-        )
+        pids = frozenset(self.pid_of_gid[g] for g in closure if g in self.pid_of_gid)
         if not pids:
             return 0
         sid = len(self.strongs)
         self.strongs.append(
-            StrongSubspace(sid, kind, generator, pids, closure_gids, p_dim, d_dim,
-                           tuple(line_ids))
+            StrongSubspace(sid, kind, generator, pids, p_dim, d_dim, tuple(line_ids))
         )
         host_of = self.star_of_line if kind in (STAR_OMEGA, STAR_ALPHA) else self.top_of_line
         for lid in line_ids:

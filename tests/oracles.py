@@ -10,7 +10,7 @@ in its most literal form, so a test can hold the fast code to it:
   of two subspaces, from the rank of their stacked bases alone.
 - `span_clique` is the span of one positive triple.
 - `family_from_members` packages an outside clique list (the Bron-Kerbosch
-  oracle's) as a family, checking each clique and searching its certificate.
+  oracle's) as a family, checking that each clique is maximal.
 - `literal_p_rho` searches the witness clique of `pencils.p_rho` among the
   lines related to all three, with no family.
 - `verify_pencils` closes every pair of every recovered pencil with the
@@ -95,24 +95,13 @@ def family_from_members(graph: LineRelationGraph, members) -> LineSetFamily:
     """Package an externally produced clique list (e.g. the oracle's).
 
     `members` are sorted tuples of line ids.  Each is verified to be a
-    maximal clique of the graph, and a spanning triple is searched inside
-    each clique; cliques without one get certificate None (they are maximal
-    but not spanned, like the affine semiflats for the proper-pencil
-    relation).  On a proper-pencil graph each clique also gets its exchange
-    flag.
+    maximal clique of the graph.  On a proper-pencil graph each clique also
+    gets its exchange flag.
     """
-    rows = graph.rows
-
-    def certify(mem):
+    family = LineSetFamily(sorted(set(members)), graph.count)
+    for mem in family.members:
         if not is_maximal_clique(mem, graph):
             raise ValueError(f"not a maximal clique: {mem}")
-        for tri in itertools.combinations(mem, 3):
-            if _mask_is_clique(rows[tri[0]] & rows[tri[1]] & rows[tri[2]], rows):
-                return tri
-        return None
-
-    family = LineSetFamily(sorted(set(members)), graph.count)
-    family.certificates = [certify(mem) for mem in family.members]
     if graph.delta_kind == RHO:
         family.exchange = [podmianka(mem, graph) for mem in family.members]
     return family

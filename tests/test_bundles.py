@@ -175,7 +175,7 @@ def test_line_membership_counts(cfg1_space, cfg1_B, cfg1_pi):
     # omega lines lie in no high-dimensional strong subspace here, so no
     # bundle can contain them -- the incidence defect of this configuration
     recon = reconstruct(cfg1_B, cfg1_pi)
-    degree = [0] * recon.line_count
+    degree = [0] * cfg1_pi.count
     for mask in recon.points:
         for l in bits_of(mask):
             degree[l] += 1

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from spinegeo import cli
 from spinegeo.gf import q_binomial
-from spinegeo.harness import CONFIG_ERROR
+from spinegeo.harness import COMMANDS, CONFIG_ERROR
 from spinegeo.spine import build_spine, standard_params, validate_params
 
 VALUES = range(-1, 9)
@@ -77,7 +77,7 @@ def _config_file(folder: Path, kind: str | None, params: dict, delta: str | None
 
 @settings(max_examples=500, deadline=None)
 @given(
-    command=st.sampled_from(sorted(cli.COMMANDS)),
+    command=st.sampled_from(sorted(COMMANDS)),
     # a free draw is valid about once in a hundred, so draw the small valid
     # configs on their own as well
     values=st.one_of(SMALL_VALID, ANY_VALUES),

@@ -163,21 +163,10 @@ def test_family_K_equals_bron_kerbosch_rho(cfg1_rho, cfg1_fams):
     assert spanned == oracle == cfg1_fams.rho_family
 
 
-@pytest.mark.parametrize("kind", ["pi", "rho"])
-def test_family_K_certificates_are_the_first_spanning_triples(kind, cfg1_pi, cfg1_rho):
-    # the coverage skip in family_K must not change which triple it keeps
-    graph = cfg1_pi if kind == "pi" else cfg1_rho
-    fam = family_K(graph)
-    for mem, cert in zip(fam.members, fam.certificates):
-        first = next(t for t in itertools.combinations(mem, 3) if delta_n(t, graph))
-        assert cert == first
-
-
 def test_family_from_members_verifies_and_certifies(cfg1_rho, cfg1_fams):
     members = sorted(tuple(sorted(lines)) for lines in cfg1_fams.rho_family)
     fam = family_from_members(cfg1_rho, members)
     assert len(fam.members) == len(members)
-    assert all(c is not None for c in fam.certificates)
     with pytest.raises(ValueError):
         family_from_members(cfg1_rho, [members[0][1:]])  # strict subset
 

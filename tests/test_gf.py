@@ -9,6 +9,7 @@ from spinegeo.gf import (
     FieldSpec,
     Interval,
     Subspace,
+    _lanes,
     _rank,
     _rref_rows,
     apply_matrix,
@@ -321,13 +322,18 @@ def test_enumerate_between_matches_reference_on_sampled_triples(q, n):
 
 
 def test_two_byte_lanes_match_reference():
-    # q >= 64 needs 16-bit lanes, the path no pinned configuration takes
+    # q >= 64 needs 16-bit lanes, packed with shifts and decoded lane by lane:
+    # the path no pinned configuration takes.  The points of GF(q)^3 are
+    # enumerated through the same lanes
     rng = random.Random(67)
-    for q in (67, 131):
+    for q in (67, 131, 257):
+        assert _lanes(q, 3).width == 16
         for _ in range(200):
             n = rng.randint(1, 6)
             rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(0, n + 2))]
             assert _rref_rows(rows, q, n) == reference_rref_rows(rows, q, n)
+        points = enumerate_subspaces(FieldSpec(q, 3), 1)
+        assert len(points) == len(set(points)) == q_binomial(3, 1, q)
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3)])
@@ -379,3 +385,4 @@ def test_interval_unit_is_one_vector_per_subspace_above_h(q, n):
                     assert unit_of.setdefault(interval.key(lift), interval.unit(*lift)) == (
                         interval.unit(*lift))
             assert len(set(unit_of.values())) == len(unit_of) == q_binomial(n - d, 1, q)
+

@@ -77,11 +77,11 @@ def reference_clique_dimension(members, pencil_masks_inside):
 
 
 def reference_family_K(graph):
-    """The clique scan with found cliques as wide masks: clique mask ->
-    certificate, coverage read by testing bit j of every clique through i."""
+    """The clique scan with found cliques as a set of wide masks, coverage
+    read by testing bit j of every clique through i."""
     rows = graph.rows
     n = graph.count
-    found = {}
+    found = set()
     at_line = [[] for _ in range(n)]
     for i in range(n):
         ri = rows[i]
@@ -100,7 +100,7 @@ def reference_family_K(graph):
                 if not _mask_is_clique(common, rows):
                     continue
                 mask = common | (1 << i) | (1 << j) | (1 << k)
-                found[mask] = (i, j, k)
+                found.add(mask)
                 covered |= mask
                 for l in bits_of(mask >> i << i):
                     at_line[l].append(mask)
@@ -112,10 +112,7 @@ def reference_family_P(graph, family, clique_masks):
     per line; the sorted pencil member tuples."""
     rows = graph.rows
     at_line = family.by_line
-    witness = None
-    if graph.delta_kind == RHO:
-        witness = [cert is not None and not ex
-                   for cert, ex in zip(family.certificates, family.exchange)]
+    exchange = family.exchange if graph.delta_kind == RHO else None
     n = graph.count
     covered = [0] * n
     found = set()
@@ -128,10 +125,10 @@ def reference_family_P(graph, family, clique_masks):
             through = at_i.intersection(at_line[j])
             cij = rows[i] & rows[j]
             cand = cij
-            if witness is not None:
+            if exchange is not None:
                 reach = 0
                 for c in through:
-                    if witness[c]:
+                    if not exchange[c]:
                         reach |= clique_masks[c]
                 cand &= reach
                 if not cand:
@@ -168,9 +165,9 @@ def reference_p_rho(l1, l2, l3, graph, family, clique_masks):
         return False
     if not (rows[l1] >> l2 & 1 and rows[l1] >> l3 & 1 and rows[l2] >> l3 & 1):
         return False
-    by_line, certificates, exchange = family.by_line, family.certificates, family.exchange
+    by_line, exchange = family.by_line, family.exchange
     hits = set(by_line[l1]).intersection(by_line[l2], by_line[l3])
-    if not any(certificates[c] is not None and not exchange[c] for c in hits):
+    if not any(not exchange[c] for c in hits):
         return False
     if len(hits) > 1:
         return True
@@ -283,10 +280,8 @@ def compare_families(graph):
     """family_K, family_P and the indexed p_rho on `graph` against the
     references; the number of triples compared."""
     fam = family_K(graph)
-    ref = reference_family_K(graph)
-    pairs = sorted((tuple(bits_of(m)), m) for m in ref)
+    pairs = sorted((tuple(bits_of(m)), m) for m in reference_family_K(graph))
     assert fam.members == [mem for mem, _ in pairs]
-    assert fam.certificates == [ref[m] for _, m in pairs]
     masks = [m for _, m in pairs]
     if graph.delta_kind == RHO:
         assert fam.exchange == [podmianka(mem, graph) for mem, _ in pairs]
@@ -370,14 +365,13 @@ def test_members_of_inverts_mask_of(cfg1_pi):
 
 
 def test_kept_member_tuples_hold_the_graph_ids(cfg1_ws):
-    """Every line of a kept clique, certificate or pencil tuple is the
+    """Every line of a kept clique or pencil tuple is the
     graph's own int object for that id, not a copy per tuple."""
     stripped = cfg1_ws.stripped(PI).graph
     plain = cfg1_ws.graph(PI)
     spanned = cfg1_ws.spanned(PI)
     families = [
         (stripped, spanned.members),
-        (stripped, [tri for tri in spanned.certificates if tri is not None]),
         (stripped, cfg1_ws.geometry(PI).pencils.members),
         (plain, cfg1_ws.cliques(PI)),
     ]

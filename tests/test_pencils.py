@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from spinegeo import build_spine, standard_params
-from spinegeo.cliques import _mask_is_clique, bron_kerbosch, family_K
+from spinegeo.cliques import LineSetFamily, _mask_is_clique, family_K
 from spinegeo.pencils import (
     clique_dimension,
     derive_line_geometry,
@@ -13,11 +13,10 @@ from spinegeo.pencils import (
     p_pi,
     p_rho,
 )
-from spinegeo.relations import LineRelationGraph, bits_of, compute_pi, compute_rho, strip
+from spinegeo.relations import PI, LineRelationGraph, bits_of, compute_pi, compute_rho, strip
 from spinegeo.spine import PLANE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED, STAR_ALPHA
 
-from oracles import (family_from_members, literal_p_rho, pencil_coplanar, plane_hosts,
-                     verify_pencils)
+from oracles import literal_p_rho, pencil_coplanar, plane_hosts, verify_pencils
 
 
 def hosted_pencils(space, kind=None, proper=True):
@@ -111,7 +110,7 @@ def parent_p_rho(l1, l2, l3, graph, fam):
     if _mask_is_clique(rows[l1] & rows[l2] & rows[l3], rows):
         return False
     hits = set(fam.by_line[l1]) & set(fam.by_line[l2]) & set(fam.by_line[l3])
-    return any(fam.certificates[c] is not None and not fam.exchange[c] for c in hits)
+    return any(not fam.exchange[c] for c in hits)
 
 
 def test_p_rho_fast_path_matches_literal(cfg1_space, cfg1_rho, cex_space, cex_rho):
@@ -134,29 +133,6 @@ def test_p_rho_fast_path_matches_literal(cfg1_space, cfg1_rho, cex_space, cex_rh
         for mem in rng.sample(fam.members, 40):
             for tri in itertools.islice(itertools.combinations(mem, 3), 30):
                 assert p_rho(*tri, rho, fam) == parent_p_rho(*tri, rho, fam)
-
-
-def test_p_rho_index_needs_a_certified_clique():
-    # C = {0..3} is a maximal clique that spans nothing: line 4 + t relates to
-    # the three lines of C other than t, so every triple of C has two
-    # unrelated common neighbours.  With C the only exchange-free clique, no
-    # certified exchange-free clique holds a triple of C.
-    rows = [0] * 8
-    for a, b in itertools.combinations(range(4), 2):
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    for t in range(4):
-        for c in set(range(4)) - {t}:
-            rows[4 + t] |= 1 << c
-            rows[c] |= 1 << (4 + t)
-    rho = LineRelationGraph("rho", rows)
-    family = family_from_members(rho, bron_kerbosch(rho))
-    assert family.certificates[family.members.index((0, 1, 2, 3))] is None
-    family.exchange = [mem != (0, 1, 2, 3) for mem in family.members]
-    for tri in itertools.combinations(range(4), 3):
-        assert parent_p_rho(*tri, rho, family) is False
-        assert p_rho(*tri, rho, family) is False
-    assert family_P(rho, family).members == []
 
 
 # ---------- the pencil family -------------------------------------------------------
@@ -219,9 +195,6 @@ def test_family_P_rho_matches_pairwise_p_rho_closure(cfg1_rho, cex_rho):
         assert reference
         reference = [tuple(bits_of(m)) for m in reference]
         assert family_P(rho, fam).members == reference
-        # the same pencils from every maximal clique, certified or not
-        every = family_from_members(rho, bron_kerbosch(rho))
-        assert family_P(rho, every).members == reference
 
 
 def test_family_P_partial_linear(cfg1_pi):
@@ -403,17 +376,53 @@ def parent_detect_parallel(pencils, cliques, pencils_in_clique, clique_dims):
 
 
 def test_detect_parallel_matches_pair_set_version(cfg1_pi):
-    # cfg1 has affine planes of both kinds: with disjoint pencils and with a
-    # related pair no recovered pencil holds; on the GF(3) twin the parallel
+    # each config exercises one rule that makes a plane affine.  Over GF(2)
+    # (cfg1) a parallel pencil has two lines and is never recovered, so no
+    # two pencils of a plane are disjoint: a related pair that no recovered
+    # pencil holds marks every affine plane.  On the GF(3) twin the parallel
     # pencils have three lines, and the disjoint pairs find them all
     twin_pi = compute_pi(build_spine(standard_params(3, 5, 2, 1, 3)))
-    for pi, count in ((cfg1_pi, 588), (twin_pi, 208)):
+    for pi, planes, disjoint, count in ((cfg1_pi, 1085, 0, 588), (twin_pi, 1040, 624, 208)):
         g = derive_line_geometry(pi, family_K(pi))
         args = (g.pencils, g.cliques, g.pencils_in_clique, g.clique_dims)
+        plane_cliques = [ci for ci, d in enumerate(g.clique_dims) if d == 2]
+        assert len(plane_cliques) == planes
+        assert sum(not set(g.pencils.members[a]) & set(g.pencils.members[b])
+                   for ci in plane_cliques
+                   for a, b in itertools.combinations(g.pencils_in_clique[ci], 2)) == disjoint
         assert parent_affine_planes(*args)
         want = parent_detect_parallel(*args)
         assert len(want) == count
         assert detect_parallel(g.pencils, pi, *args[1:]) == want
+
+
+def test_detect_parallel_marks_the_affine_planes_of_both_rules():
+    # three hand-built planes.  A (lines 0-3) has the six pairs of its lines
+    # as pencils: every related pair is covered, and three pairs of pencils
+    # are disjoint, so A is affine by the first rule only.  B (lines 4-7) has
+    # the meeting pencils (4,6,7) and (5,6), which leave the pair 4, 5
+    # uncovered, so B is affine by the second rule only.  C (lines 0, 4, 5)
+    # has one pencil, which covers it: C is not affine.  Its pencil lies on
+    # C alone and each of its lines on A or B, so it is parallel, beside A's
+    # six; B's pencils lie on an affine plane and stay
+    on_plane = {(0, 1, 2, 3): list(itertools.combinations(range(4), 2)),
+                (4, 5, 6, 7): [(4, 6, 7), (5, 6)],
+                (0, 4, 5): [(0, 4, 5)]}
+    rows = [0] * 8
+    for plane in on_plane:
+        for a, b in itertools.combinations(plane, 2):
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    graph = LineRelationGraph(PI, rows)
+    cliques = LineSetFamily(sorted(on_plane), graph.count)
+    pencils = LineSetFamily(sorted(p for ps in on_plane.values() for p in ps), graph.count)
+    index = pencils.members.index
+    pencils_in_clique = [sorted(map(index, on_plane[c])) for c in cliques.members]
+    clique_dims = [2] * len(cliques.members)
+    want = {index(p) for p in on_plane[(0, 1, 2, 3)] + [(0, 4, 5)]}
+    args = (pencils, cliques, pencils_in_clique, clique_dims)
+    assert parent_detect_parallel(*args) == want
+    assert detect_parallel(pencils, graph, *args[1:]) == want
 
 
 def test_rho_pencil_recovery_over_gf3_by_plane_kind():

@@ -373,7 +373,9 @@ def test_shared_spans_and_closure_points_match_the_per_line_path(params, w_side)
     }
     assert space.strongs
     for st in space.strongs:
-        assert st.closure_gids == frozenset(gids(*bounds[st.kind](st.generator)))
+        closure = {g for l in st.line_ids for g in space.lines[l].closure_gids}
+        assert closure == set(gids(*bounds[st.kind](st.generator)))
+        assert st.point_pids == {space.pid_of_gid[g] for g in closure if g in space.pid_of_gid}
         # a listed strong subspace is a plane or larger and holds lines, so
         # its lines' closures can cover it
         assert st.p_dim >= 2 and st.line_ids

@@ -10,6 +10,8 @@ carried from one command to the next: every command builds the space and
 computes the relations it needs again.  Each computed relation is also
 written under `<out>/cache/`, keyed by a digest of the space parameters, as
 an output for readers outside the program; the program never reads it back.
+Relation files are compact canonical JSON (sorted keys, no whitespace);
+reports, sidecars and artifacts are `canonical_json`, one key or item a line.
 """
 
 from __future__ import annotations
@@ -147,8 +149,9 @@ class Workspace:
         """The relation, computed and written to its file under `cache/`,
         which replaces any file there (the program never reads it)."""
         g = (compute_pi if kind == "pi" else compute_rho)(self.space())
+        text = json.dumps(graph_to_json(g), sort_keys=True, separators=(",", ":")) + "\n"
         _write_atomic(self.cfg.out_dir / "cache"
-                      / f"relation-{kind}-{self.cfg.space_digest()}.json", graph_to_json(g))
+                      / f"relation-{kind}-{self.cfg.space_digest()}.json", text)
         return g
 
     @_stage
@@ -207,14 +210,14 @@ class Workspace:
                          "cause_holds": spanning == len(rows), "pencils": rows}
 
 
-def _write_atomic(path: Path, doc) -> Path:
-    """Write `doc` as canonical JSON through a temporary file in the same
-    directory, so a reader sees the old content or the new, never a part."""
+def _write_atomic(path: Path, text: str) -> Path:
+    """Write `text` through a temporary file in the same directory, so a
+    reader sees the old content or the new, never a part."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(canonical_json(doc))
+            f.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -227,10 +230,10 @@ def _output_path(cfg: RunConfig, name: str) -> Path:
 
 
 def write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
-    path = _write_atomic(_output_path(cfg, name), payload)
+    path = _write_atomic(_output_path(cfg, name), canonical_json(payload))
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     _write_atomic(path.with_suffix(".meta.json"),
-                  {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                   "report": path.name})
+                  canonical_json({"written_at": stamp, "report": path.name}))
     return path
 
 
@@ -318,7 +321,7 @@ def cmd_cliques(ws: Workspace, payload: dict) -> int:
                 [[inv[l] for l in mem] for mem in family.members], ws.families(),
                 family.exchange)
         payload["families_artifact"] = _write_atomic(
-            _output_path(cfg, "clique-families"), artifact).name
+            _output_path(cfg, "clique-families"), canonical_json(artifact)).name
     return OK if classification["ok"] and exchange["ok"] else CHECK_FAILED
 
 
@@ -328,7 +331,7 @@ def cmd_pencils(ws: Workspace, payload: dict) -> int:
     payload["recovery"] = report = verify.check_pencil_recovery(ws)
     artifact = {kind: geometry_to_json(ws.geometry(kind)) for kind in ws.cfg.deltas()}
     payload["families_artifact"] = _write_atomic(
-        _output_path(ws.cfg, "pencil-families"), artifact).name
+        _output_path(ws.cfg, "pencil-families"), canonical_json(artifact)).name
     return OK if report["ok"] else CHECK_FAILED
 
 

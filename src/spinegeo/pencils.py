@@ -16,6 +16,14 @@ a small field are invisible to ternary concurrency).  A recovered pencil
 is improper-vertex iff it is disjoint from another pencil on a common
 plane, or none of its planes is affine while each of its lines lies on an
 affine plane.
+
+The disjoint-pencil rule also marks its plane affine.  On the 81 grid
+configurations with at most 6 000 lines (every valid one with q = 2 and
+n <= 6 or q = 3 and n <= 5, and (5,4,2,1,2)) that mark changes no output:
+a variant without it gives every parallel set unchanged, and only
+`test_detect_parallel_marks_the_affine_planes_of_both_rules`, on a
+hand-built relation, tells the two apart.  The mark stays for relations
+that do not come from a spine space.
 """
 
 from __future__ import annotations
@@ -81,15 +89,18 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
     members (no recoverable pencil through the pair) or is the full pencil.
     Each related pair that no found pencil covers is closed once.  Each
     later line keeps the list of found pencils through it, and at line i
-    their union is the mask of lines already paired with i; the family keeps
+    their union is the set of lines already paired with i; the family keeps
     only each pencil's line ids.  The tests close every pair of every pencil
     with the literal predicates to check maximality and consistency.
 
     `family` is the graph's spanned clique family, `family_K(graph)`: every
     spanned clique and nothing else, with exchange flags on the
     proper-pencil relation.  A pair (i, j) is closed from its common
-    neighbourhood ``cij`` and the family cliques through it, as masks built
-    when a pair at line i first needs them and dropped after line i.  The
+    neighbourhood ``cij`` and the family cliques through it.  At line i one
+    table maps each later line j to the cliques through i and j, and each
+    clique's mask is built at most once, when a pair first needs it; the
+    table goes after line i, so no mask is kept across lines (a mask per
+    clique of the family would cost megabytes on the larger spaces).  The
     tests below are exact because the span of a spanning triple is the only
     maximal clique containing it, and so the only family clique that does.
 
@@ -112,22 +123,23 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
     pencils_at: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # found, per later line
     found: set[tuple[int, ...]] = set()
     for i in range(n):
-        covered = 0  # the lines a found pencil pairs with i
-        for mem in pencils_at[i]:
-            covered |= graph.mask_of(mem)
+        covered = {l for mem in pencils_at[i] for l in mem}  # lines a found pencil pairs with i
         pencils_at[i] = []
-        clique_masks: dict[int, int] = {}  # line i's cliques, built on first use
-        at_i = set(at_line[i])
-        above_i = rows[i] >> (i + 1) << (i + 1)
-        for j in bits_of(above_i ^ (above_i & covered)):
-            if covered >> j & 1:  # found after the loop's mask was taken
+        # j > i -> the cliques through i and j, each as one [clique, mask] entry
+        # shared by its lines, whose mask (0 until then) is built on first use
+        through_at: dict[int, list[list[int]]] = {}
+        for c in at_line[i]:
+            entry = [c, 0]
+            for j in clique_members[c]:
+                if j > i:
+                    through_at.setdefault(j, []).append(entry)
+        for j in bits_of(rows[i] >> (i + 1) << (i + 1)):
+            if j in covered:
                 continue
-            through = []
-            for c in at_i.intersection(at_line[j]):
-                m = clique_masks.get(c)
-                if m is None:
-                    m = clique_masks[c] = graph.mask_of(clique_members[c])
-                through.append((c, m))
+            through = through_at.get(j, ())
+            for entry in through:
+                if not entry[1]:
+                    entry[1] = graph.mask_of(clique_members[entry[0]])
             cij = rows[i] & rows[j]
             if len(through) == 1 and cij & through[0][1] == cij:
                 continue  # every third line is in the one clique, spanning nothing with it
@@ -158,10 +170,9 @@ def family_P(graph: LineRelationGraph, family: LineSetFamily) -> LineSetFamily:
                         keep |= 1 << k
             if not keep:
                 continue
-            mask = keep | 1 << i | 1 << j
-            members = graph.members_of(mask)
+            members = graph.members_of(keep | 1 << i | 1 << j)
             found.add(members)
-            covered |= mask
+            covered.update(members)
             for l in members:
                 if l > i:
                     pencils_at[l].append(members)

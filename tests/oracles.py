@@ -9,8 +9,6 @@ in its most literal form, so a test can hold the fast code to it:
 - `dim_sum` and `dim_intersect` are the dimensions of the join and the meet
   of two subspaces, from the rank of their stacked bases alone.
 - `span_clique` is the span of one positive triple.
-- `family_from_members` packages an outside clique list (the Bron-Kerbosch
-  oracle's) as a family, checking that each clique is maximal.
 - `literal_p_rho` searches the witness clique of `pencils.p_rho` among the
   lines related to all three, with no family.
 - `verify_pencils` closes every pair of every recovered pencil with the
@@ -25,16 +23,10 @@ from __future__ import annotations
 
 import itertools
 
-from spinegeo.cliques import (
-    LineSetFamily,
-    _mask_is_clique,
-    delta_n,
-    is_maximal_clique,
-    podmianka,
-)
+from spinegeo.cliques import LineSetFamily, _mask_is_clique, delta_n, podmianka
 from spinegeo.gf import Subspace, _check_same_space, _rank
 from spinegeo.pencils import p_pi, p_rho
-from spinegeo.relations import PI, RHO, LineRelationGraph, bits_of
+from spinegeo.relations import PI, LineRelationGraph, bits_of
 
 
 def enumerate_rref(q: int, n: int, k: int):
@@ -89,22 +81,6 @@ def span_clique(l1: int, l2: int, l3: int, graph: LineRelationGraph) -> frozense
         raise ValueError(f"triple ({l1}, {l2}, {l3}) does not span a clique")
     mask = graph.common_neighbors((l1, l2, l3))
     return frozenset(bits_of(mask)) | {l1, l2, l3}
-
-
-def family_from_members(graph: LineRelationGraph, members) -> LineSetFamily:
-    """Package an externally produced clique list (e.g. the oracle's).
-
-    `members` are sorted tuples of line ids.  Each is verified to be a
-    maximal clique of the graph.  On a proper-pencil graph each clique also
-    gets its exchange flag.
-    """
-    family = LineSetFamily(sorted(set(members)), graph.count)
-    for mem in family.members:
-        if not is_maximal_clique(mem, graph):
-            raise ValueError(f"not a maximal clique: {mem}")
-    if graph.delta_kind == RHO:
-        family.exchange = [podmianka(mem, graph) for mem in family.members]
-    return family
 
 
 def literal_p_rho(l1: int, l2: int, l3: int, graph: LineRelationGraph) -> bool:

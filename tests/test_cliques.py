@@ -20,7 +20,7 @@ from spinegeo.cliques import (
 from spinegeo.relations import bits_of
 from spinegeo.spine import LINE_AFFINE, PLANE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED
 
-from oracles import family_from_members, plane_hosts, span_clique
+from oracles import plane_hosts, span_clique
 
 
 def pencil_triple(space, proper=True, size=3):
@@ -161,14 +161,6 @@ def test_family_K_equals_bron_kerbosch_rho(cfg1_rho, cfg1_fams):
     spanned = {frozenset(m) for m in family_K(cfg1_rho).members}
     oracle = {frozenset(m) for m in bron_kerbosch(cfg1_rho)}
     assert spanned == oracle == cfg1_fams.rho_family
-
-
-def test_family_from_members_verifies_and_certifies(cfg1_rho, cfg1_fams):
-    members = sorted(tuple(sorted(lines)) for lines in cfg1_fams.rho_family)
-    fam = family_from_members(cfg1_rho, members)
-    assert len(fam.members) == len(members)
-    with pytest.raises(ValueError):
-        family_from_members(cfg1_rho, [members[0][1:]])  # strict subset
 
 
 def test_bron_kerbosch_cap(monkeypatch):

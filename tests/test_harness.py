@@ -7,6 +7,7 @@ from spinegeo import cli, harness, verify
 from spinegeo.cliques import family_K
 from spinegeo.excluded import CASE_NONE, classify_case
 from spinegeo.pencils import family_P
+from spinegeo.relations import graph_from_json, graph_to_json
 from spinegeo.spine import LINE_AFFINE
 from spinegeo.harness import (
     CONFIG_ERROR,
@@ -62,6 +63,20 @@ def test_a_second_command_rewrites_byte_identical_relation_files(tmp_path):
     assert g2.rows == g1.rows
     assert path.stat().st_ino != inode  # a new file, moved into place
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("kind", ["pi", "rho"])
+def test_relation_file_is_compact_canonical_json_under_the_benchmark_name(tmp_path, kind):
+    c = cfg(tmp_path)
+    g = Workspace(c).graph(kind)
+    (path,) = (tmp_path / "cache").glob(f"relation-{kind}-*.json")
+    text = path.read_text()
+    assert text == json.dumps(graph_to_json(g), sort_keys=True, separators=(",", ":")) + "\n"
+    assert text.count("\n") == 1
+    assert graph_from_json(json.loads(text)).rows == g.rows
+    # the benchmark names the file by the digest of the space key at indent=1
+    key = json.dumps(c.space_key(), sort_keys=True, indent=1) + "\n"
+    assert path.name == f"relation-{kind}-{hashlib.sha256(key.encode()).hexdigest()[:16]}.json"
 
 
 def test_no_command_reads_a_relation_file(tmp_path, monkeypatch, capsys):

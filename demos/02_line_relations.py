@@ -20,10 +20,11 @@ print(f"coplanarity edges    : {pi.edge_count()}")
 print(f"common-pencil edges  : {rho.edge_count()}")
 subset = all(not rho.rows[i] & ~pi.rows[i] for i in range(pi.count))
 print("common-pencil is a subrelation of coplanarity:", subset)
+assert subset
 
 # a parallel pair: coplanar, but the closures meet only on the horizon
 pair = next(
-    sorted(p.line_ids)
+    p.line_ids
     for p in space.pencils()
     if not p.proper and len(p.line_ids) == 2
 )
@@ -32,6 +33,7 @@ print()
 print(f"lines {a} and {b} are parallel affine lines on one plane:")
 print("  coplanar      :", pi.adjacent(a, b))
 print("  common pencil :", rho.adjacent(a, b))
+assert pi.adjacent(a, b) and not rho.adjacent(a, b)
 
 # two lines of one 4-dimensional star with disjoint closures are skew
 star = next(s for s in space.strongs if s.p_dim >= 3)
@@ -42,10 +44,12 @@ skew = next(
 )
 print(f"lines {skew[0]} and {skew[1]} sit in one star with disjoint closures:")
 print("  coplanar      :", pi.adjacent(*skew))
+assert not pi.adjacent(*skew)
 
 stripped = strip(pi, seed=11)
 print()
 print("stripping with seed 11 relabels every line:")
-print("  degree multiset preserved:",
-      sorted(map(int.bit_count, stripped.graph.rows)) == sorted(map(int.bit_count, pi.rows)))
+degrees_kept = sorted(map(int.bit_count, stripped.graph.rows)) == sorted(map(int.bit_count, pi.rows))
+print("  degree multiset preserved:", degrees_kept)
+assert degrees_kept
 print("  line 0 is now called", stripped.perm[0])

@@ -26,10 +26,11 @@ fams = geometric_families(space)
 
 for name, graph, family in (("coplanarity", pi, fams.pi_family),
                             ("common-pencil", rho, fams.rho_family)):
-    spanned = {frozenset(m) for m in family_K(graph).members}
-    oracle = {frozenset(m) for m in bron_kerbosch(graph)}
+    spanned = set(family_K(graph).members)
+    oracle = set(bron_kerbosch(graph))
     print(f"{name}: spanned {len(spanned)}, oracle {len(oracle)}, "
           f"geometric {len(family)}; all equal: {spanned == oracle == family}")
+    assert spanned == oracle == family
 
 print()
 print("classification of the common-pencil cliques, with the exchange test")
@@ -40,6 +41,7 @@ for mem in bron_kerbosch(rho):
     census[(kind, podmianka(mem, rho))] += 1
 for (kind, flag), count in sorted(census.items()):
     print(f"  {kind:20s} exchange={str(flag):5s} : {count}")
+assert ("affine-semiflat", True) not in census
 print()
 print("over GF(2) an affine semiflat is a 3-line direction selector; removing")
 print("one line leaves a crossing pair whose only completion is the removed")

@@ -28,13 +28,14 @@ print("\nrunning the abstract pipeline on the stripped coplanarity graph ...")
 geometry = derive_line_geometry(stripped.graph, family_K(stripped.graph))
 
 members, inv = geometry.pencils.members, stripped.inverse
-recovered = {frozenset(inv[l] for l in mem) for mem in members}
-surviving = {frozenset(inv[l] for l in members[i]) for i in geometry.proper_pencils}
-removed = {frozenset(inv[l] for l in members[i]) for i in geometry.parallel_pencils}
+recovered = {tuple(sorted(inv[l] for l in mem)) for mem in members}
+surviving = {tuple(sorted(inv[l] for l in members[i])) for i in geometry.proper_pencils}
+removed = {tuple(sorted(inv[l] for l in members[i])) for i in geometry.parallel_pencils}
 print(f"recovered {len(recovered)} pencils; flagged {len(removed)} as parallel")
 print("surviving family == geometric proper pencils:", surviving == geo_proper)
 print("flagged family   == geometric parallel pencils (3+ lines):",
       removed == geo_parallel3)
+assert surviving == geo_proper and removed == geo_parallel3
 print()
 print("note: the 2-line parallel pencils of the affine planes are invisible")
 print("to ternary concurrency over GF(2) -- nothing to recover or remove.")

@@ -40,8 +40,12 @@ print(f"gluing classes -> {len(recon.points)} bundles "
 report = verify_equivalence(space, recon, stripped, family)
 for check, ok in report["checks"].items():
     print(f"  {check:18s}: {'pass' if ok else 'FAIL'}")
+# the points come back, their incidences do not
+assert report["checks"] == {"count": True, "transitive_gluing": True, "natural_map": True,
+                            "bijection": True, "incidence": False, "collinearity": False}
 if not report["checks"]["incidence"]:
     witness = report["incidence_witnesses"][0]
+    assert witness["missing_kinds"] == ["omega"]
     print()
     print(f"point {witness['point']} misses {witness['missing_count']} of its lines,"
           f" all of kind {witness['missing_kinds']}: those lines lie only in"

@@ -28,9 +28,11 @@ print(f"\nthe twist moves {len(twist.moved)} lines, all inside star {star.id}")
 report = verify_counterexample(space, twist, pi, rho)
 print("preserves coplanarity:", report["checks"]["preserves_pi"])
 print("preserves common-pencil:", report["checks"]["preserves_rho"])
+assert report["checks"]["preserves_pi"] and report["checks"]["preserves_rho"]
 w = report["witness"]
 print(f"\nwitness: on the line shared by star {star.id} and top {w['top']},")
 print(f"the semibundle at point {w['vertex_gid']} moves to vertex {w['moved_to_gid']}")
 print("while the top's semibundle there stays put;")
 print("image of the bundle at that point equals no bundle:",
       report["checks"]["bundle_not_preserved"])
+assert report["checks"]["semibundle_moved"] and report["checks"]["bundle_not_preserved"]

@@ -174,7 +174,7 @@ def verify_equivalence(space: SpineSpace, recon: ReconstructedSpace,
     anomalies = []
     nat: dict[int, int] = {}  # pid -> reconstructed point index
     for ci, k in enumerate(bundle_family):
-        key = space.semibundle_at(frozenset(inv[l] for l in k))
+        key = space.semibundle_at([inv[l] for l in k])
         if key is None or key[1] not in space.pid_of_gid:
             anomalies.append({"clique": ci, "reason": "not a proper semibundle"})
             continue

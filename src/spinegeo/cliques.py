@@ -15,8 +15,9 @@ spine space and records each line set's kind and geometric witness as it
 goes; `classify_clique` looks a clique up in that one table, and the pi and
 rho families are its members of the relation's kinds.
 
-Cliques cross function boundaries as sorted member tuples: families keep
-them, `bron_kerbosch` returns them, `podmianka` takes them.  Kernels
+Every line set, abstract or geometric, crosses function boundaries as its
+ascending line-id tuple: families keep them, `bron_kerbosch` returns them,
+`podmianka` takes them, `GeometricFamilies` keys its kinds by them.  Kernels
 build bitmasks over line ids (`graph.mask_of`, the relation rows) inside a
 call and drop them on return; a tuple a family keeps comes from
 `graph.members_of`, so it holds the graph's shared id objects.
@@ -257,35 +258,35 @@ class GeometricFamilies:
     """The geometric maximal cliques of a spine space, with their kinds.
 
     kind_of: every flat, semiflat and semibundle (of a strong subspace of
-        dimension >= 3), as its line set, to its (kind, witness); the
+        dimension >= 3), as its line-id tuple, to its (kind, witness); the
         witness is a plane id for flats and semiflats, a (strong id, vertex
         gid) pair for semibundles.
-    pi_family, rho_family: the line sets of `kind_of` whose kind is in
+    pi_family, rho_family: the line-id tuples of `kind_of` whose kind is in
         `PI_KINDS` (the flats and every semibundle), resp. `RHO_KINDS` (the
         projective flats, punctured choices, filtered selectors and the
         semibundles at a proper vertex).
     """
 
-    kind_of: dict[frozenset[int], tuple[str, object]]
-    pi_family: set[frozenset[int]]
-    rho_family: set[frozenset[int]]
+    kind_of: dict[tuple[int, ...], tuple[str, object]]
+    pi_family: set[tuple[int, ...]]
+    rho_family: set[tuple[int, ...]]
 
 
 def geometric_families(space: SpineSpace) -> GeometricFamilies:
     """Every geometric clique family of `space`, each line set recorded with
     its kind as it is generated."""
-    kind_of: dict[frozenset[int], tuple[str, object]] = {}
+    kind_of: dict[tuple[int, ...], tuple[str, object]] = {}
     for p in space.planes():
-        lines = frozenset(p.line_ids)
+        lines = p.line_ids
         if p.kind == PLANE_PROJECTIVE:
             kind_of[lines] = (KIND_PROJECTIVE_FLAT, p.id)
             continue
         kind_of[lines] = (KIND_FLAT, p.id)
         if p.kind == PLANE_PUNCTURED:
-            affine = [l for l in p.line_ids if space.lines[l].kind == LINE_AFFINE]
-            projective = lines.difference(affine)
+            affine = [l for l in lines if space.lines[l].kind == LINE_AFFINE]
             for a in affine:
-                kind_of[projective | {a}] = (KIND_PUNCTURED_SEMIFLAT, p.id)
+                semiflat = tuple(l for l in lines if l == a or l not in affine)
+                kind_of[semiflat] = (KIND_PUNCTURED_SEMIFLAT, p.id)
         else:
             for selector in _maximal_selectors(space, p):
                 kind_of[selector] = (KIND_AFFINE_SEMIFLAT, p.id)
@@ -299,7 +300,7 @@ def geometric_families(space: SpineSpace) -> GeometricFamilies:
     )
 
 
-def _maximal_selectors(space: SpineSpace, plane) -> list[frozenset[int]]:
+def _maximal_selectors(space: SpineSpace, plane) -> list[tuple[int, ...]]:
     """Direction selectors of an affine plane that are maximal cliques.
 
     A selector picks one line per parallel direction.  A selector whose
@@ -319,17 +320,17 @@ def _maximal_selectors(space: SpineSpace, plane) -> list[frozenset[int]]:
                               for g in space.lines[combo[0]].closure_gids
                               if g in space.pid_of_gid):
             continue
-        out.append(frozenset(combo))
+        out.append(tuple(sorted(combo)))
     return out
 
 
 def family_to_json(cliques, fams: GeometricFamilies,
                    exchange: list[bool] | None = None) -> list[dict]:
-    """Cliques as JSON rows sorted by line ids: lines, kind tag, geometric
-    witness, and the exchange flag when `exchange` gives one per clique."""
+    """Cliques (line-id tuples) as JSON rows sorted by line ids: lines, kind
+    tag, geometric witness, and the exchange flag when `exchange` gives one."""
     flags = exchange if exchange is not None else [None] * len(cliques)
     rows = []
-    for mem, flag in sorted((tuple(sorted(c)), f) for c, f in zip(cliques, flags)):
+    for mem, flag in sorted(zip(cliques, flags)):
         kind, witness = classify_clique(mem, fams)
         row = {"lines": list(mem), "kind": kind, "witness": witness}
         if exchange is not None:
@@ -340,5 +341,5 @@ def family_to_json(cliques, fams: GeometricFamilies,
 
 def classify_clique(members, fams: GeometricFamilies):
     """The (kind, witness) `fams.kind_of` records for the line set `members`,
-    or (KIND_UNCLASSIFIED, None) when it is no geometric clique."""
-    return fams.kind_of.get(frozenset(members), (KIND_UNCLASSIFIED, None))
+    in any order, or (KIND_UNCLASSIFIED, None) when it is no geometric clique."""
+    return fams.kind_of.get(tuple(sorted(members)), (KIND_UNCLASSIFIED, None))

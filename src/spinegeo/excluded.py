@@ -121,11 +121,10 @@ def build_homology_map(space: SpineSpace, star: StrongSubspace, scale: int) -> L
     c = (scale - 1) * pow(sum(a * b for a, b in zip(phi, w_vec)) % q, q - 2, q)
     t_mat = [[(int(i == j) + c * phi[i] * w_vec[j]) % q for j in range(n)] for i in range(n)]
 
-    star_lines = set(star.line_ids)
     w_gid = space.gid_of[subspace_key(w)]
     perm = list(range(len(space.lines)))
     moved = []
-    for lid in star_lines:
+    for lid in star.line_ids:
         ln = space.lines[lid]
         h_img = apply_matrix(ln.h, t_mat)
         b_img = apply_matrix(ln.b, t_mat)
@@ -139,7 +138,7 @@ def build_homology_map(space: SpineSpace, star: StrongSubspace, scale: int) -> L
         if w_gid in ln.closure_gids:
             assert target == lid
     assert sorted(perm) == list(range(len(space.lines))), "line map must be a bijection"
-    return LineMap(tuple(perm), star.id, tuple(sorted(moved)))
+    return LineMap(tuple(perm), star.id, tuple(moved))
 
 
 def verify_counterexample(space: SpineSpace, lmap: LineMap,
@@ -172,7 +171,7 @@ def verify_counterexample(space: SpineSpace, lmap: LineMap,
 
     # the tops through the star's lines, each with the least line it shares
     shared_line: dict[int, int] = {}
-    for lid in sorted(star.line_ids):
+    for lid in star.line_ids:
         if space.top_of_line[lid] is not None:
             shared_line.setdefault(space.top_of_line[lid], lid)
     witness = None
@@ -184,8 +183,8 @@ def verify_counterexample(space: SpineSpace, lmap: LineMap,
             k_top = by_strong_vertex.get((top.id, gid))
             if k_star is None or k_top is None:
                 continue
-            img_star = frozenset(perm[l] for l in k_star)
-            img_top = frozenset(perm[l] for l in k_top)
+            img_star = tuple(sorted(perm[l] for l in k_star))
+            img_top = tuple(sorted(perm[l] for l in k_top))
             if img_top != k_top:
                 continue
             if img_star != k_star:
@@ -207,8 +206,8 @@ def verify_counterexample(space: SpineSpace, lmap: LineMap,
     if witness is not None:
         # the lines through a proper point: its bundle
         bundle = space.lines_through.get(witness["vertex_gid"], ())
-        all_bundles = {frozenset(space.lines_through.get(g2, ())) for g2 in space.proper_gids}
-        bundle_broken = frozenset(perm[l] for l in bundle) not in all_bundles
+        all_bundles = {space.lines_through.get(g2, ()) for g2 in space.proper_gids}
+        bundle_broken = tuple(sorted(perm[l] for l in bundle)) not in all_bundles
         report["moved_bundle_size"] = len(bundle)
     report["checks"]["bundle_not_preserved"] = bundle_broken
     report["ok"] = all(report["checks"].values())

@@ -186,7 +186,7 @@ class Workspace:
         return reconstruct(family_B(self.geometry(kind)), self.stripped(kind).graph)
 
     @_stage
-    def rho_outside(self) -> tuple[set[frozenset[int]], dict | None]:
+    def rho_outside(self) -> tuple[set[tuple[int, ...]], dict | None]:
         """The pencils the rho checks exclude, and their report: over GF(2),
         the proper pencils on affine planes, with whether each spans under
         rho (the stated cause); no pencils and no report when q >= 3.
@@ -203,7 +203,7 @@ class Workspace:
                    if p.proper and planes[p.plane_id].kind == PLANE_AFFINE}
         if not outside:
             return outside, None
-        rows = sorted(sorted(p) for p in outside)
+        rows = sorted(outside)
         rho = self.graph("rho")
         spanning = sum(delta_n(p, rho) for p in rows)
         return outside, {"hypothesis": "q >= 3", "count": len(rows), "spanning": spanning,
@@ -318,7 +318,7 @@ def cmd_cliques(ws: Workspace, payload: dict) -> int:
         for kind in cfg.deltas():
             inv, family = ws.stripped(kind).inverse, ws.spanned(kind)
             artifact[kind] = family_to_json(
-                [[inv[l] for l in mem] for mem in family.members], ws.families(),
+                [tuple(sorted(inv[l] for l in mem)) for mem in family.members], ws.families(),
                 family.exchange)
         payload["families_artifact"] = _write_atomic(
             _output_path(cfg, "clique-families"), canonical_json(artifact)).name
@@ -369,7 +369,7 @@ def reconstruction_claim(space: SpineSpace, case: ExcludedCase) -> str:
     the pipeline also needs every line in a strong subspace of dimension at
     least 4, so the claim is "unknown" when some line has no such host.
     """
-    if case.tag == CASE_NONE and verify._lines_without_host(space):
+    if case.tag == CASE_NONE and verify.lines_without_host(space):
         return "unknown"
     return str(case.star_holds)
 

@@ -18,9 +18,10 @@ combination of u and v), each canonicalised once per H.  The closure of
 every strong subspace, star or top, and of every plane is the union of its
 lines' closures, and a plane's pencils are its lines grouped by the closure
 points they pass through.  Planes and line pencils are materialised on
-demand and cached.  The module also runs the two foundational structure
-checks used by the verification suite: the star/top intersection dichotomy
-and the tripod span property.
+demand and cached.  Every line set kept here is an ascending tuple of line
+ids (lines are numbered as they are found).  The module also runs the two
+foundational structure checks used by the verification suite: the star/top
+intersection dichotomy and the tripod span property.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ class GeoPencil:
     plane_id: int
     vertex_gid: int
     proper: bool
-    line_ids: frozenset[int]
+    line_ids: tuple[int, ...]  # ascending, as the plane's
 
 
 class SpineSpace:
@@ -425,13 +426,13 @@ class SpineSpace:
         affine plane (whose removed line is no line)."""
         if self._pencils is None:
             self._pencils = [
-                GeoPencil(plane.id, g, g in self.pid_of_gid, frozenset(members))
+                GeoPencil(plane.id, g, g in self.pid_of_gid, tuple(members))
                 for plane in self.planes()
                 for g, members in self._by_closure_point(plane.line_ids).items()
             ]
         return self._pencils
 
-    def semibundles(self, min_p_dim: int) -> dict[tuple[int, int], frozenset[int]]:
+    def semibundles(self, min_p_dim: int) -> dict[tuple[int, int], tuple[int, ...]]:
         """Line sets L_U(X) of two or more lines keyed by (strong id, vertex
         gid), U at least min_p_dim-dimensional (2 takes every listed U)."""
         table = {}
@@ -440,16 +441,16 @@ class SpineSpace:
                 continue
             for g, lids in self._by_closure_point(st.line_ids).items():
                 if len(lids) >= 2:
-                    table[(st.id, g)] = frozenset(lids)
+                    table[(st.id, g)] = tuple(lids)
         # two lines fix their strong subspace and their common point
         assert len(set(table.values())) == len(table)
         return table
 
     def semibundle_at(self, lines) -> tuple[int, int] | None:
-        """The (strong id, vertex gid) of the L_U(X) equal to `lines`, U any
-        listed strong subspace (each at least 2-dimensional), or None.
-        `lines` is a set of line ids (or a sequence without repeats, in any
-        order).
+        """The (strong id, vertex gid) of the L_U(X) whose lines are `lines`,
+        U any listed strong subspace (each at least 2-dimensional), or None.
+        `lines` is any collection of line ids, in any order: a sorted id
+        tuple as `semibundles()` keeps, or ids mapped through a permutation.
 
         Any two of the lines fix the only candidate key.  Distinct pencils
         share at most one member, so the lines' closures meet in at most one
@@ -473,7 +474,7 @@ class SpineSpace:
                 return None
         sid = host_of[a]
         through = [l for l in self.lines_through[g] if host_of[l] == sid]
-        if len(through) != len(lines) or not all(l in lines for l in through):
+        if through != sorted(lines):
             return None
         return (sid, g)
 
@@ -510,7 +511,7 @@ class SpineSpace:
                     if len(inter) > 1:
                         violations.append(("proj-star-top", s.id, t.id, sorted(inter)))
                 else:
-                    if inter and frozenset(inter) not in line_point_sets:
+                    if inter and inter not in line_point_sets:
                         violations.append(("star-top", s.id, t.id, sorted(inter)))
         return {"pairs_checked": checked, "violations": violations, "ok": not violations}
 

@@ -90,8 +90,7 @@ def check_clique_classification(ws: Workspace) -> dict:
     out: dict = {"pi_family_size": len(fams.pi_family),
                  "rho_family_size": len(fams.rho_family)}
     if ws.cliques(PI) is not None:
-        bk_pi = {frozenset(m) for m in ws.cliques(PI)}
-        bk_rho = {frozenset(m) for m in ws.cliques(RHO)}
+        bk_pi, bk_rho = set(ws.cliques(PI)), set(ws.cliques(RHO))
         out["mode"] = "bron-kerbosch"
         out["pi_equal"] = bk_pi == fams.pi_family
         out["rho_equal"] = bk_rho == fams.rho_family
@@ -104,7 +103,7 @@ def check_clique_classification(ws: Workspace) -> dict:
         problems = []
         for kind, family in ((PI, fams.pi_family), (RHO, fams.rho_family)):
             graph = ws.graph(kind)
-            for mem in sorted(map(sorted, family)):
+            for mem in sorted(family):
                 if not is_maximal_clique(mem, graph):
                     problems.append((graph.delta_kind, mem[:4]))
         out["pi_equal"] = out["rho_equal"] = not problems
@@ -129,7 +128,7 @@ def check_exchange_criterion(ws: Workspace) -> dict:
     space, rho, fams = ws.space(), ws.graph(RHO), ws.families()
     members = ws.cliques(RHO)
     if members is None:
-        members = sorted(tuple(sorted(lines)) for lines in fams.rho_family)
+        members = sorted(fams.rho_family)
     gf2 = space.params.space.q == 2
     mismatches = []
     excluded_sizes: dict[str, int] = {}
@@ -164,7 +163,7 @@ def _pencil_of_triple(space: SpineSpace) -> dict[tuple[int, int, int], GeoPencil
     """
     out: dict[tuple[int, int, int], GeoPencil] = {}
     for p in space.pencils():
-        for tri in itertools.combinations(sorted(p.line_ids), 3):
+        for tri in itertools.combinations(p.line_ids, 3):
             assert tri not in out, f"lines {tri} lie in two pencils"
             out[tri] = p
     return out
@@ -199,10 +198,8 @@ def check_ternary_pencils(ws: Workspace) -> dict:
         outside, excluded = ws.rho_outside() if name == RHO else (set(), None)
         sr, cliques = ws.stripped(name), ws.spanned(name)
         graph, perm, inv = sr.graph, sr.perm, sr.inverse
-        # cliques as sorted tuples of original ids: far smaller than frozensets
         spanned = {tuple(sorted(inv[l] for l in mem)) for mem in cliques.members}
-        expected = {tuple(sorted(s))
-                    for s in (fams.pi_family if name == PI else fams.rho_family)}
+        expected = fams.pi_family if name == PI else fams.rho_family
         # spanned cliques are maximal, so the spanning family never exceeds
         # the geometric one; anything unspanned must be an affine semiflat
         unspanned = expected - spanned
@@ -246,8 +243,8 @@ def check_ternary_pencils(ws: Workspace) -> dict:
 
 
 def _pencil_comparison(recovered: set, target: set) -> dict:
-    """Recovered against geometric pencils: the counts and the three smallest
-    witnesses of each side, each a sorted list of line ids."""
+    """Recovered against geometric pencils, each side a set of ascending
+    line-id tuples: the counts and the three smallest witnesses of each side."""
     missing = target - recovered
     extra = recovered - target
     return {
@@ -256,8 +253,8 @@ def _pencil_comparison(recovered: set, target: set) -> dict:
         "missing": len(missing),
         "extra": len(extra),
         "equal": not missing and not extra,
-        "missing_witnesses": sorted(map(sorted, missing))[:3],
-        "extra_witnesses": sorted(map(sorted, extra))[:3],
+        "missing_witnesses": sorted(missing)[:3],
+        "extra_witnesses": sorted(extra)[:3],
     }
 
 
@@ -285,7 +282,7 @@ def check_pencil_recovery(ws: Workspace) -> dict:
         # the recovered sets live only in the call, so one relation's are
         # freed before the next relation's are built
         inv, members = sr.inverse, geometry.pencils.members
-        entry = _pencil_comparison({frozenset(inv[l] for l in members[idx])
+        entry = _pencil_comparison({tuple(sorted(inv[l] for l in members[idx]))
                                     for idx in geometry.proper_pencils}, target)
         cause_holds = True
         if excluded is not None:
@@ -322,7 +319,7 @@ def check_upsilon_structure(ws: Workspace, kind: str) -> dict:
     kinds = []
     unmatched = 0
     for mem in fam:
-        key = space.semibundle_at(frozenset(inv[l] for l in mem))
+        key = space.semibundle_at([inv[l] for l in mem])
         if key is None:
             unmatched += 1
             kinds.append(None)
@@ -359,7 +356,7 @@ def check_upsilon_structure(ws: Workspace, kind: str) -> dict:
     return report
 
 
-def _lines_without_host(space: SpineSpace) -> dict[str, int]:
+def lines_without_host(space: SpineSpace) -> dict[str, int]:
     """Counts by kind of the lines in no strong subspace of dimension >= 4.
 
     A line's only maximal strong subspaces are its star and its top.
@@ -393,7 +390,7 @@ def check_reconstruction(ws: Workspace, kind: str) -> dict:
         return {"applicable": False, "ok": True,
                 "note": "; ".join(gates.notes) or "bundle gate fails"}
     space = ws.space()
-    uncovered = _lines_without_host(space)
+    uncovered = lines_without_host(space)
     if uncovered:
         named = ", ".join(f"{count} {kind}" for kind, count in uncovered.items())
         return {"applicable": False, "ok": True, "uncovered_lines": uncovered,

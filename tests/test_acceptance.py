@@ -124,14 +124,14 @@ def test_constructive_mode_reports_a_non_clique_and_a_non_maximal_clique(
     # a maximal pi clique with a line unrelated to one of its members (no
     # line relates to all of it, so only the clique test can catch it), and
     # a rho clique without its smallest line
-    clique = min(fams.pi_family, key=sorted)
+    clique = min(fams.pi_family)
     unrelated = next(j for j in range(pi.count)
-                     if j not in clique and not pi.adjacent(min(clique), j))
-    non_clique = sorted(clique | {unrelated})
-    non_maximal = sorted(min(fams.rho_family, key=sorted))[1:]
+                     if j not in clique and not pi.adjacent(clique[0], j))
+    non_clique = tuple(sorted(clique + (unrelated,)))
+    non_maximal = min(fams.rho_family)[1:]
     broken = dataclasses.replace(
-        fams, pi_family=fams.pi_family | {frozenset(non_clique)},
-        rho_family=fams.rho_family | {frozenset(non_maximal)})
+        fams, pi_family=fams.pi_family | {non_clique},
+        rho_family=fams.rho_family | {non_maximal})
     monkeypatch.setattr(ws, "families", lambda: broken)
     report = verify.check_clique_classification(ws)
     assert report["mode"] == "constructive"
@@ -196,6 +196,29 @@ def test_criterion_4_pencil_space_definability(cfg3_ws, cfg3_space, cfg3_rho, cf
     assert rho["recovered"] == rho["geometric"] == 112_840
     _assert_rho_outside_hypothesis(cfg3_space, cfg3_rho, rho["outside_hypothesis"])
     assert ok
+
+
+def test_pi_defines_rho_on_cfg3(cfg3_ws, cfg3_space, cfg3_rho):
+    """Two lines are in a common pencil iff one pencil that the coplanarity
+    pipeline recovers on the stripped graph, less its parallel pencils,
+    holds both: on cfg3, rho is rebuilt from pi alone.
+
+    Hypothesis: the pencil gate (3 <= n-k and 3 <= k-m), which cfg3 meets.
+    It is sufficient here, not necessary: outside it the rebuilt relation
+    misses edges where pi recovers few pencils, or gains some where
+    improper-vertex pencils survive `detect_parallel`.
+    """
+    assert validate_params(cfg3_space.params).pencil_gate
+    geometry, inv = cfg3_ws.geometry("pi"), cfg3_ws.stripped("pi").inverse
+    rows = [0] * cfg3_rho.count
+    for idx in geometry.proper_pencils:
+        lines = [inv[l] for l in geometry.pencils.members[idx]]
+        mask = cfg3_rho.mask_of(lines)
+        for l in lines:
+            rows[l] |= mask ^ (1 << l)
+    differ = [l for l, (got, want) in enumerate(zip(rows, cfg3_rho.rows)) if got != want]
+    assert not differ, f"{len(differ)} lines relate differently, e.g. {differ[:5]}"
+    assert sum(map(int.bit_count, rows)) // 2 == cfg3_rho.edge_count() == 364_560
 
 
 def test_ternary_pencils_with_delta_pi_derives_no_rho(cfg3_ws, tmp_path, monkeypatch):

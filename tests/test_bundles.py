@@ -40,7 +40,7 @@ def test_upsilon_fails_across_vertices(cfg1_space, cfg1_B, cfg1_pi):
     semib = {
         lines: key for key, lines in cfg1_space.semibundles(min_p_dim=3).items()
     }
-    vertices = [semib[frozenset(m)][1] for m in cfg1_B]
+    vertices = [semib[m][1] for m in cfg1_B]
     pairs = 0
     for i, j in itertools.combinations(range(len(cfg1_B)), 2):
         if vertices[i] != vertices[j]:

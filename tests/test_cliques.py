@@ -18,7 +18,8 @@ from spinegeo.cliques import (
     podmianka,
 )
 from spinegeo.relations import bits_of
-from spinegeo.spine import LINE_AFFINE, PLANE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED
+from spinegeo.spine import (LINE_AFFINE, PLANE_AFFINE, PLANE_PROJECTIVE, PLANE_PUNCTURED,
+                            build_spine, standard_params)
 
 from oracles import plane_hosts, span_clique
 
@@ -150,16 +151,16 @@ def test_span_is_generator_independent(cfg1_pi):
 # ---------- families against the oracle ------------------------------------------------
 
 def test_family_K_equals_bron_kerbosch_pi(cfg1_pi, cfg1_fams):
-    spanned = {frozenset(m) for m in family_K(cfg1_pi).members}
-    oracle = {frozenset(m) for m in bron_kerbosch(cfg1_pi)}
+    spanned = set(family_K(cfg1_pi).members)
+    oracle = set(bron_kerbosch(cfg1_pi))
     assert spanned == oracle == cfg1_fams.pi_family
 
 
 def test_family_K_equals_bron_kerbosch_rho(cfg1_rho, cfg1_fams):
     # over GF(2) even the affine semiflats are spanned: their single triple
     # has an empty common neighbourhood, which is vacuously a clique
-    spanned = {frozenset(m) for m in family_K(cfg1_rho).members}
-    oracle = {frozenset(m) for m in bron_kerbosch(cfg1_rho)}
+    spanned = set(family_K(cfg1_rho).members)
+    oracle = set(bron_kerbosch(cfg1_rho))
     assert spanned == oracle == cfg1_fams.rho_family
 
 
@@ -254,22 +255,52 @@ def test_each_kind_holds_of_its_witness(request, name):
     fams = request.getfixturevalue(f"{name}_fams")
     planes = space.planes()
     for lines, (kind, witness) in fams.kind_of.items():
+        # the lookup takes the members in any order
+        assert classify_clique(lines[::-1], fams) == classify_clique(lines, fams) == (kind, witness)
         if kind in (KIND_SEMIBUNDLE_PROPER, KIND_SEMIBUNDLE_IMPROPER):
             assert space.semibundle_at(lines) == witness
             assert (witness[1] in space.pid_of_gid) == (kind == KIND_SEMIBUNDLE_PROPER)
             continue
         plane = planes[witness]
         if kind in (KIND_PROJECTIVE_FLAT, KIND_FLAT):
-            assert lines == frozenset(plane.line_ids)
+            assert lines == plane.line_ids
             assert (plane.kind == PLANE_PROJECTIVE) == (kind == KIND_PROJECTIVE_FLAT)
         elif kind == KIND_PUNCTURED_SEMIFLAT:
             assert plane.kind == PLANE_PUNCTURED
             projective = {l for l in plane.line_ids if space.lines[l].kind != LINE_AFFINE}
-            (extra,) = lines - projective
-            assert projective <= lines and extra in plane.line_ids
+            (extra,) = set(lines) - projective
+            assert projective <= set(lines) and extra in plane.line_ids
             assert space.lines[extra].kind == LINE_AFFINE
         else:
             assert kind == KIND_AFFINE_SEMIFLAT and plane.kind == PLANE_AFFINE
-            assert lines <= set(plane.line_ids)
+            assert set(lines) <= set(plane.line_ids)
             directions = sorted(space.lines[l].improper_gid for l in lines)
             assert directions == sorted({space.lines[l].improper_gid for l in plane.line_ids})
+
+
+# ---------- one line-set format -------------------------------------------------------
+
+def _is_id_tuple(lines) -> bool:
+    """A strictly ascending tuple of int line ids."""
+    return (type(lines) is tuple and all(type(l) is int for l in lines)
+            and all(a < b for a, b in zip(lines, lines[1:])))
+
+
+@pytest.mark.parametrize("source", ["cfg1_space", "cex_space", "twin_space", (2, 5, 2, 1, 3)],
+                         ids=str)
+def test_every_geometric_line_set_is_a_sorted_id_tuple(request, source):
+    space = (request.getfixturevalue(source) if isinstance(source, str)
+             else build_spine(standard_params(*source)))
+    fams = geometric_families(space)
+    assert fams.kind_of and space.pencils()
+    for family in ([p.line_ids for p in space.pencils()],
+                   space.semibundles(min_p_dim=2).values(),
+                   fams.kind_of, fams.pi_family, fams.rho_family):
+        bad = [lines for lines in family if not _is_id_tuple(lines)]
+        assert not bad, bad[:3]
+
+
+def test_rho_outside_pencils_are_sorted_id_tuples(cfg1_ws):
+    outside, report = cfg1_ws.rho_outside()
+    assert outside and report["count"] == len(outside)
+    assert all(_is_id_tuple(lines) for lines in outside)

@@ -8,7 +8,8 @@ from spinegeo.cliques import family_K
 from spinegeo.excluded import CASE_NONE, classify_case
 from spinegeo.pencils import family_P
 from spinegeo.relations import graph_from_json, graph_to_json
-from spinegeo.spine import LINE_AFFINE
+from spinegeo.spine import (LINE_AFFINE, LINE_ALPHA, LINE_OMEGA, build_spine, standard_params,
+                            validate_params)
 from spinegeo.harness import (
     CONFIG_ERROR,
     OK,
@@ -140,6 +141,40 @@ def test_reconstruction_claim_needs_a_big_host_for_every_line(cfg1_space, roomy_
     assert all((c.tag, c.star_holds) == (CASE_NONE, True) for c in cases.values())
     assert reconstruction_claim(cfg1_space, cases["cfg1"]) == "unknown"
     assert reconstruction_claim(roomy_space, cases["roomy"]) == "True"
+
+
+def _host_bound(kind: str, n: int, k: int, m: int, w: int) -> int:
+    """The largest dimension of a strong subspace holding a line of `kind`."""
+    return {LINE_AFFINE: max(n - k, k), LINE_ALPHA: max(n - k, k - m),
+            LINE_OMEGA: max(w - m, k)}[kind]
+
+
+def _small_configs():
+    """Every valid config with q = 2 and n <= 5, or with q = 3 and n = 4."""
+    out = []
+    for q, n in ((2, 4), (2, 5), (3, 4)):
+        for k in range(2, n - 1):
+            for w in range(n + 1):
+                for m in range(min(k, w) + 1):
+                    if validate_params(standard_params(q, n, k, m, w)).basic:
+                        out.append((q, n, k, m, w))
+    return out
+
+
+def test_lines_without_host_follow_the_closed_form(cfg1_space, roomy_space, cfg3_space):
+    # a line of kind K lies in a strong subspace of dimension >= 4 iff the
+    # bound for K is >= 4, so the lines without one are all lines of the
+    # kinds whose bound is below 4
+    spaces = [build_spine(standard_params(*c)) for c in _small_configs()]
+    assert len(spaces) == 42
+    for space in spaces + [cfg1_space, roomy_space, cfg3_space]:
+        params = space.params
+        dims = (params.space.n, params.k, params.m, params.w_dim)
+        expected = {}
+        for ln in space.lines:
+            if _host_bound(ln.kind, *dims) < 4:
+                expected[ln.kind] = expected.get(ln.kind, 0) + 1
+        assert verify.lines_without_host(space) == dict(sorted(expected.items())), dims
 
 
 def test_counterexample_requires_the_neighbourhood_case(tmp_path):

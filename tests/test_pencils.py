@@ -216,7 +216,7 @@ def test_recovered_pencils_match_hosted_geometry(cfg1_space, cfg1_pi):
     # over this configuration the recoverable pencils are exactly those whose
     # base plane lies inside a 4-dimensional star
     fp = pencils_of(cfg1_pi)
-    recovered = {frozenset(m) for m in fp.members}
+    recovered = set(fp.members)
     expected = {p.line_ids for p, _ in hosted_pencils(cfg1_space, proper=True)}
     expected |= {
         p.line_ids for p, _ in hosted_pencils(cfg1_space, proper=False)
@@ -232,7 +232,7 @@ def test_pencil_coplanarity(cfg1_space, cfg1_pi):
     geo = {p.line_ids: p for p in cfg1_space.pencils()}
     by_plane = {}
     for mem in fp.members:
-        p = geo[frozenset(mem)]
+        p = geo[mem]
         by_plane.setdefault(p.plane_id, []).append((mem, p))
     plane_id, group = next((k, v) for k, v in by_plane.items() if len(v) >= 2)
     (m1, p1), (m2, p2) = group[:2]
@@ -243,7 +243,7 @@ def test_pencil_coplanarity(cfg1_space, cfg1_pi):
     other = None
     shared = set(m1)
     for mem in fp.members:
-        p = geo[frozenset(mem)]
+        p = geo[mem]
         if p.plane_id != plane_id and shared & set(mem) \
                 and not pencil_coplanar(m1, mem, cfg1_pi):
             other = mem
@@ -294,7 +294,7 @@ def test_family_B_is_the_proper_semibundles(cfg1_space, cfg1_pi, cfg1_rho):
     }
     for graph in (cfg1_pi, cfg1_rho):
         geometry = derive_line_geometry(graph, family_K(graph))
-        got = {frozenset(m) for m in family_B(geometry)}
+        got = set(family_B(geometry))
         assert got == expected
 
 
@@ -302,7 +302,7 @@ def test_parallel_detection_removes_improper_vertices_only(cfg1_space, cfg1_pi):
     geometry = derive_line_geometry(cfg1_pi, family_K(cfg1_pi))
     geo = {p.line_ids: p for p in cfg1_space.pencils()}
     for idx, mem in enumerate(geometry.pencils.members):
-        pencil = geo[frozenset(mem)]
+        pencil = geo[mem]
         assert (idx in geometry.parallel_pencils) == (not pencil.proper)
 
 
@@ -436,7 +436,7 @@ def test_rho_pencil_recovery_over_gf3_by_plane_kind():
     geometry = derive_line_geometry(sr.graph, family_K(sr.graph))
     assert not hasattr(geometry.pencils, "masks")
     inv, members = sr.inverse, geometry.pencils.members
-    recovered = {frozenset(inv[l] for l in members[i]) for i in geometry.proper_pencils}
+    recovered = {tuple(sorted(inv[l] for l in members[i])) for i in geometry.proper_pencils}
     planes = space.planes()
     counts = {}
     for p in space.pencils():

@@ -246,20 +246,20 @@ def test_semibundle_at_rejects_other_line_sets(space_and_semibundles):
     for sid, g in keys:
         lines = table[(sid, g)]
         for l in lines:
-            assert space.semibundle_at(lines - {l}) is None
-            assert space.semibundle_at(frozenset({l})) is None
+            assert space.semibundle_at(tuple(x for x in lines if x != l)) is None
+            assert space.semibundle_at((l,)) is None
         # a line of the same strong subspace, off the vertex
         other = next((l for l in space.strongs[sid].line_ids
                       if g not in space.lines[l].closure_gids), None)
         if other is not None:
             extended += 1
             ordered = sorted(lines)
-            assert space.semibundle_at(lines | {other}) is None
+            assert space.semibundle_at(tuple(sorted(lines + (other,)))) is None
             assert space.semibundle_at((other, *ordered)) is None
             assert space.semibundle_at((*ordered, other)) is None
     assert extended > 0
     for a, b in zip(keys, keys[1:]):
-        union = table[a] | table[b]
+        union = tuple(sorted(set(table[a]) | set(table[b])))
         assert space.semibundle_at(union) is None
         assert space.semibundle_at(tuple(sorted(union, reverse=True))) is None
 
@@ -399,7 +399,7 @@ def test_plane_closures_and_pencils_match_the_per_plane_path(params, w_side):
         assert set(plane.closure_gids) == closure
         assert set(plane.improper_gids) == {g for g in closure if g not in space.pid_of_gid}
         for g in closure:
-            through = frozenset(l for l in plane.line_ids if g in space.lines[l].closure_gids)
+            through = tuple(l for l in plane.line_ids if g in space.lines[l].closure_gids)
             if len(through) >= 2:
                 expected[(plane.id, g)] = (g in space.pid_of_gid, through)
     pencils = {(p.plane_id, p.vertex_gid): (p.proper, p.line_ids) for p in space.pencils()}

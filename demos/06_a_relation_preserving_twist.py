@@ -11,7 +11,7 @@ not carried to any bundle: no formula over the line relations can pin
 down points here.
 """
 
-from spinegeo import build_spine, compute_pi, compute_rho, standard_params
+from spinegeo import build_spine, compute_pi, compute_rho, standard_params, strip
 from spinegeo.excluded import build_homology_map, classify_case, verify_counterexample
 
 space = build_spine(standard_params(q=3, n=5, k=2, m=1, w=2))
@@ -19,8 +19,9 @@ case = classify_case(space.params)
 print(f"case: {case.tag} ({case.detail})")
 print(f"points {len(space.points)}, lines {len(space.lines)}")
 
-pi = compute_pi(space)
-rho = compute_rho(space)
+# the relations as the abstract side sees them: ids shuffled, geometry gone
+pi = strip(compute_pi(space), seed=11)
+rho = strip(compute_rho(space), seed=11)
 star = next(s for s in space.strongs if s.kind == "alpha-star")
 twist = build_homology_map(space, star, scale=2)
 print(f"\nthe twist moves {len(twist.moved)} lines, all inside star {star.id}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import _rank, _rref_rows, apply_matrix, subspace_key
-from .relations import LineRelationGraph, permute_rows
+from .relations import StripResult, permute_rows
 from .spine import STAR_ALPHA, SpineParams, SpineSpace, StrongSubspace, validate_params
 
 CASE_GRASSMANN = "grassmann"
@@ -142,25 +142,25 @@ def build_homology_map(space: SpineSpace, star: StrongSubspace, scale: int) -> L
 
 
 def verify_counterexample(space: SpineSpace, lmap: LineMap,
-                          pi_graph: LineRelationGraph,
-                          rho_graph: LineRelationGraph) -> dict:
+                          pi: StripResult, rho: StripResult) -> dict:
     """Check the twist preserves both relations yet breaks some bundle.
 
-    (a) relation preservation is checked on every line pair for both
-    relations; (b) a top through the twisted star is exhibited, whose
-    shared line carries a point U with the star semibundle moved to a
-    different vertex U' while the top semibundle stays put; (c) the image
-    of the full line bundle at U is compared against every geometric
-    bundle and matches none.
+    (a) relation preservation is checked on every line pair of both
+    relations, in stripped ids; (b) a top through the twisted star is
+    exhibited, whose shared line carries a point U with the star semibundle
+    moved to a different vertex U' while the top semibundle stays put; (c)
+    the image of the full line bundle at U is compared against every
+    geometric bundle and matches none.
     """
     report: dict = {"checks": {}}
     perm = lmap.perm
 
     violations = 0
     n = len(perm)
-    for name, graph in (("pi", pi_graph), ("rho", rho_graph)):
+    for name, sr in (("pi", pi), ("rho", rho)):
         # a row the map does not carry onto the row of its image line
-        bad = sum(a != b for a, b in zip(permute_rows(graph.rows, perm), graph.rows))
+        rows, moved = sr.graph.rows, [sr.perm[perm[l]] for l in sr.inverse]
+        bad = sum(a != b for a, b in zip(permute_rows(rows, moved), rows))
         report["checks"][f"preserves_{name}"] = bad == 0
         violations += bad
     report["relation_violations"] = violations

@@ -8,8 +8,9 @@ A `Workspace` computes each stage of the pipeline at most once per command,
 and each relation's spanned cliques once, in `spanned(kind)`.  Nothing is
 carried from one command to the next: every command builds the space and
 computes the relations it needs again.  Each computed relation is also
-written under `<out>/cache/`, keyed by a digest of the space parameters, as
-an output for readers outside the program; the program never reads it back.
+written, in geometric line ids, under `<out>/cache/`, keyed by a digest of
+the space parameters, as an output for readers outside the program; the
+program never reads it back, and the workspace keeps it in stripped ids only.
 Relation files are compact canonical JSON (sorted keys, no whitespace);
 reports, sidecars and artifacts are `canonical_json`, one key or item a line.
 """
@@ -31,8 +32,7 @@ from .cliques import (GeometricFamilies, LineSetFamily, bron_kerbosch, delta_n, 
                       family_to_json, geometric_families)
 from .excluded import CASE_NONE, ExcludedCase, classify_case
 from .pencils import LineGeometry, derive_line_geometry, family_B, geometry_to_json
-from .relations import (LineRelationGraph, StripResult, compute_pi, compute_rho,
-                        graph_to_json, strip)
+from .relations import StripResult, compute_pi, compute_rho, graph_to_json, strip
 from .spine import (PLANE_AFFINE, GateReport, SpineParams, SpineSpace, build_spine,
                     standard_params, validate_params)
 
@@ -118,14 +118,13 @@ def _stage(method):
 class Workspace:
     """The pipeline of one `RunConfig`, each stage computed at most once.
 
-    space -> graph(kind) -> stripped(kind) -> spanned(kind) ->
-    geometry(kind) -> reconstruction(kind), and below the oracle cap
-    graph(kind) -> the Bron-Kerbosch cliques(kind).  spanned(kind) is the
-    relation's one spanned clique family, on the stripped graph;
-    stripped(kind) maps it back to the original line ids.  families() are
-    the geometric clique families the checks compare against, and
-    rho_outside() the pencils the rho checks exclude over GF(2).  `kind` is
-    "pi" or "rho".
+    space -> graph(kind) -> spanned(kind) -> geometry(kind) ->
+    reconstruction(kind), and below the oracle cap graph(kind) -> the
+    Bron-Kerbosch cliques(kind).  graph(kind) is the relation's one copy, in
+    stripped ids; its `perm` and `inverse` map to and from the geometric
+    ids the checks compare in.  spanned(kind) is its one spanned clique
+    family, families() the geometric clique families, and rho_outside()
+    the pencils the rho checks exclude over GF(2).  `kind` is "pi" or "rho".
     """
 
     def __init__(self, cfg: RunConfig):
@@ -145,14 +144,15 @@ class Workspace:
         return build_spine(self.params())
 
     @_stage
-    def graph(self, kind: str) -> LineRelationGraph:
-        """The relation, computed and written to its file under `cache/`,
-        which replaces any file there (the program never reads it)."""
+    def graph(self, kind: str) -> StripResult:
+        """The relation, stripped with the run's seed.  Its geometric-id rows
+        live only to be written to the relation file under `cache/`, which
+        replaces any file there (the program never reads it)."""
         g = (compute_pi if kind == "pi" else compute_rho)(self.space())
         text = json.dumps(graph_to_json(g), sort_keys=True, separators=(",", ":")) + "\n"
         _write_atomic(self.cfg.out_dir / "cache"
                       / f"relation-{kind}-{self.cfg.space_digest()}.json", text)
-        return g
+        return strip(g, self.cfg.seed)
 
     @_stage
     def families(self) -> GeometricFamilies:
@@ -160,30 +160,26 @@ class Workspace:
 
     @_stage
     def cliques(self, kind: str) -> list[tuple[int, ...]] | None:
-        """Every maximal clique (Bron-Kerbosch) as its sorted line ids, or
-        None above the oracle cap."""
-        g = self.graph(kind)
-        if g.count > cliques.BK_MAX_LINES:
+        """Every maximal clique (Bron-Kerbosch on the stripped graph) as its
+        sorted geometric line ids, in sorted order, or None above the oracle
+        cap."""
+        sr = self.graph(kind)
+        if sr.graph.count > cliques.BK_MAX_LINES:
             return None
-        return bron_kerbosch(g)
-
-    @_stage
-    def stripped(self, kind: str) -> StripResult:
-        return strip(self.graph(kind), self.cfg.seed)
+        return sorted(tuple(sorted(sr.inverse[l] for l in c)) for c in bron_kerbosch(sr.graph))
 
     @_stage
     def spanned(self, kind: str) -> LineSetFamily:
-        """The spanned cliques of the stripped relation, with the exchange
-        flags on rho."""
-        return family_K(self.stripped(kind).graph)
+        """The spanned cliques of the relation, with the exchange flags on rho."""
+        return family_K(self.graph(kind).graph)
 
     @_stage
     def geometry(self, kind: str) -> LineGeometry:
-        return derive_line_geometry(self.stripped(kind).graph, self.spanned(kind))
+        return derive_line_geometry(self.graph(kind).graph, self.spanned(kind))
 
     @_stage
     def reconstruction(self, kind: str) -> ReconstructedSpace:
-        return reconstruct(family_B(self.geometry(kind)), self.stripped(kind).graph)
+        return reconstruct(family_B(self.geometry(kind)), self.graph(kind).graph)
 
     @_stage
     def rho_outside(self) -> tuple[set[tuple[int, ...]], dict | None]:
@@ -205,7 +201,7 @@ class Workspace:
             return outside, None
         rows = sorted(outside)
         rho = self.graph("rho")
-        spanning = sum(delta_n(p, rho) for p in rows)
+        spanning = sum(delta_n([rho.perm[l] for l in p], rho.graph) for p in rows)
         return outside, {"hypothesis": "q >= 3", "count": len(rows), "spanning": spanning,
                          "cause_holds": spanning == len(rows), "pencils": rows}
 
@@ -316,7 +312,7 @@ def cmd_cliques(ws: Workspace, payload: dict) -> int:
     if len(ws.space().lines) <= cliques.BK_MAX_LINES:
         artifact = {}
         for kind in cfg.deltas():
-            inv, family = ws.stripped(kind).inverse, ws.spanned(kind)
+            inv, family = ws.graph(kind).inverse, ws.spanned(kind)
             artifact[kind] = family_to_json(
                 [tuple(sorted(inv[l] for l in mem)) for mem in family.members], ws.families(),
                 family.exchange)

@@ -6,7 +6,9 @@ failure (counts, bounded witness lists).  Checks never assert; the caller
 only apply under a gate return {"applicable": False} when the gate fails.
 
 A check reads the space, the relations and every derived stage from a
-`harness.Workspace`, which computes each of them once for all checks.
+`harness.Workspace`, which computes each of them once for all checks and
+keeps the relations in stripped ids: a check maps geometric ids in through
+the strip's `perm`, and stripped ids back through its `inverse`.
 """
 
 from __future__ import annotations
@@ -61,8 +63,9 @@ def check_foundations(ws: Workspace) -> dict:
 
 def check_relation_sanity(ws: Workspace) -> dict:
     """Both relations irreflexive and symmetric, and rho within pi; a relation
-    that breaks an invariant names its first witness in "invariant_problems"."""
-    pi, rho = ws.graph(PI), ws.graph(RHO)
+    that breaks an invariant names its first witness (in stripped ids) in
+    "invariant_problems".  pi and rho share one strip permutation."""
+    pi, rho = ws.graph(PI).graph, ws.graph(RHO).graph
     problems = []
     for graph in (pi, rho):
         try:
@@ -83,8 +86,8 @@ def check_clique_classification(ws: Workspace) -> dict:
     Up to `BK_MAX_LINES` lines the Bron-Kerbosch oracle enumerates all
     maximal cliques and the comparison is a set equality against the
     families.  Above it ("constructive" mode) each geometric family member
-    is only verified to be a clique and maximal; nothing shows there that
-    no other maximal clique exists.
+    is only verified to be a clique and maximal, on the stripped graph;
+    nothing shows there that no other maximal clique exists.
     """
     fams = ws.families()
     out: dict = {"pi_family_size": len(fams.pi_family),
@@ -102,10 +105,10 @@ def check_clique_classification(ws: Workspace) -> dict:
         out["mode"] = "constructive"
         problems = []
         for kind, family in ((PI, fams.pi_family), (RHO, fams.rho_family)):
-            graph = ws.graph(kind)
+            sr = ws.graph(kind)
             for mem in sorted(family):
-                if not is_maximal_clique(mem, graph):
-                    problems.append((graph.delta_kind, mem[:4]))
+                if not is_maximal_clique([sr.perm[l] for l in mem], sr.graph):
+                    problems.append((kind, mem[:4]))
         out["pi_equal"] = out["rho_equal"] = not problems
         out["problems"] = problems[:5]
     out["ok"] = out["pi_equal"] and out["rho_equal"]
@@ -125,7 +128,7 @@ def check_exchange_criterion(ws: Workspace) -> dict:
     (by line count) and they are not compared.  Above the oracle cap the
     cliques are the geometric rho family.
     """
-    space, rho, fams = ws.space(), ws.graph(RHO), ws.families()
+    space, fams, sr = ws.space(), ws.families(), ws.graph(RHO)
     members = ws.cliques(RHO)
     if members is None:
         members = sorted(fams.rho_family)
@@ -135,7 +138,7 @@ def check_exchange_criterion(ws: Workspace) -> dict:
     per_kind: dict[str, dict[bool, int]] = {}
     for mem in members:
         kind, _ = classify_clique(mem, fams)
-        flag = podmianka(mem, rho)
+        flag = podmianka(tuple(sr.perm[l] for l in mem), sr.graph)
         per_kind.setdefault(kind, {True: 0, False: 0})[flag] += 1
         if gf2 and kind == KIND_AFFINE_SEMIFLAT:
             size = str(len(mem))
@@ -196,7 +199,7 @@ def check_ternary_pencils(ws: Workspace) -> dict:
     report: dict = {"applicable": True}
     for name in ws.cfg.deltas():
         outside, excluded = ws.rho_outside() if name == RHO else (set(), None)
-        sr, cliques = ws.stripped(name), ws.spanned(name)
+        sr, cliques = ws.graph(name), ws.spanned(name)
         graph, perm, inv = sr.graph, sr.perm, sr.inverse
         spanned = {tuple(sorted(inv[l] for l in mem)) for mem in cliques.members}
         expected = fams.pi_family if name == PI else fams.rho_family
@@ -277,7 +280,7 @@ def check_pencil_recovery(ws: Workspace) -> dict:
     report: dict = {"applicable": True, "gate": gates.pencil_gate}
     for name in ws.cfg.deltas():
         outside, excluded = ws.rho_outside() if name == RHO else (set(), None)
-        sr, geometry = ws.stripped(name), ws.geometry(name)
+        sr, geometry = ws.graph(name), ws.geometry(name)
         target = geo_proper - outside if outside else geo_proper
         # the recovered sets live only in the call, so one relation's are
         # freed before the next relation's are built
@@ -311,7 +314,7 @@ def check_upsilon_structure(ws: Workspace, kind: str) -> dict:
     reconstruction found (`gluing_adjacency`, which agrees with
     `upsilon_empty` pair for pair).
     """
-    inv = ws.stripped(kind).inverse
+    inv = ws.graph(kind).inverse
     fam = family_B(ws.geometry(kind))
     if not fam:
         return {"applicable": False, "ok": True, "note": "empty semibundle family"}
@@ -402,7 +405,7 @@ def check_reconstruction(ws: Workspace, kind: str) -> dict:
                 "note": "every line is affine and over GF(2) p_rho sees no pencil "
                         "on an affine plane; rho recovers no pencil"}
     fam = family_B(ws.geometry(kind))
-    report = verify_equivalence(space, ws.reconstruction(kind), ws.stripped(kind), fam)
+    report = verify_equivalence(space, ws.reconstruction(kind), ws.graph(kind), fam)
     report["applicable"] = True
     report["family_size"] = len(fam)
     return report

@@ -10,6 +10,9 @@ roomy -- a config whose lines all sit in 4-dimensional stars, where the
          full reconstruction genuinely succeeds for both relations.
 twin  -- the GF(3) space of the benchmark's check suite, small enough to
          build per session for the kernel comparisons.
+
+A workspace keeps its relations in stripped ids only; the `<cfg>_pi` and
+`<cfg>_rho` fixtures are the relations in geometric ids, the tests' reference.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import spinegeo.relations
 from spinegeo import verify
 from spinegeo.gf import enumerate_between, enumerate_subspaces, full_subspace
 from spinegeo.harness import RunConfig, Workspace
+from spinegeo.relations import compute_pi, compute_rho
 from spinegeo.spine import build_spine, standard_params
 
 from oracles import dim_intersect
@@ -86,13 +90,13 @@ def cfg1_space(cfg1_ws):
 
 
 @pytest.fixture(scope="session")
-def cfg1_pi(cfg1_ws):
-    return cfg1_ws.graph("pi")
+def cfg1_pi(cfg1_space):
+    return compute_pi(cfg1_space)
 
 
 @pytest.fixture(scope="session")
-def cfg1_rho(cfg1_ws):
-    return cfg1_ws.graph("rho")
+def cfg1_rho(cfg1_space):
+    return compute_rho(cfg1_space)
 
 
 @pytest.fixture(scope="session")
@@ -111,13 +115,13 @@ def cfg3_space(cfg3_ws):
 
 
 @pytest.fixture(scope="session")
-def cfg3_pi(cfg3_ws):
-    return cfg3_ws.graph("pi")
+def cfg3_pi(cfg3_space):
+    return compute_pi(cfg3_space)
 
 
 @pytest.fixture(scope="session")
-def cfg3_rho(cfg3_ws):
-    return cfg3_ws.graph("rho")
+def cfg3_rho(cfg3_space):
+    return compute_rho(cfg3_space)
 
 
 @pytest.fixture(scope="session")
@@ -131,13 +135,13 @@ def cex_space(cex_ws):
 
 
 @pytest.fixture(scope="session")
-def cex_pi(cex_ws):
-    return cex_ws.graph("pi")
+def cex_pi(cex_space):
+    return compute_pi(cex_space)
 
 
 @pytest.fixture(scope="session")
-def cex_rho(cex_ws):
-    return cex_ws.graph("rho")
+def cex_rho(cex_space):
+    return compute_rho(cex_space)
 
 
 @pytest.fixture(scope="session")

@@ -116,7 +116,7 @@ def reference_upsilon_mismatches(kinds, adjacency):
 
 def test_upsilon_structure_reports_the_pairs_of_the_all_pairs_walk(roomy_ws, monkeypatch):
     # roomy: three semibundles per point, so some pairs glue (on cfg1 none do)
-    space, inv = roomy_ws.space(), roomy_ws.stripped("pi").inverse
+    space, inv = roomy_ws.space(), roomy_ws.graph("pi").inverse
     fam = family_B(roomy_ws.geometry("pi"))
     kinds = []
     for mem in fam:

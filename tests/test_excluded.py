@@ -15,8 +15,10 @@ from spinegeo.excluded import (
     verify_counterexample,
 )
 from spinegeo.gf import apply_matrix, subspace_key
+from spinegeo.relations import strip
 from spinegeo.spine import STAR_ALPHA
 
+from conftest import SEED
 from oracles import homology_matrix, invert_matrix
 
 
@@ -117,7 +119,7 @@ def test_counterexample_full_report(cex_space, cex_pi, cex_rho):
     space = cex_space
     star = next(s for s in space.strongs if s.kind == STAR_ALPHA)
     lmap = build_homology_map(space, star, scale=2)
-    report = verify_counterexample(space, lmap, cex_pi, cex_rho)
+    report = verify_counterexample(space, lmap, strip(cex_pi, SEED), strip(cex_rho, SEED))
     assert report["ok"]
     assert report["checks"] == {
         "preserves_pi": True,

@@ -4,10 +4,11 @@ import json
 import pytest
 
 from spinegeo import cli, harness, verify
-from spinegeo.cliques import family_K
+from spinegeo.cliques import bron_kerbosch, family_K
 from spinegeo.excluded import CASE_NONE, classify_case
 from spinegeo.pencils import family_P
-from spinegeo.relations import graph_from_json, graph_to_json
+from spinegeo.relations import (LineRelationGraph, compute_pi, compute_rho, graph_from_json,
+                                graph_to_json, strip)
 from spinegeo.spine import (LINE_AFFINE, LINE_ALPHA, LINE_OMEGA, build_spine, standard_params,
                             validate_params)
 from spinegeo.harness import (
@@ -23,7 +24,7 @@ from spinegeo.harness import (
     reconstruction_claim,
 )
 
-from conftest import CFG1, SEED, count_calls
+from conftest import CEX, CFG1, SEED, count_calls
 
 SMALL = dict(q=2, n=5, k=2, m=1, w=3)
 
@@ -57,10 +58,10 @@ def test_gate_failure_names_the_inequalities(tmp_path):
 
 def test_a_second_command_rewrites_byte_identical_relation_files(tmp_path):
     c = cfg(tmp_path)
-    g1 = Workspace(c).graph("pi")
+    g1 = Workspace(c).graph("pi").graph
     (path,) = (tmp_path / "cache").glob("relation-pi-*.json")
     inode, before = path.stat().st_ino, path.read_bytes()
-    g2 = Workspace(c).graph("pi")
+    g2 = Workspace(c).graph("pi").graph
     assert g2.rows == g1.rows
     assert path.stat().st_ino != inode  # a new file, moved into place
     assert path.read_bytes() == before
@@ -69,7 +70,10 @@ def test_a_second_command_rewrites_byte_identical_relation_files(tmp_path):
 @pytest.mark.parametrize("kind", ["pi", "rho"])
 def test_relation_file_is_compact_canonical_json_under_the_benchmark_name(tmp_path, kind):
     c = cfg(tmp_path)
-    g = Workspace(c).graph(kind)
+    ws = Workspace(c)
+    ws.graph(kind)
+    # the file holds the relation in geometric ids
+    g = (compute_pi if kind == "pi" else compute_rho)(ws.space())
     (path,) = (tmp_path / "cache").glob(f"relation-{kind}-*.json")
     text = path.read_text()
     assert text == json.dumps(graph_to_json(g), sort_keys=True, separators=(",", ":")) + "\n"
@@ -129,7 +133,7 @@ def test_reconstruct_rho_exits_2_over_gf2_when_every_line_is_affine(tmp_path):
     assert "p_rho sees no pencil" in payload["error"]
     ws = Workspace(c)
     assert {ln.kind for ln in ws.space().lines} == {LINE_AFFINE}
-    rho = ws.graph("rho")
+    rho = ws.graph("rho").graph
     assert family_P(rho, family_K(rho)).members == []
 
 
@@ -261,6 +265,38 @@ def test_verify_all_computes_each_stage_once_per_relation(tmp_path, monkeypatch,
         payload["checks"])
     assert counts == {"strip": 2, "derive_line_geometry": 2,
                       "geometric_families": 1, "bron_kerbosch": 2}
+
+
+def test_verify_all_keeps_one_stripped_graph_per_relation(tmp_path, monkeypatch, capsys,
+                                                         cex_space):
+    # the workspace holds each relation once, in stripped ids; the geometric
+    # rows live only to be written to the relation file
+    kept = []
+
+    class Kept(Workspace):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            kept.append(self)
+
+    monkeypatch.setattr(harness, "Workspace", Kept)
+    assert harness.cmd_verify_all(RunConfig(*CEX, seed=SEED, out_dir=tmp_path))[1] == OK
+    assert capsys.readouterr().out.endswith("verify-all: all checks pass\n")
+    (ws,) = kept
+    assert not [key for key, stage in ws._stages.items()
+                if isinstance(stage, LineRelationGraph)]
+    for kind, compute in (("pi", compute_pi), ("rho", compute_rho)):
+        want = strip(compute(cex_space), SEED)
+        assert ws._stages[("graph", kind)].graph.rows == want.graph.rows
+        assert ws._stages[("graph", kind)].perm == want.perm
+
+
+@pytest.mark.parametrize("name", ["cfg1", "cex"])
+def test_the_oracle_cliques_map_back_to_the_geometric_ids(request, name):
+    # Bron-Kerbosch runs on the stripped graph; mapped back through the strip,
+    # its cliques are those of the relation in geometric ids
+    ws = request.getfixturevalue(f"{name}_ws")
+    for kind in ("pi", "rho"):
+        assert ws.cliques(kind) == bron_kerbosch(request.getfixturevalue(f"{name}_{kind}"))
 
 
 def test_the_rho_exclusion_is_computed_once_per_workspace(cfg1_ws, tmp_path, monkeypatch):

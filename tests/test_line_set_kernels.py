@@ -366,15 +366,11 @@ def test_members_of_inverts_mask_of(cfg1_pi):
 
 def test_kept_member_tuples_hold_the_graph_ids(cfg1_ws):
     """Every line of a kept clique or pencil tuple is the
-    graph's own int object for that id, not a copy per tuple."""
-    stripped = cfg1_ws.stripped(PI).graph
-    plain = cfg1_ws.graph(PI)
-    spanned = cfg1_ws.spanned(PI)
-    families = [
-        (stripped, spanned.members),
-        (stripped, cfg1_ws.geometry(PI).pencils.members),
-        (plain, cfg1_ws.cliques(PI)),
-    ]
-    for graph, members in families:
+    graph's own int object for that id, not a copy per tuple: the oracle's
+    cliques too, mapped back to geometric ids through the strip."""
+    graph = cfg1_ws.graph(PI).graph
+    families = [cfg1_ws.spanned(PI).members, cfg1_ws.geometry(PI).pencils.members,
+                cfg1_ws.cliques(PI)]
+    for members in families:
         assert any(l > 256 for mem in members for l in mem)
         assert all(l is graph.ids[l] for mem in members for l in mem)

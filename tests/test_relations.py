@@ -10,6 +10,7 @@ from spinegeo.cliques import family_K
 from spinegeo.gf import FieldSpec, rref
 from spinegeo.relations import (
     LineRelationGraph,
+    StripResult,
     bits_of,
     _row_to_rle,
     compute_pi,
@@ -31,7 +32,8 @@ def test_invariants_and_containment(cfg1_pi, cfg1_rho):
 def test_relation_sanity_reports_a_broken_invariant_instead_of_raising():
     class Stub:  # a workspace whose pi has the edge (0, 1) without (1, 0)
         def graph(self, kind):
-            return LineRelationGraph(kind, [0b010, 0, 0] if kind == "pi" else [0, 0, 0])
+            rows = [0b010, 0, 0] if kind == "pi" else [0, 0, 0]
+            return StripResult(LineRelationGraph(kind, rows), (0, 1, 2))
 
     report = verify.check_relation_sanity(Stub())
     assert report == {"ok": False, "rho_subset_pi": True, "pi_edges": 0, "rho_edges": 0,

@@ -32,7 +32,8 @@ from .cliques import (GeometricFamilies, LineSetFamily, bron_kerbosch, delta_n, 
                       family_to_json, geometric_families)
 from .excluded import CASE_NONE, ExcludedCase, classify_case
 from .pencils import LineGeometry, derive_line_geometry, family_B, geometry_to_json
-from .relations import StripResult, compute_pi, compute_rho, graph_to_json, strip
+from .relations import (LineRelationGraph, StripResult, compute_pi, compute_rho,
+                        graph_to_json, permute_rows, strip)
 from .spine import (PLANE_AFFINE, GateReport, SpineParams, SpineSpace, build_spine,
                     standard_params, validate_params)
 
@@ -120,11 +121,12 @@ class Workspace:
 
     space -> graph(kind) -> spanned(kind) -> geometry(kind) ->
     reconstruction(kind), and below the oracle cap graph(kind) -> the
-    Bron-Kerbosch cliques(kind).  graph(kind) is the relation's one copy, in
-    stripped ids; its `perm` and `inverse` map to and from the geometric
-    ids the checks compare in.  spanned(kind) is its one spanned clique
-    family, families() the geometric clique families, and rho_outside()
-    the pencils the rho checks exclude over GF(2).  `kind` is "pi" or "rho".
+    Bron-Kerbosch cliques(kind), which runs in geometric ids.  graph(kind)
+    is the relation's one kept copy, in stripped ids; its `perm` and
+    `inverse` map to and from the geometric ids the checks compare in.
+    spanned(kind) is its one spanned clique family, families() the
+    geometric clique families, and rho_outside() the pencils the rho checks
+    exclude over GF(2).  `kind` is "pi" or "rho".
     """
 
     def __init__(self, cfg: RunConfig):
@@ -160,13 +162,14 @@ class Workspace:
 
     @_stage
     def cliques(self, kind: str) -> list[tuple[int, ...]] | None:
-        """Every maximal clique (Bron-Kerbosch on the stripped graph) as its
-        sorted geometric line ids, in sorted order, or None above the oracle
-        cap."""
+        """Every maximal clique as its sorted geometric line ids, in sorted
+        order, or None above the oracle cap.  Bron-Kerbosch runs on the
+        relation in geometric ids, the stripped rows renamed back once."""
         sr = self.graph(kind)
         if sr.graph.count > cliques.BK_MAX_LINES:
             return None
-        return sorted(tuple(sorted(sr.inverse[l] for l in c)) for c in bron_kerbosch(sr.graph))
+        rows = permute_rows(sr.graph.rows, sr.inverse)
+        return bron_kerbosch(LineRelationGraph(kind, rows, sr.graph.ids))
 
     @_stage
     def spanned(self, kind: str) -> LineSetFamily:

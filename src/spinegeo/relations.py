@@ -15,6 +15,9 @@ most one line.
 The abstract side of the package consumes only `LineRelationGraph`: line
 ids plus a symmetric irreflexive adjacency, with no geometry attached.
 `strip` produces such a graph with ids shuffled by a seeded permutation.
+`graph_to_json` writes each row as the lengths of its runs of zeros and
+ones, read off the row's run boundaries, and `graph_from_json` reads them
+back and checks the invariants.
 """
 
 from __future__ import annotations
@@ -191,27 +194,17 @@ def strip(graph: LineRelationGraph, seed: int) -> StripResult:
 def _row_to_rle(row: int, n: int) -> str:
     """Run-length encoding of a bit row: alternating run lengths, zeros first.
 
-    The runs of ones are the stretches of consecutive set bits, read off
-    the row's bit list; each is preceded by the zeros since the last one
-    (0 before a run that starts at bit 0), and a row not ending in a one
-    closes with its trailing zeros (an empty row is the single run n).
-    Bits at n and above are ignored.
+    The set bits of ``row ^ row << 1`` are the run boundaries, where a bit
+    differs from the one below it (a zero below bit 0).  The lengths are the
+    gaps between 0, those boundaries and n, so a row starting with a one
+    opens with a zero run of 0 and an empty row is the single run n.  Bits
+    at n and above are ignored.
     """
-    runs = []
-    pos = start = end = 0  # pos: first bit not yet encoded; [start, end): the open run
-    for v in bits_of(row & ((1 << n) - 1)):
-        if v != end:
-            if end:
-                runs += (start - pos, end - start)
-                pos = end
-            start = v
-        end = v + 1
-    if end:
-        runs += (start - pos, end - start)
-        pos = end
-    if pos < n or not runs:
-        runs.append(n - pos)
-    return ",".join(map(str, runs))
+    row &= (1 << n) - 1
+    edges = [0, *bits_of(row ^ row << 1)]
+    if edges[-1] < n or not row:
+        edges.append(n)
+    return ",".join([str(b - a) for a, b in zip(edges, edges[1:])])
 
 
 def _row_from_rle(text: str, n: int) -> int:

@@ -299,6 +299,23 @@ def test_the_oracle_cliques_map_back_to_the_geometric_ids(request, name):
         assert ws.cliques(kind) == bron_kerbosch(request.getfixturevalue(f"{name}_{kind}"))
 
 
+def test_the_oracle_reads_the_relation_in_geometric_ids(cex_ws, cex_pi, cex_rho, tmp_path,
+                                                      monkeypatch):
+    # Bron-Kerbosch is handed the geometric-id rows, not the stripped ones
+    ws = Workspace(RunConfig(*CEX, seed=SEED, out_dir=tmp_path))
+    ws._stages = {key: stage for key, stage in cex_ws._stages.items() if key[0] != "cliques"}
+    seen = []
+
+    def recording(graph):
+        seen.append(graph.rows)
+        return bron_kerbosch(graph)
+
+    monkeypatch.setattr(harness, "bron_kerbosch", recording)
+    for kind in ("pi", "rho"):
+        ws.cliques(kind)
+    assert seen == [cex_pi.rows, cex_rho.rows]
+
+
 def test_the_rho_exclusion_is_computed_once_per_workspace(cfg1_ws, tmp_path, monkeypatch):
     # over GF(2) the rho half sets the proper pencils of affine planes aside
     # and tests each for spanning, once per command however often it is read

@@ -12,6 +12,7 @@ from spinegeo.relations import (
     LineRelationGraph,
     StripResult,
     bits_of,
+    _row_from_rle,
     _row_to_rle,
     compute_pi,
     compute_rho,
@@ -260,6 +261,20 @@ def reference_row_to_rle(row, n):
 def test_row_to_rle_matches_the_run_walk(case):
     row, n = case
     assert _row_to_rle(row, n) == reference_row_to_rle(row, n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 300).flatmap(
+    lambda n: st.tuples(st.integers(0, (1 << (n + 8)) - 1), st.just(n))))
+@example((0, 0))  # the empty universe
+@example((1, 9))  # bit 0
+@example((1 << 8 | 0b101 << 9, 9))  # bit n - 1, with bits above n
+@example(((1 << 9) - 1, 9))  # all n bits
+@example((0, 9))  # an empty row
+def test_row_rle_round_trip(case):
+    # the decoder inverts the encoder on the row's n bits
+    row, n = case
+    assert _row_from_rle(_row_to_rle(row, n), n) == row & ((1 << n) - 1)
 
 
 def reference_check_invariants(graph):
